@@ -51,7 +51,7 @@ func BenchmarkTable2BaseThroughput(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sig := dmgc.MustParse(name)
 			for i := 0; i < b.N; i++ {
-				r, err := SimulateThroughput(sig.String(), 1<<16, 1)
+				r, err := SimulateThroughputOpts(sig.String(), 1<<16, 1, SimOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func BenchmarkFig2ModelSizeSweep(b *testing.B) {
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := SimulateThroughput("D8M8", n, 18)
+				r, err := SimulateThroughputOpts("D8M8", n, 18, SimOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

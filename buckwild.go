@@ -152,8 +152,8 @@ func (r Rounding) kind() (kernels.QuantKind, error) {
 	return 0, fmt.Errorf("buckwild: unknown rounding %q", r)
 }
 
-// Observability re-exports: installing Hooks in a Config (or setting
-// CollectStats) makes the engine report progress and fill Result.Stats.
+// Observability re-exports: installing Hooks in a Config makes the engine
+// report progress and fill Result.Stats (NopHooks{} alone is enough).
 type (
 	// Hooks receives run-level callbacks; see the obs package for the
 	// concurrency contract. Embed NopHooks to implement a subset.
@@ -337,11 +337,6 @@ type Config struct {
 	// Result.Stats. When unset the engine runs the bare algorithm — the
 	// only residual cost is one nil check per step.
 	Hooks Hooks
-	// CollectStats requests Result.Stats without hooks.
-	//
-	// Deprecated: set Hooks instead — NopHooks{} alone makes the engine
-	// fill Result.Stats.
-	CollectStats bool
 	// StepSample is the per-step sampling period for hooks and the
 	// staleness histogram; 0 means the default (see obs.DefaultStepSample),
 	// 1 samples every step.
@@ -478,7 +473,7 @@ func (c Config) observer() *obs.Observer {
 	if !c.Cluster.enabled() {
 		flight, live = nil, nil
 	}
-	if c.Hooks == nil && !c.CollectStats && c.Tracer == nil && c.TimeSeries == nil &&
+	if c.Hooks == nil && c.Tracer == nil && c.TimeSeries == nil &&
 		!c.NumHealth && flight == nil && live == nil {
 		return nil
 	}

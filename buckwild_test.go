@@ -40,7 +40,7 @@ func TestTrainDenseFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainDense(Config{
+	res, err := Train(Config{
 		Signature: "D8M8",
 		Threads:   2,
 		Epochs:    4,
@@ -60,7 +60,7 @@ func TestTrainSparseFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainSparse(Config{
+	res, err := Train(Config{
 		Signature: "D8i16M8",
 		Epochs:    6,
 		StepSize:  0.2,
@@ -76,23 +76,23 @@ func TestTrainSparseFacade(t *testing.T) {
 
 func TestFacadeValidation(t *testing.T) {
 	dense, _ := GenerateDense("D8M8", 16, 10, 1)
-	if _, err := TrainDense(Config{Signature: "D8i8M8"}, dense); err == nil {
+	if _, err := Train(Config{Signature: "D8i8M8"}, dense); err == nil {
 		t.Error("sparse signature on dense data should fail")
 	}
-	if _, err := TrainDense(Config{Signature: "D8M8", Problem: "kmeans"}, dense); err == nil {
+	if _, err := Train(Config{Signature: "D8M8", Problem: "kmeans"}, dense); err == nil {
 		t.Error("unknown problem should fail")
 	}
-	if _, err := TrainDense(Config{Signature: "D8M8", Rounding: "coin-flip"}, dense); err == nil {
+	if _, err := Train(Config{Signature: "D8M8", Rounding: "coin-flip"}, dense); err == nil {
 		t.Error("unknown rounding should fail")
 	}
 	if _, err := GenerateSparse("D8M8", 16, 10, 0.5, 1); err == nil {
 		t.Error("dense signature for sparse generation should fail")
 	}
 	sp, _ := GenerateSparse("D8i16M8", 64, 10, 0.1, 1)
-	if _, err := TrainSparse(Config{Signature: "D8i32M8"}, sp); err == nil {
+	if _, err := Train(Config{Signature: "D8i32M8"}, sp); err == nil {
 		t.Error("index precision mismatch should fail")
 	}
-	if _, err := TrainDense(Config{Signature: "D12M12"}, dense); err == nil {
+	if _, err := Train(Config{Signature: "D12M12"}, dense); err == nil {
 		t.Error("unsupported precision should fail")
 	}
 }
@@ -103,25 +103,25 @@ func TestRoundingOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []Rounding{Biased, UnbiasedMT, UnbiasedXorshift, UnbiasedShared} {
-		if _, err := TrainDense(Config{Signature: "D8M8", Rounding: r, Epochs: 1}, ds); err != nil {
+		if _, err := Train(Config{Signature: "D8M8", Rounding: r, Epochs: 1}, ds); err != nil {
 			t.Errorf("rounding %q failed: %v", r, err)
 		}
 	}
 }
 
 func TestSimulateThroughputFacade(t *testing.T) {
-	r8, err := SimulateThroughput("D8M8", 1<<16, 1)
+	r8, err := SimulateThroughputOpts("D8M8", 1<<16, 1, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := SimulateThroughput("D32fM32f", 1<<16, 1)
+	r32, err := SimulateThroughputOpts("D32fM32f", 1<<16, 1, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r8.GNPS <= r32.GNPS {
 		t.Errorf("8-bit (%v) should beat float (%v)", r8.GNPS, r32.GNPS)
 	}
-	if _, err := SimulateThroughput("nope", 100, 1); err == nil {
+	if _, err := SimulateThroughputOpts("nope", 100, 1, SimOptions{}); err == nil {
 		t.Error("bad signature should fail")
 	}
 }
@@ -131,7 +131,7 @@ func TestFullPrecisionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainDense(Config{Epochs: 3}, ds)
+	res, err := Train(Config{Epochs: 3}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestGradientTermInSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainDense(Config{Signature: "D8M8G10", Epochs: 4, StepSize: 0.1}, ds)
+	res, err := Train(Config{Signature: "D8M8G10", Epochs: 4, StepSize: 0.1}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainDense(Config{Signature: "D8M8", Epochs: 3, StepSize: 0.1}, ds)
+	res, err := Train(Config{Signature: "D8M8", Epochs: 3, StepSize: 0.1}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,11 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Predictions agree with direct evaluation.
-	margin, err := m.PredictDense(ds.Raw[0])
+	h, err := m.Handle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	margin, err := h.PredictDense(ds.Raw[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +195,12 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if margin != want {
 		t.Errorf("PredictDense = %v, want %v", margin, want)
 	}
-	sparseMargin, err := m.Predict([]int32{0, 5}, []float32{1, 2})
+	sparseMargin, err := h.PredictSparse([]int32{0, 5}, []float32{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sparseMargin != res.W[0]+2*res.W[5] {
-		t.Errorf("sparse Predict = %v", sparseMargin)
+		t.Errorf("PredictSparse = %v", sparseMargin)
 	}
 }
 
@@ -210,11 +214,14 @@ func TestModelIOErrors(t *testing.T) {
 	if _, err := LoadModelFile("/nonexistent/model.gob"); err == nil {
 		t.Error("missing file should fail")
 	}
-	m := &SavedModel{Weights: []float32{1, 2}}
-	if _, err := m.Predict([]int32{5}, []float32{1}); err == nil {
+	m, err := (&SavedModel{Signature: "D8M8", Weights: []float32{1, 2}}).Handle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PredictSparse([]int32{5}, []float32{1}); err == nil {
 		t.Error("out-of-range index should fail")
 	}
-	if _, err := m.Predict([]int32{0, 1}, []float32{1}); err == nil {
+	if _, err := m.PredictSparse([]int32{0, 1}, []float32{1}); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	if _, err := m.PredictDense([]float32{1}); err == nil {
@@ -310,21 +317,21 @@ func TestValidateRoutedThroughEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainDense(bad, ds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
-		t.Errorf("TrainDense: %v", err)
+	if _, err := Train(bad, ds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
+		t.Errorf("dense: %v", err)
 	}
 	sds, err := GenerateSparse("D8i16M8", 64, 128, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	badSparse := Config{Signature: "D8i16M8", Rounding: "nope", Epochs: 1}
-	if _, err := TrainSparse(badSparse, sds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
-		t.Errorf("TrainSparse: %v", err)
+	if _, err := Train(badSparse, sds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
+		t.Errorf("sparse: %v", err)
 	}
-	if _, err := TrainDense(Config{Epochs: 1}, nil); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
+	if _, err := Train(Config{Epochs: 1}, (*DenseDataset)(nil)); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Errorf("nil dataset: %v", err)
 	}
-	if _, err := TrainSparse(Config{Epochs: 1}, &SparseDataset{}); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
+	if _, err := Train(Config{Epochs: 1}, &SparseDataset{}); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Errorf("empty sparse dataset: %v", err)
 	}
 	if _, err := GenerateDense("bogus", 8, 8, 1); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
@@ -337,7 +344,7 @@ func TestValidateRoutedThroughEntryPoints(t *testing.T) {
 		t.Errorf("GenerateSparse zero density: %v", err)
 	}
 	// Precision mismatches are caught at the facade with its prefix.
-	if _, err := TrainDense(Config{Signature: "D16M16", Epochs: 1}, ds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
+	if _, err := Train(Config{Signature: "D16M16", Epochs: 1}, ds); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Errorf("precision mismatch: %v", err)
 	}
 }
@@ -365,51 +372,53 @@ func TestTypedProblemCompat(t *testing.T) {
 	}
 }
 
+// TestSimOptionsZeroValueIdentity pins the zero-value contract documented
+// on SimOptions: the zero value is the same simulation as the defaults
+// spelled out.
 func TestSimOptionsZeroValueIdentity(t *testing.T) {
-	for _, sig := range []string{"D8M8", "D4M4", "D8i16M8"} {
-		base, err := SimulateThroughput(sig, 1<<12, 4)
+	for sig, variant := range map[string]string{"D8M8": "handopt", "D4M4": "newinsn", "D8i16M8": "handopt"} {
+		base, err := SimulateThroughputOpts(sig, 1<<12, 4, SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := SimulateThroughput(sig, 1<<12, 4, SimOptions{})
+		opt, err := SimulateThroughputOpts(sig, 1<<12, 4, SimOptions{
+			Variant: variant, Rounding: UnbiasedShared, Density: 0.03, Prefetch: On, Seed: 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base.GNPS != opt.GNPS || base.CyclesPerRound != opt.CyclesPerRound {
-			t.Errorf("%s: zero SimOptions changed the result: %v vs %v", sig, base.GNPS, opt.GNPS)
+			t.Errorf("%s: zero SimOptions differ from the documented defaults: %v vs %v", sig, base.GNPS, opt.GNPS)
 		}
 	}
 }
 
 func TestSimOptionsVariants(t *testing.T) {
-	gen, err := SimulateThroughput("D8M8", 1<<14, 1, SimOptions{Variant: "generic"})
+	gen, err := SimulateThroughputOpts("D8M8", 1<<14, 1, SimOptions{Variant: "generic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hand, err := SimulateThroughput("D8M8", 1<<14, 1, SimOptions{Variant: "handopt"})
+	hand, err := SimulateThroughputOpts("D8M8", 1<<14, 1, SimOptions{Variant: "handopt"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hand.GNPS <= gen.GNPS {
 		t.Errorf("handopt (%.3f) should beat generic (%.3f)", hand.GNPS, gen.GNPS)
 	}
-	npf, err := SimulateThroughput("D8M8", 1<<18, 1, SimOptions{Prefetch: Off})
+	npf, err := SimulateThroughputOpts("D8M8", 1<<18, 1, SimOptions{Prefetch: Off})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if npf.GNPS >= hand.GNPS*4 {
 		t.Errorf("prefetch-off result implausible: %.3f", npf.GNPS)
 	}
-	if _, err := SimulateThroughput("D8M8", 1<<12, 1, SimOptions{Variant: "jit"}); err == nil {
+	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Variant: "jit"}); err == nil {
 		t.Error("unknown variant accepted")
 	}
-	if _, err := SimulateThroughput("D8M8", 1<<12, 1, SimOptions{Density: 2}); err == nil {
+	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Density: 2}); err == nil {
 		t.Error("bad density accepted")
 	}
-	if _, err := SimulateThroughput("D8M8", 1<<12, 1, SimOptions{}, SimOptions{}); err == nil {
-		t.Error("two SimOptions accepted")
-	}
-	if _, err := SimulateThroughput("D8M8", 1<<12, 1, SimOptions{Rounding: UnbiasedHardware}); err != nil {
+	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Rounding: UnbiasedHardware}); err != nil {
 		t.Errorf("hardware rounding: %v", err)
 	}
 }
@@ -428,7 +437,7 @@ func TestFacadeObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &facadeHooks{}
-	res, err := TrainDense(Config{
+	res, err := Train(Config{
 		Signature: "D8M8", Threads: 2, Epochs: 2, Seed: 3,
 		Hooks: h, StepSample: 1,
 	}, ds)
@@ -441,20 +450,20 @@ func TestFacadeObservability(t *testing.T) {
 	if res.Stats == nil || res.Stats.Steps != 2*256 {
 		t.Errorf("stats = %+v", res.Stats)
 	}
-	// CollectStats without hooks still fills Result.Stats.
-	res, err = TrainDense(Config{Signature: "D8M8", Epochs: 1, CollectStats: true}, ds)
+	// NopHooks alone still fills Result.Stats.
+	res, err = Train(Config{Signature: "D8M8", Epochs: 1, Hooks: NopHooks{}}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats == nil || res.Stats.Steps != 256 {
-		t.Errorf("CollectStats stats = %+v", res.Stats)
+		t.Errorf("NopHooks stats = %+v", res.Stats)
 	}
-	// And without either, training is uninstrumented.
-	res, err = TrainDense(Config{Signature: "D8M8", Epochs: 1}, ds)
+	// And without hooks, training is uninstrumented.
+	res, err = Train(Config{Signature: "D8M8", Epochs: 1}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats != nil {
-		t.Error("Stats should be nil without hooks or CollectStats")
+		t.Error("Stats should be nil without hooks")
 	}
 }

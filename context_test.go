@@ -36,7 +36,7 @@ func TestTrainDenseContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = TrainDense(Config{Signature: "D8M8", Epochs: 50, Context: cancelledCtx()}, ds)
+	_, err = Train(Config{Signature: "D8M8", Epochs: 50, Context: cancelledCtx()}, ds)
 	assertFacadeCancel(t, err, context.Canceled)
 }
 
@@ -47,7 +47,7 @@ func TestTrainSparseContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = TrainSparse(Config{Signature: "D8i16M8", Epochs: 50, Context: ctx}, ds)
+	_, err = Train(Config{Signature: "D8i16M8", Epochs: 50, Context: ctx}, ds)
 	assertFacadeCancel(t, err, context.DeadlineExceeded)
 }
 
@@ -61,7 +61,7 @@ func TestTrainSyncContextCancel(t *testing.T) {
 }
 
 func TestSimulateThroughputContextCancel(t *testing.T) {
-	_, err := SimulateThroughput("D8M8", 1024, 2, SimOptions{Context: cancelledCtx()})
+	_, err := SimulateThroughputOpts("D8M8", 1024, 2, SimOptions{Context: cancelledCtx()})
 	assertFacadeCancel(t, err, context.Canceled)
 }
 
@@ -75,7 +75,7 @@ func TestContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hooks := &cancelAfterSteps{n: 100, cancel: cancel}
-	_, err = TrainDense(Config{
+	_, err = Train(Config{
 		Signature: "D8M8", Epochs: 1000, Context: ctx,
 		Hooks: hooks, StepSample: 1,
 	}, ds)

@@ -418,23 +418,7 @@ func (e *engine) result(w []float32, simT, computeSec, commSec float64) *core.Re
 			Staleness:    e.stats.Staleness,
 		}
 		if e.nc != nil {
-			ns := &obs.NumStats{
-				Saturations: e.nc.SatTotal(),
-				Underflows:  e.nc.Underflows,
-				Bias: obs.RoundingBias{
-					Mode:      "wire-" + e.cfg.Quant.String(),
-					Samples:   e.nc.BiasN,
-					SumQuanta: e.nc.BiasSumQ,
-				},
-			}
-			for site := fixed.Site(0); site < fixed.NumSites; site++ {
-				if n := e.nc.Sat[site]; n > 0 {
-					if ns.SatBySite == nil {
-						ns.SatBySite = make(map[string]uint64)
-					}
-					ns.SatBySite[site.String()] = n
-				}
-			}
+			ns := core.NumStats(e.nc, "wire-"+e.cfg.Quant.String())
 			s.NumHealth = ns
 			res.NumStats = ns
 		}

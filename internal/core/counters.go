@@ -350,23 +350,7 @@ func (ro *runObs) snapshot() *obs.RunStats {
 		for i := range ro.num {
 			total.Merge(&ro.num[i].c)
 		}
-		ns := &obs.NumStats{
-			Saturations: total.SatTotal(),
-			Underflows:  total.Underflows,
-			Bias: obs.RoundingBias{
-				Mode:      ro.writeKind,
-				Samples:   total.BiasN,
-				SumQuanta: total.BiasSumQ,
-			},
-		}
-		for site := fixed.Site(0); site < fixed.NumSites; site++ {
-			if n := total.Sat[site]; n > 0 {
-				if ns.SatBySite == nil {
-					ns.SatBySite = make(map[string]uint64)
-				}
-				ns.SatBySite[site.String()] = n
-			}
-		}
+		ns := NumStats(&total, ro.writeKind)
 		if ro.weights != nil {
 			w := *ro.weights
 			ns.Weights = &w
@@ -374,4 +358,30 @@ func (ro *runObs) snapshot() *obs.RunStats {
 		s.NumHealth = ns
 	}
 	return s
+}
+
+// NumStats converts a (merged) counter block into the exportable
+// numerical-health snapshot; mode names the rounding discipline the
+// counted writes used. It is the one NumCounts-to-NumStats conversion:
+// the engines, the synchronous trainer and the cluster tier all export
+// through it.
+func NumStats(c *fixed.NumCounts, mode string) *obs.NumStats {
+	ns := &obs.NumStats{
+		Saturations: c.SatTotal(),
+		Underflows:  c.Underflows,
+		Bias: obs.RoundingBias{
+			Mode:      mode,
+			Samples:   c.BiasN,
+			SumQuanta: c.BiasSumQ,
+		},
+	}
+	for site := fixed.Site(0); site < fixed.NumSites; site++ {
+		if n := c.Sat[site]; n > 0 {
+			if ns.SatBySite == nil {
+				ns.SatBySite = make(map[string]uint64)
+			}
+			ns.SatBySite[site.String()] = n
+		}
+	}
+	return ns
 }

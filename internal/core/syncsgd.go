@@ -8,7 +8,6 @@ import (
 	"buckwild/internal/dataset"
 	"buckwild/internal/fixed"
 	"buckwild/internal/metrics"
-	"buckwild/internal/obs"
 )
 
 // This file implements the explicit-communication corner of the DMGC space
@@ -151,14 +150,7 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 	}
 	res.W = w
 	if nc != nil {
-		res.NumStats = &obs.NumStats{
-			Underflows: nc.Underflows,
-			Bias: obs.RoundingBias{
-				Mode:      "comm-grid",
-				Samples:   nc.BiasN,
-				SumQuanta: nc.BiasSumQ,
-			},
-		}
+		res.NumStats = NumStats(nc, "comm-grid")
 	}
 	return res, nil
 }

@@ -248,16 +248,17 @@ func (f Format) RoundRawU(v int64, shift uint, mode Rounding, u uint32) int32 {
 	if shift == 0 {
 		return f.Saturate(v)
 	}
-	mask := int64(1)<<shift - 1
-	var r int64
+	return f.Saturate(roundShift(v, shift, mode, u))
+}
+
+// roundShift is the pre-saturation core RoundRawU and RoundRawUC share:
+// v / 2^shift (shift > 0) rounded to an integer under mode.
+func roundShift(v int64, shift uint, mode Rounding, u uint32) int64 {
 	if mode == Unbiased {
 		// floor((v + u) / 2^shift) with u uniform on [0, 2^shift).
-		r = (v + int64(u)&mask) >> shift
-	} else {
-		// Round to nearest; ties away from zero for non-negative,
-		// which matches the float path closely enough for SGD.
-		half := int64(1) << (shift - 1)
-		r = (v + half) >> shift
+		return (v + int64(u)&(int64(1)<<shift-1)) >> shift
 	}
-	return f.Saturate(r)
+	// Round to nearest; ties away from zero for non-negative, which
+	// matches the float path closely enough for SGD.
+	return (v + int64(1)<<(shift-1)) >> shift
 }

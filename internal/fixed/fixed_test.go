@@ -215,53 +215,6 @@ func TestQuantizePropertyBiasedError(t *testing.T) {
 	}
 }
 
-func TestSaturateHelpers(t *testing.T) {
-	if got := AddSat8(100, 100); got != 127 {
-		t.Errorf("AddSat8 overflow = %d", got)
-	}
-	if got := AddSat8(-100, -100); got != -128 {
-		t.Errorf("AddSat8 underflow = %d", got)
-	}
-	if got := AddSat8(5, -3); got != 2 {
-		t.Errorf("AddSat8(5,-3) = %d", got)
-	}
-	if got := AddSat16(30000, 30000); got != 32767 {
-		t.Errorf("AddSat16 overflow = %d", got)
-	}
-	if got := AddSat32(2147483000, 2147483000); got != 2147483647 {
-		t.Errorf("AddSat32 overflow = %d", got)
-	}
-	if got := AddSat32(-2147483000, -2147483000); got != -2147483648 {
-		t.Errorf("AddSat32 underflow = %d", got)
-	}
-}
-
-func TestMulAddWidening(t *testing.T) {
-	// -128 * -128 = 16384 fits exactly in 16 bits: the multiply is exact.
-	if got := MulAdd8to16(-128, -128, 0); got != 16384 {
-		t.Errorf("MulAdd8to16(-128,-128,0) = %d, want 16384", got)
-	}
-	// Accumulation saturates.
-	if got := MulAdd8to16(127, 127, 32000); got != 32767 {
-		t.Errorf("MulAdd8to16 saturating acc = %d, want 32767", got)
-	}
-	if got := MulAdd16to32(-32768, -32768, 0); got != 1073741824 {
-		t.Errorf("MulAdd16to32 = %d", got)
-	}
-}
-
-func TestClamps(t *testing.T) {
-	if Clamp8(300) != 127 || Clamp8(-300) != -128 || Clamp8(5) != 5 {
-		t.Error("Clamp8 wrong")
-	}
-	if Clamp16(70000) != 32767 || Clamp16(-70000) != -32768 || Clamp16(-7) != -7 {
-		t.Error("Clamp16 wrong")
-	}
-	if Clamp4(20) != 7 || Clamp4(-20) != -8 || Clamp4(3) != 3 {
-		t.Error("Clamp4 wrong")
-	}
-}
-
 func TestQuantizePropertySaturation(t *testing.T) {
 	// Property: quantization never escapes the representable raw range.
 	rs := prng.NewXorshift32(17)

@@ -1,10 +1,11 @@
 package fixed
 
-// Numerical-health counting: optional counting variants of the saturating
-// helpers and the quantization entry points. "Taming the Wild" and the
-// paper's Section 3 argue that saturation and rounding bias are the
-// mechanisms behind low-precision accuracy gaps; these variants make both
-// observable per run without touching the uninstrumented paths.
+// Numerical-health counting: the counter block the integer kernels fill
+// from their own loops, and counting variants of the format clamp and the
+// quantization entry points. "Taming the Wild" and the paper's Section 3
+// argue that saturation and rounding bias are the mechanisms behind
+// low-precision accuracy gaps; these variants make both observable per run
+// without touching the uninstrumented paths.
 //
 // The contract mirrors the engine's observability convention: every
 // counting variant takes a *NumCounts and behaves bit-identically to its
@@ -16,22 +17,15 @@ package fixed
 // counter shards.
 
 // Site identifies one saturation (clamp) site in the low-precision
-// arithmetic. Each counting variant increments exactly one site when its
-// result clamps at a type or format bound.
+// arithmetic.
 type Site int
 
-// The saturation sites, one per saturating helper plus the two
-// format-level sites (Saturate on raw model writes, Quantize on
-// float-to-fixed conversion hitting the format bounds).
+// The saturation sites: the vpmaddubsw pair-sum clamp of the 8-bit dot,
+// the format clamp on raw model writes (the rounded AXPY delta and the
+// saturating add that applies it), and float-to-fixed conversion hitting
+// the format bounds.
 const (
-	SiteClamp4 Site = iota
-	SiteClamp8
-	SiteClamp16
-	SiteAddSat8
-	SiteAddSat16
-	SiteAddSat32
-	SiteMulAdd8to16
-	SiteMulAdd16to32
+	SiteMulAdd8to16 Site = iota
 	SiteSaturate
 	SiteQuantize
 	// NumSites bounds the Site enum; it is the length of NumCounts.Sat.
@@ -41,22 +35,8 @@ const (
 // String names the site as it appears in exported saturation maps.
 func (s Site) String() string {
 	switch s {
-	case SiteClamp4:
-		return "clamp4"
-	case SiteClamp8:
-		return "clamp8"
-	case SiteClamp16:
-		return "clamp16"
-	case SiteAddSat8:
-		return "addsat8"
-	case SiteAddSat16:
-		return "addsat16"
-	case SiteAddSat32:
-		return "addsat32"
 	case SiteMulAdd8to16:
 		return "muladd8to16"
-	case SiteMulAdd16to32:
-		return "muladd16to32"
 	case SiteSaturate:
 		return "saturate"
 	case SiteQuantize:
@@ -111,148 +91,6 @@ func (c *NumCounts) Merge(other *NumCounts) {
 	c.Underflows += other.Underflows
 	c.BiasN += other.BiasN
 	c.BiasSumQ += other.BiasSumQ
-}
-
-// AddSat8C is AddSat8 with saturation counting.
-func AddSat8C(a, b int8, c *NumCounts) int8 {
-	s := int16(a) + int16(b)
-	if s > 127 {
-		if c != nil {
-			c.Sat[SiteAddSat8]++
-		}
-		return 127
-	}
-	if s < -128 {
-		if c != nil {
-			c.Sat[SiteAddSat8]++
-		}
-		return -128
-	}
-	return int8(s)
-}
-
-// AddSat16C is AddSat16 with saturation counting.
-func AddSat16C(a, b int16, c *NumCounts) int16 {
-	s := int32(a) + int32(b)
-	if s > 32767 {
-		if c != nil {
-			c.Sat[SiteAddSat16]++
-		}
-		return 32767
-	}
-	if s < -32768 {
-		if c != nil {
-			c.Sat[SiteAddSat16]++
-		}
-		return -32768
-	}
-	return int16(s)
-}
-
-// AddSat32C is AddSat32 with saturation counting.
-func AddSat32C(a, b int32, c *NumCounts) int32 {
-	s := int64(a) + int64(b)
-	if s > 2147483647 {
-		if c != nil {
-			c.Sat[SiteAddSat32]++
-		}
-		return 2147483647
-	}
-	if s < -2147483648 {
-		if c != nil {
-			c.Sat[SiteAddSat32]++
-		}
-		return -2147483648
-	}
-	return int32(s)
-}
-
-// MulAdd8to16C is MulAdd8to16 with saturation counting (the multiply is
-// exact; only the accumulate can clamp).
-func MulAdd8to16C(a, b int8, acc int16, c *NumCounts) int16 {
-	s := int32(int16(a)*int16(b)) + int32(acc)
-	if s > 32767 {
-		if c != nil {
-			c.Sat[SiteMulAdd8to16]++
-		}
-		return 32767
-	}
-	if s < -32768 {
-		if c != nil {
-			c.Sat[SiteMulAdd8to16]++
-		}
-		return -32768
-	}
-	return int16(s)
-}
-
-// MulAdd16to32C is MulAdd16to32 with saturation counting.
-func MulAdd16to32C(a, b int16, acc int32, c *NumCounts) int32 {
-	s := int64(a)*int64(b) + int64(acc)
-	if s > 2147483647 {
-		if c != nil {
-			c.Sat[SiteMulAdd16to32]++
-		}
-		return 2147483647
-	}
-	if s < -2147483648 {
-		if c != nil {
-			c.Sat[SiteMulAdd16to32]++
-		}
-		return -2147483648
-	}
-	return int32(s)
-}
-
-// Clamp8C is Clamp8 with saturation counting.
-func Clamp8C(v int32, c *NumCounts) int8 {
-	if v > 127 {
-		if c != nil {
-			c.Sat[SiteClamp8]++
-		}
-		return 127
-	}
-	if v < -128 {
-		if c != nil {
-			c.Sat[SiteClamp8]++
-		}
-		return -128
-	}
-	return int8(v)
-}
-
-// Clamp16C is Clamp16 with saturation counting.
-func Clamp16C(v int32, c *NumCounts) int16 {
-	if v > 32767 {
-		if c != nil {
-			c.Sat[SiteClamp16]++
-		}
-		return 32767
-	}
-	if v < -32768 {
-		if c != nil {
-			c.Sat[SiteClamp16]++
-		}
-		return -32768
-	}
-	return int16(v)
-}
-
-// Clamp4C is Clamp4 with saturation counting.
-func Clamp4C(v int32, c *NumCounts) int8 {
-	if v > 7 {
-		if c != nil {
-			c.Sat[SiteClamp4]++
-		}
-		return 7
-	}
-	if v < -8 {
-		if c != nil {
-			c.Sat[SiteClamp4]++
-		}
-		return -8
-	}
-	return int8(v)
 }
 
 // SaturateC is Saturate with saturation counting — the site every raw
@@ -348,14 +186,7 @@ func (f Format) RoundRawUC(v int64, shift uint, mode Rounding, u uint32, c *NumC
 		}
 		return out
 	}
-	mask := int64(1)<<shift - 1
-	var r int64
-	if mode == Unbiased {
-		r = (v + int64(u)&mask) >> shift
-	} else {
-		half := int64(1) << (shift - 1)
-		r = (v + half) >> shift
-	}
+	r := roundShift(v, shift, mode, u)
 	out := f.SaturateC(r, c)
 	if int64(out) == r {
 		c.BiasN++

@@ -7,62 +7,27 @@ import (
 	"buckwild/internal/prng"
 )
 
-// TestCountingVariantsMatchPlain checks the core counting contract: every
-// *C helper returns bit-identical results to its plain counterpart, with a
-// nil counter and with a live one.
+// TestCountingVariantsMatchPlain checks the counting contract of the format
+// clamp: bit-identical results to Saturate with a nil counter and with a
+// live one, and exactly one SiteSaturate event per clamped value.
 func TestCountingVariantsMatchPlain(t *testing.T) {
-	var c NumCounts
-	for a := -128; a <= 127; a += 3 {
-		for b := -128; b <= 127; b += 7 {
-			a8, b8 := int8(a), int8(b)
-			if got, want := AddSat8C(a8, b8, nil), AddSat8(a8, b8); got != want {
-				t.Fatalf("AddSat8C(%d,%d,nil) = %d, want %d", a, b, got, want)
-			}
-			if got, want := AddSat8C(a8, b8, &c), AddSat8(a8, b8); got != want {
-				t.Fatalf("AddSat8C(%d,%d,&c) = %d, want %d", a, b, got, want)
-			}
-			for _, acc := range []int16{0, 30000, -30000, 32767, -32768} {
-				if got, want := MulAdd8to16C(a8, b8, acc, &c), MulAdd8to16(a8, b8, acc); got != want {
-					t.Fatalf("MulAdd8to16C(%d,%d,%d) = %d, want %d", a, b, acc, got, want)
-				}
-			}
-		}
-	}
-	for v := int32(-70000); v <= 70000; v += 997 {
-		if got, want := Clamp4C(v, &c), Clamp4(v); got != want {
-			t.Fatalf("Clamp4C(%d) = %d, want %d", v, got, want)
-		}
-		if got, want := Clamp8C(v, &c), Clamp8(v); got != want {
-			t.Fatalf("Clamp8C(%d) = %d, want %d", v, got, want)
-		}
-		if got, want := Clamp16C(v, &c), Clamp16(v); got != want {
-			t.Fatalf("Clamp16C(%d) = %d, want %d", v, got, want)
-		}
-	}
-	for _, a := range []int16{-32768, -1000, 0, 1000, 32767} {
-		for _, b := range []int16{-32768, -3, 3, 32767} {
-			if got, want := AddSat16C(a, b, &c), AddSat16(a, b); got != want {
-				t.Fatalf("AddSat16C(%d,%d) = %d, want %d", a, b, got, want)
-			}
-			for _, acc := range []int32{0, math.MaxInt32, math.MinInt32} {
-				if got, want := MulAdd16to32C(a, b, acc, &c), MulAdd16to32(a, b, acc); got != want {
-					t.Fatalf("MulAdd16to32C(%d,%d,%d) = %d, want %d", a, b, acc, got, want)
-				}
-			}
-		}
-	}
-	for _, a := range []int32{math.MinInt32, -5, 0, 5, math.MaxInt32} {
-		for _, b := range []int32{math.MinInt32, -1, 1, math.MaxInt32} {
-			if got, want := AddSat32C(a, b, &c), AddSat32(a, b); got != want {
-				t.Fatalf("AddSat32C(%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
 	for _, f := range []Format{Q4, Q8, Q16} {
+		var c NumCounts
+		var clamped uint64
 		for v := int64(-100000); v <= 100000; v += 991 {
-			if got, want := f.SaturateC(v, &c), f.Saturate(v); got != want {
+			want := f.Saturate(v)
+			if got := f.SaturateC(v, &c); got != want {
 				t.Fatalf("%v.SaturateC(%d) = %d, want %d", f, v, got, want)
 			}
+			if got := f.SaturateC(v, nil); got != want {
+				t.Fatalf("%v.SaturateC(%d, nil) = %d, want %d", f, v, got, want)
+			}
+			if int64(want) != v {
+				clamped++
+			}
+		}
+		if c.Sat[SiteSaturate] != clamped || c.SatTotal() != clamped {
+			t.Fatalf("%v: counted %d clamps (%v), want %d", f, c.Sat[SiteSaturate], c.Sat, clamped)
 		}
 	}
 }
@@ -183,15 +148,15 @@ func TestRoundRawCMatchesPlain(t *testing.T) {
 // TestNumCountsMerge checks Merge (including nil-safety).
 func TestNumCountsMerge(t *testing.T) {
 	a := &NumCounts{Underflows: 3, BiasN: 2, BiasSumQ: 0.5}
-	a.Sat[SiteClamp8] = 7
+	a.Sat[SiteMulAdd8to16] = 7
 	b := &NumCounts{Underflows: 4, BiasN: 1, BiasSumQ: -0.25}
-	b.Sat[SiteClamp8] = 1
+	b.Sat[SiteMulAdd8to16] = 1
 	b.Sat[SiteSaturate] = 9
 	a.Merge(b)
 	if a.Underflows != 7 || a.BiasN != 3 || a.BiasSumQ != 0.25 {
 		t.Fatalf("merged scalars: %+v", a)
 	}
-	if a.Sat[SiteClamp8] != 8 || a.Sat[SiteSaturate] != 9 {
+	if a.Sat[SiteMulAdd8to16] != 8 || a.Sat[SiteSaturate] != 9 {
 		t.Fatalf("merged sites: %v", a.Sat)
 	}
 	if a.SatTotal() != 17 {

@@ -108,6 +108,43 @@ func TestAddSat16x4(t *testing.T) {
 	}
 }
 
+// TestAddSatNCountsClampedLanes checks the lane-count-returning adds: the
+// sum equals the one-result form's, and the count is exactly the number of
+// lanes whose true sum left the lane's range.
+func TestAddSatNCountsClampedLanes(t *testing.T) {
+	s := uint64(0x2545F4914F6CDD1D)
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	for n := 0; n < 200000; n++ {
+		a, b := next(), next()
+		if n%4 == 0 { // bias towards same-sign extremes so lanes clamp
+			a |= hi1x8 >> uint(n%3)
+			b |= hi1x8 >> uint(n%3)
+		}
+		want8, want16 := 0, 0
+		for i := 0; i < 8; i++ {
+			if sum := int16(int8(a>>(8*i))) + int16(int8(b>>(8*i))); sum > 127 || sum < -128 {
+				want8++
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if sum := int32(int16(a>>(16*i))) + int32(int16(b>>(16*i))); sum > 32767 || sum < -32768 {
+				want16++
+			}
+		}
+		if r, got := AddSat8x8N(a, b); r != AddSat8x8(a, b) || got != want8 {
+			t.Fatalf("AddSat8x8N(%#x, %#x) = %#x, %d clamped; want %#x, %d", a, b, r, got, AddSat8x8(a, b), want8)
+		}
+		if r, got := AddSat16x4N(a, b); r != AddSat16x4(a, b) || got != want16 {
+			t.Fatalf("AddSat16x4N(%#x, %#x) = %#x, %d clamped; want %#x, %d", a, b, r, got, AddSat16x4(a, b), want16)
+		}
+	}
+}
+
 // TestRoundRawUMatchesRoundRaw verifies the pure-core refactor: RoundRawU
 // fed the word a source would have produced behaves exactly like RoundRaw
 // drawing from that source, for both modes, all shifts, and the counting

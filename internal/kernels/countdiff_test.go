@@ -1,0 +1,252 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"buckwild/internal/fixed"
+	"buckwild/internal/prng"
+)
+
+// countedOut is everything a counted kernel run produces: the dot bits,
+// the final model and the whole counter block.
+type countedOut struct {
+	dots []uint32
+	w    Vec
+	c    fixed.NumCounts
+}
+
+// runCounted drives dot, then one axpy per scalar in as, then dot again
+// with health counting on, down the SWAR path or (scalar=true) the scalar
+// reference loops. A nil idx runs the dense kernel, otherwise the sparse
+// one over (idx, x). Every call builds a fresh same-seeded quantizer, so
+// the two paths see the same rounding stream.
+func runCounted(scalar bool, d, m Prec, v Variant, kind QuantKind, seed uint64, idx []int32, x, w0 Vec, as []float32) countedOut {
+	old := swarOn
+	swarOn = !scalar
+	defer func() { swarOn = old }()
+
+	var out countedOut
+	q := MustQuantizer(m, kind, 0, seed)
+	q.Num = &out.c
+	out.w = w0.Clone()
+	var dot func() float32
+	var axpy func(a float32)
+	if idx == nil {
+		k := MustDense(d, m, v, q)
+		k.Num = &out.c
+		dot = func() float32 { return k.Dot(x, out.w) }
+		axpy = func(a float32) { k.Axpy(a, x, out.w) }
+	} else {
+		k := MustSparse(d, m, v, q, 16)
+		k.Num = &out.c
+		dot = func() float32 { return k.Dot(idx, x, out.w) }
+		axpy = func(a float32) { k.Axpy(a, idx, x, out.w) }
+	}
+	out.dots = append(out.dots, math.Float32bits(dot()))
+	for _, a := range as {
+		axpy(a)
+	}
+	out.dots = append(out.dots, math.Float32bits(dot()))
+	return out
+}
+
+// diffCounted reports the first difference between a SWAR and a scalar
+// counted run: dots, every model word, and every NumCounts field (the
+// float64 bias sum by its bits — lane order is part of the contract).
+func diffCounted(swar, ref countedOut) error {
+	for i := range ref.dots {
+		if swar.dots[i] != ref.dots[i] {
+			return fmt.Errorf("dot %d bits: swar %#x scalar %#x", i, swar.dots[i], ref.dots[i])
+		}
+	}
+	for i := 0; i < ref.w.Len(); i++ {
+		if swar.w.Raw(i) != ref.w.Raw(i) {
+			return fmt.Errorf("w[%d]: swar %d scalar %d", i, swar.w.Raw(i), ref.w.Raw(i))
+		}
+	}
+	for s := fixed.Site(0); s < fixed.NumSites; s++ {
+		if swar.c.Sat[s] != ref.c.Sat[s] {
+			return fmt.Errorf("Sat[%v]: swar %d scalar %d", s, swar.c.Sat[s], ref.c.Sat[s])
+		}
+	}
+	if swar.c.Underflows != ref.c.Underflows {
+		return fmt.Errorf("Underflows: swar %d scalar %d", swar.c.Underflows, ref.c.Underflows)
+	}
+	if swar.c.BiasN != ref.c.BiasN {
+		return fmt.Errorf("BiasN: swar %d scalar %d", swar.c.BiasN, ref.c.BiasN)
+	}
+	if a, b := math.Float64bits(swar.c.BiasSumQ), math.Float64bits(ref.c.BiasSumQ); a != b {
+		return fmt.Errorf("BiasSumQ bits: swar %#x (%g) scalar %#x (%g)", a, swar.c.BiasSumQ, b, ref.c.BiasSumQ)
+	}
+	return nil
+}
+
+// countedScalars exercises every count source of the integer AXPY: two
+// ordinary updates, a scalar below the a-lane quantum (whole update
+// dropped: one underflow), one whose per-element products round to zero,
+// and two large ones that push the model into its format bounds.
+var countedScalars = []float32{0.371, -1.044, 1e-6, 0.002, 1.9, 1.9}
+
+// fillMinInt sets every element to the format's most negative value.
+func fillMinInt(v Vec) {
+	for i := 0; i < v.Len(); i++ {
+		v.SetRaw(i, v.P.Fixed().MinInt())
+	}
+}
+
+// sparseIdx draws nnz positions in [0, wlen) with a duplicate inside the
+// first block, so scatter order matters.
+func sparseIdx(nnz, wlen int, seed uint64) []int32 {
+	idx := make([]int32, nnz)
+	g := prng.NewXorshift64(seed)
+	for j := range idx {
+		idx[j] = int32(g.Uint64() % uint64(wlen))
+	}
+	if nnz >= 2 {
+		idx[1] = idx[0]
+	}
+	return idx
+}
+
+// TestCountedSwarMatchesScalar pins the counts, not just the weights: a
+// counted run down the SWAR loops must equal a counted run down the
+// scalar reference loops on every NumCounts field, over the D x M x
+// variant x kind grid of the value-level differential tests, ragged and
+// sub-word lengths, and an all-MinInt operand pair that forces
+// vpmaddubsw-pair and model-write clamps.
+func TestCountedSwarMatchesScalar(t *testing.T) {
+	precs := []Prec{I8, I16, I4}
+	seed := uint64(0xC0DE)
+	for _, d := range precs {
+		for _, m := range precs {
+			for _, v := range []Variant{Generic, HandOpt} {
+				for _, kind := range swarKinds {
+					for _, n := range swarLens {
+						for _, minInt := range []bool{false, true} {
+							seed++
+							name := fmt.Sprintf("dense D%v/M%v/%v/%v/n%d/minint=%v", d, m, v, kind, n, minInt)
+							x, w0 := NewVec(d, n), NewVec(m, n)
+							if minInt {
+								fillMinInt(x)
+								fillMinInt(w0)
+							} else {
+								fillRawVec(x, seed*3+1)
+								fillRawVec(w0, seed*5+2)
+							}
+							swar := runCounted(false, d, m, v, kind, seed, nil, x, w0, countedScalars)
+							ref := runCounted(true, d, m, v, kind, seed, nil, x, w0, countedScalars)
+							if err := diffCounted(swar, ref); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if v != HandOpt {
+								continue
+							}
+							if swar.c.Underflows == 0 {
+								t.Errorf("%s: dropped update not counted: %+v", name, swar.c)
+							}
+							if minInt && n >= 2 && d == I8 && m == I8 && swar.c.Sat[fixed.SiteMulAdd8to16] == 0 {
+								t.Errorf("%s: no pair-sum clamp counted: %+v", name, swar.c)
+							}
+							if minInt && swar.c.Sat[fixed.SiteSaturate] == 0 {
+								t.Errorf("%s: no model-write clamp counted: %+v", name, swar.c)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	const wlen = 37
+	for _, d := range []Prec{I8, I16} {
+		for _, m := range []Prec{I8, I16} {
+			for _, kind := range swarKinds {
+				for _, nnz := range swarLens {
+					for _, minInt := range []bool{false, true} {
+						seed++
+						name := fmt.Sprintf("sparse D%v/M%v/%v/nnz%d/minint=%v", d, m, kind, nnz, minInt)
+						idx := sparseIdx(nnz, wlen, seed)
+						x, w0 := NewVec(d, nnz), NewVec(m, wlen)
+						if minInt {
+							fillMinInt(x)
+							fillMinInt(w0)
+						} else {
+							fillRawVec(x, seed*7+3)
+							fillRawVec(w0, seed*11+4)
+						}
+						swar := runCounted(false, d, m, HandOpt, kind, seed, idx, x, w0, countedScalars)
+						ref := runCounted(true, d, m, HandOpt, kind, seed, idx, x, w0, countedScalars)
+						if err := diffCounted(swar, ref); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if swar.c.Underflows == 0 {
+							t.Errorf("%s: dropped update not counted: %+v", name, swar.c)
+						}
+						if minInt && swar.c.Sat[fixed.SiteSaturate] == 0 {
+							t.Errorf("%s: no model-write clamp counted: %+v", name, swar.c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCountedSwarMatchesScalar is the same property under fuzzing: raw
+// holds the operand bytes (dataset lanes first, then model lanes, both
+// reinterpreted at the selected widths), sel picks D, M, the rounding kind
+// and dense vs sparse, and a1/a2 are the AXPY scalars. Plain `go test`
+// runs the committed corpus under testdata/fuzz.
+func FuzzCountedSwarMatchesScalar(f *testing.F) {
+	minInt8 := make([]byte, 48)
+	for i := range minInt8 {
+		minInt8[i] = 0x80
+	}
+	f.Add(minInt8, uint8(0), float32(1.9), float32(1.9))  // D8M8 dense: pair-sum and write clamps
+	f.Add(minInt8, uint8(3), float32(-1.9), float32(0.5)) // D16M16 dense
+	f.Add([]byte{1, 2, 3, 250, 128, 127, 9}, uint8(1), float32(1e-6), float32(0.002))
+	f.Add([]byte("ragged-tail-and-then-some-more-lanes!"), uint8(0x24), float32(0.371), float32(-1.044))
+	f.Fuzz(func(t *testing.T, raw []byte, sel uint8, a1, a2 float32) {
+		if a1 != a1 || a2 != a2 {
+			t.Skip("NaN scalar")
+		}
+		d := []Prec{I8, I16}[sel&1]
+		m := []Prec{I8, I16}[sel>>1&1]
+		kind := swarKinds[int(sel>>2&7)%len(swarKinds)]
+		sparse := sel>>5&1 == 1
+
+		// Split raw evenly between the operands; each needs whole lanes.
+		n := len(raw) / int((d.Bits()+m.Bits())/8)
+		if n == 0 {
+			t.Skip("no whole element")
+		}
+		x, w0 := NewVec(d, n), NewVec(m, n)
+		pos := 0
+		fill := func(v Vec) {
+			for i := 0; i < n; i++ {
+				if v.P == I8 {
+					v.SetRaw(i, int32(int8(raw[pos])))
+					pos++
+				} else {
+					v.SetRaw(i, int32(int16(uint16(raw[pos])|uint16(raw[pos+1])<<8)))
+					pos += 2
+				}
+			}
+		}
+		fill(x)
+		fill(w0)
+		var idx []int32
+		if sparse {
+			idx = sparseIdx(n, n, uint64(sel)+uint64(n))
+		}
+		as := []float32{a1, a2}
+		seed := uint64(sel)<<8 | uint64(n&0xFF)
+		swar := runCounted(false, d, m, HandOpt, kind, seed, idx, x, w0, as)
+		ref := runCounted(true, d, m, HandOpt, kind, seed, idx, x, w0, as)
+		if err := diffCounted(swar, ref); err != nil {
+			t.Fatalf("D%v M%v %v sparse=%v n=%d a=(%g, %g): %v", d, m, kind, sparse, n, a1, a2, err)
+		}
+	})
+}

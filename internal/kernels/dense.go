@@ -48,9 +48,10 @@ type Dense struct {
 	// Q quantizes model writes; required iff M != F32.
 	Q *Quantizer
 	// Num, when non-nil, receives the worker's numerical-health counts
-	// (saturation per site, underflows). The uninstrumented loops are
-	// kept verbatim behind one nil check per kernel call; set Q.Num to
-	// the same block to also count quantization bias.
+	// (saturation per site, underflows). The same loops serve both
+	// settings: clamps are counted on the branches that already handle
+	// them and folded into Num after the loop; set Q.Num to the same
+	// block to also count quantization bias.
 	Num *fixed.NumCounts
 }
 
@@ -104,39 +105,35 @@ func (k *Dense) Dot(x, w Vec) float32 {
 
 // dotInt is the fused widening-multiply-add pipeline. For 8-bit (and 4-bit)
 // inputs it reproduces vpmaddubsw semantics: adjacent pairs multiply exactly
-// into 16 bits and their sum saturates at 16 bits; pair sums are then
-// accumulated exactly. For 16-bit inputs (vpmaddwd) the pair products
-// accumulate exactly into 32 bits. Mixed widths widen the narrower operand
-// first (exact).
+// into 16 bits and their sum saturates at 16 bits (each clamp is one
+// SiteMulAdd8to16 event); pair sums are then accumulated exactly. For 16-bit
+// inputs (vpmaddwd) the pair products accumulate exactly into 32 bits and
+// there is nothing to count. Mixed widths widen the narrower operand first
+// (exact).
 func (k *Dense) dotInt(x, w Vec, n int) float32 {
-	if k.Num != nil {
-		return k.dotIntC(x, w, n)
-	}
 	var acc int64
 	if k.D.Bits() <= 8 && k.M.Bits() <= 8 {
 		// vpmaddubsw: pairwise 8x8->16 with saturating pair add. Whole
 		// words go through the SWAR body (four pairs per uint64 load);
 		// word boundaries fall on pair boundaries, so the ragged tail
 		// continues the identical pairing.
+		var sat uint64
 		i := 0
 		if swarOn && k.D == I8 && k.M == I8 && x.w64 != nil && w.w64 != nil {
 			nw := n >> 3
-			acc = dotSwar8(x.w64[:nw], w.w64[:nw])
+			acc, sat = dotSwar8(x.w64[:nw], w.w64[:nw])
 			i = nw << 3
 		}
 		for ; i+1 < n; i += 2 {
 			p0 := int32(x.Raw(i)) * int32(w.Raw(i))
 			p1 := int32(x.Raw(i+1)) * int32(w.Raw(i+1))
-			s := p0 + p1
-			if s > 32767 {
-				s = 32767
-			} else if s < -32768 {
-				s = -32768
-			}
-			acc += int64(s)
+			acc += int64(clampPair(p0+p1, &sat))
 		}
 		if i < n {
 			acc += int64(int32(x.Raw(i)) * int32(w.Raw(i)))
+		}
+		if k.Num != nil {
+			k.Num.Sat[fixed.SiteMulAdd8to16] += sat
 		}
 	} else if swarOn && k.D == I16 && k.M == I16 && x.w64 != nil && w.w64 != nil {
 		// vpmaddwd over words: four exact 16x16->32 products per load,
@@ -160,26 +157,29 @@ func (k *Dense) dotInt(x, w Vec, n int) float32 {
 // dotSwar8 is the word-parallel body of the 8-bit dot pipeline: each
 // uint64 holds eight int8 lanes, i.e. four vpmaddubsw pairs. Lanes are
 // extracted by shifts, pair products widen exactly into 32 bits, and the
-// pair sum saturates at int16 exactly as the scalar reference does.
-func dotSwar8(xw, ww []uint64) int64 {
-	var acc int64
+// pair sum saturates at int16 exactly as the scalar reference does. It
+// returns the accumulated sum and the number of pair sums that clamped.
+func dotSwar8(xw, ww []uint64) (acc int64, sat uint64) {
 	for i, a := range xw {
 		b := ww[i]
-		s0 := clampPair(int32(int8(a))*int32(int8(b)) + int32(int8(a>>8))*int32(int8(b>>8)))
-		s1 := clampPair(int32(int8(a>>16))*int32(int8(b>>16)) + int32(int8(a>>24))*int32(int8(b>>24)))
-		s2 := clampPair(int32(int8(a>>32))*int32(int8(b>>32)) + int32(int8(a>>40))*int32(int8(b>>40)))
-		s3 := clampPair(int32(int8(a>>48))*int32(int8(b>>48)) + int32(int8(a>>56))*int32(int8(b>>56)))
+		s0 := clampPair(int32(int8(a))*int32(int8(b))+int32(int8(a>>8))*int32(int8(b>>8)), &sat)
+		s1 := clampPair(int32(int8(a>>16))*int32(int8(b>>16))+int32(int8(a>>24))*int32(int8(b>>24)), &sat)
+		s2 := clampPair(int32(int8(a>>32))*int32(int8(b>>32))+int32(int8(a>>40))*int32(int8(b>>40)), &sat)
+		s3 := clampPair(int32(int8(a>>48))*int32(int8(b>>48))+int32(int8(a>>56))*int32(int8(b>>56)), &sat)
 		acc += int64(s0) + int64(s1) + int64(s2) + int64(s3)
 	}
-	return acc
+	return acc, sat
 }
 
-// clampPair saturates a vpmaddubsw pair sum at the int16 bounds.
-func clampPair(s int32) int32 {
+// clampPair saturates a vpmaddubsw pair sum at the int16 bounds, bumping
+// *sat on the (rare) clamping branches.
+func clampPair(s int32, sat *uint64) int32 {
 	if s > 32767 {
+		*sat++
 		return 32767
 	}
 	if s < -32768 {
+		*sat++
 		return -32768
 	}
 	return s
@@ -197,28 +197,6 @@ func dotSwar16(xw, ww []uint64) int64 {
 			int64(int16(a>>48))*int64(int16(b>>48))
 	}
 	return acc
-}
-
-// dotIntC mirrors dotInt with saturation counting: the 8-bit pair add is
-// the vpmaddubsw saturation site, counted under SiteMulAdd8to16. The
-// 16-bit path accumulates exactly and has nothing to count.
-func (k *Dense) dotIntC(x, w Vec, n int) float32 {
-	var acc int64
-	if k.D.Bits() <= 8 && k.M.Bits() <= 8 {
-		i := 0
-		for ; i+1 < n; i += 2 {
-			p0 := int16(int32(x.Raw(i)) * int32(w.Raw(i)))
-			acc += int64(fixed.MulAdd8to16C(int8(x.Raw(i+1)), int8(w.Raw(i+1)), p0, k.Num))
-		}
-		if i < n {
-			acc += int64(int32(x.Raw(i)) * int32(w.Raw(i)))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			acc += int64(x.Raw(i)) * int64(w.Raw(i))
-		}
-	}
-	return float32(acc) * k.D.Fixed().Quantum() * k.M.Fixed().Quantum()
 }
 
 // Axpy performs the model update w <- round(w + a*x) elementwise, where the
@@ -242,20 +220,14 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 		// added with saturation (this is the semantics of the
 		// proposed QAXPY8 instruction as well).
 		fm := k.M.Fixed()
-		if c := k.Num; c != nil {
-			for i := 0; i < n; i++ {
-				p := a * x.At(i)
-				delta := k.Q.Quantize(p)
-				if delta == 0 && p != 0 {
-					c.Underflows++
-				}
-				w.SetRaw(i, fm.SaturateC(int64(w.Raw(i))+int64(delta), c))
-			}
-			return
-		}
+		c := k.Num
 		for i := 0; i < n; i++ {
-			delta := k.Q.Quantize(a * x.At(i))
-			w.SetRaw(i, fm.Saturate(int64(w.Raw(i))+int64(delta)))
+			p := a * x.At(i)
+			delta := k.Q.Quantize(p)
+			if c != nil && delta == 0 && p != 0 {
+				c.Underflows++
+			}
+			w.SetRaw(i, fm.SaturateC(int64(w.Raw(i))+int64(delta), c))
 		}
 	default:
 		// Generic: recompute w + a*x in float and round the sum.
@@ -271,15 +243,20 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 // a rounding right-shift (stochastic or nearest per the quantizer); the
 // delta is added to the model with saturation. This mirrors the
 // vpmullw / add-random-vector / truncate sequence of Section 6.1.
+//
+// Health counts come out of the same loop: a dropped whole update (the
+// scalar underflowing its 16-bit lane) and per-element deltas that round
+// to zero count as underflows, the model write clamp counts under
+// SiteSaturate, and RoundRaw feeds the bias accumulator through Q.Num.
 func (k *Dense) axpyInt(a float32, x, w Vec, n int) {
-	if k.Num != nil {
-		k.axpyIntC(a, x, w, n)
-		return
-	}
+	c := k.Num
 	aq := quantizeScalarA(a)
 	if aq == 0 {
 		// The scalar underflowed the a-lane format; the hand-optimized
 		// kernel genuinely performs no update in this case.
+		if c != nil && a != 0 {
+			c.Underflows++
+		}
 		return
 	}
 	fx := k.D.Fixed()
@@ -296,7 +273,10 @@ func (k *Dense) axpyInt(a float32, x, w Vec, n int) {
 	for ; i < n; i++ {
 		wide := int64(x.Raw(i)) * int64(aq)
 		delta := k.Q.RoundRaw(wide, shift)
-		w.SetRaw(i, fm.Saturate(int64(w.Raw(i))+int64(delta)))
+		if c != nil && delta == 0 && wide != 0 {
+			c.Underflows++
+		}
+		w.SetRaw(i, fm.SaturateC(int64(w.Raw(i))+int64(delta), c))
 	}
 }
 
@@ -307,19 +287,28 @@ func (k *Dense) axpyInt(a float32, x, w Vec, n int) {
 // into lane words and added to the model with the word-parallel saturating
 // adds. RoundRaw8 already saturates every delta into the model format, so
 // the packed lanes are exact and the final add is the only clamp — the
-// same two-stage structure as the scalar loop, hence bit-identical. It
-// returns how many elements it processed (a multiple of 8).
+// same two-stage structure as the scalar loop, hence bit-identical, counts
+// included: the adds report their overflowed lanes (the scalar loop's
+// SaturateC events) and an underflow is a zero delta from a nonzero wide
+// product on the block in hand. It returns how many elements it processed
+// (a multiple of 8).
 func (k *Dense) axpySwar(a64 int64, shift uint, x, w Vec, n int) int {
+	c := k.Num
 	n8 := n &^ 7
 	var xv [8]int32
 	var wide [8]int64
 	var delta [8]int32
+	var sat int
 	for i := 0; i < n8; i += 8 {
 		x.lanes8(i>>3, &xv)
 		for l := range wide {
 			wide[l] = int64(xv[l]) * a64
 		}
 		k.Q.RoundRaw8(&wide, shift, &delta)
+		if c != nil {
+			c.Underflows += underflows8(&wide, &delta)
+		}
+		var s0, s1 int
 		if k.M == I8 {
 			dw := uint64(uint8(delta[0])) |
 				uint64(uint8(delta[1]))<<8 |
@@ -329,7 +318,7 @@ func (k *Dense) axpySwar(a64 int64, shift uint, x, w Vec, n int) int {
 				uint64(uint8(delta[5]))<<40 |
 				uint64(uint8(delta[6]))<<48 |
 				uint64(uint8(delta[7]))<<56
-			w.w64[i>>3] = fixed.AddSat8x8(w.w64[i>>3], dw)
+			w.w64[i>>3], s0 = fixed.AddSat8x8N(w.w64[i>>3], dw)
 		} else {
 			d0 := uint64(uint16(delta[0])) |
 				uint64(uint16(delta[1]))<<16 |
@@ -339,37 +328,27 @@ func (k *Dense) axpySwar(a64 int64, shift uint, x, w Vec, n int) int {
 				uint64(uint16(delta[5]))<<16 |
 				uint64(uint16(delta[6]))<<32 |
 				uint64(uint16(delta[7]))<<48
-			w.w64[i>>2] = fixed.AddSat16x4(w.w64[i>>2], d0)
-			w.w64[i>>2+1] = fixed.AddSat16x4(w.w64[i>>2+1], d1)
+			w.w64[i>>2], s0 = fixed.AddSat16x4N(w.w64[i>>2], d0)
+			w.w64[i>>2+1], s1 = fixed.AddSat16x4N(w.w64[i>>2+1], d1)
 		}
+		sat += s0 + s1
+	}
+	if c != nil {
+		c.Sat[fixed.SiteSaturate] += uint64(sat)
 	}
 	return n8
 }
 
-// axpyIntC mirrors axpyInt with health counting: a dropped whole update
-// (the scalar underflowing its 16-bit lane) and per-element deltas that
-// round to zero count as underflows, the model write clamp counts under
-// SiteSaturate, and RoundRaw feeds the bias accumulator through Q.Num.
-func (k *Dense) axpyIntC(a float32, x, w Vec, n int) {
-	c := k.Num
-	aq := quantizeScalarA(a)
-	if aq == 0 {
-		if a != 0 {
-			c.Underflows++
+// underflows8 counts the lanes of one rounded block whose nonzero wide
+// product came back as a zero delta — the per-element underflow test of the
+// scalar loop, applied to the eight lanes in hand.
+func underflows8(wide *[8]int64, delta *[8]int32) (n uint64) {
+	for l, d := range delta {
+		if d == 0 && wide[l] != 0 {
+			n++
 		}
-		return
 	}
-	fx := k.D.Fixed()
-	fm := k.M.Fixed()
-	shift := fx.Frac + aqFrac - fm.Frac
-	for i := 0; i < n; i++ {
-		wide := int64(x.Raw(i)) * int64(aq)
-		delta := k.Q.RoundRaw(wide, shift)
-		if delta == 0 && wide != 0 {
-			c.Underflows++
-		}
-		w.SetRaw(i, fm.SaturateC(int64(w.Raw(i))+int64(delta), c))
-	}
+	return n
 }
 
 // quantizeScalarA rounds the AXPY scalar into its 16-bit broadcast lane

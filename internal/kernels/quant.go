@@ -226,27 +226,17 @@ func (q *Quantizer) RoundRaw(v int64, shift uint) int32 {
 // scalar kernels stay bit-identical for any grouping of elements.
 func (q *Quantizer) RoundRaw8(v *[8]int64, shift uint, out *[8]int32) {
 	mode := q.Mode()
+	var u [prng.BatchLanes]uint32 // stays zero where RoundRaw draws nothing
 	if mode == fixed.Unbiased && shift != 0 {
-		var u [prng.BatchLanes]uint32
 		q.Rand8(&u)
-		if q.Num != nil {
-			for i := range v {
-				out[i] = q.Fmt.RoundRawUC(v[i], shift, mode, u[i], q.Num)
-			}
-			return
-		}
-		for i := range v {
-			out[i] = q.Fmt.RoundRawU(v[i], shift, mode, u[i])
-		}
-		return
 	}
-	if q.Num != nil {
+	if c := q.Num; c != nil {
 		for i := range v {
-			out[i] = q.Fmt.RoundRawUC(v[i], shift, mode, 0, q.Num)
+			out[i] = q.Fmt.RoundRawUC(v[i], shift, mode, u[i], c)
 		}
 		return
 	}
 	for i := range v {
-		out[i] = q.Fmt.RoundRawU(v[i], shift, mode, 0)
+		out[i] = q.Fmt.RoundRawU(v[i], shift, mode, u[i])
 	}
 }

@@ -127,9 +127,10 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 			w.F32[i] += a * x.At(j)
 		}
 	case k.V != Generic && !k.D.IsFloat():
+		c := k.Num
 		aq := quantizeScalarA(a)
 		if aq == 0 {
-			if c := k.Num; c != nil && a != 0 {
+			if c != nil && a != 0 {
 				c.Underflows++
 			}
 			return
@@ -137,17 +138,6 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 		fx := k.D.Fixed()
 		fm := k.M.Fixed()
 		shift := fx.Frac + aqFrac - fm.Frac
-		if c := k.Num; c != nil {
-			for j, i := range idx {
-				wide := int64(x.Raw(j)) * int64(aq)
-				delta := k.Q.RoundRaw(wide, shift)
-				if delta == 0 && wide != 0 {
-					c.Underflows++
-				}
-				w.SetRaw(int(i), fm.SaturateC(int64(w.Raw(int(i)))+int64(delta), c))
-			}
-			return
-		}
 		j := 0
 		if swarOn && x.w64 != nil && (k.D == I8 || k.D == I16) && (k.M == I8 || k.M == I16) {
 			j = k.axpySwar(int64(aq), shift, idx, x, w)
@@ -157,24 +147,21 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 			i := idx[j]
 			wide := int64(x.Raw(j)) * int64(aq)
 			delta := k.Q.RoundRaw(wide, shift)
-			w.SetRaw(int(i), fm.Saturate(int64(w.Raw(int(i)))+int64(delta)))
+			if c != nil && delta == 0 && wide != 0 {
+				c.Underflows++
+			}
+			w.SetRaw(int(i), fm.SaturateC(int64(w.Raw(int(i)))+int64(delta), c))
 		}
 	case k.V != Generic: // float dataset, fixed model
 		fm := k.M.Fixed()
-		if c := k.Num; c != nil {
-			for j, i := range idx {
-				p := a * x.At(j)
-				delta := k.Q.Quantize(p)
-				if delta == 0 && p != 0 {
-					c.Underflows++
-				}
-				w.SetRaw(int(i), fm.SaturateC(int64(w.Raw(int(i)))+int64(delta), c))
-			}
-			return
-		}
+		c := k.Num
 		for j, i := range idx {
-			delta := k.Q.Quantize(a * x.At(j))
-			w.SetRaw(int(i), fm.Saturate(int64(w.Raw(int(i)))+int64(delta)))
+			p := a * x.At(j)
+			delta := k.Q.Quantize(p)
+			if c != nil && delta == 0 && p != 0 {
+				c.Underflows++
+			}
+			w.SetRaw(int(i), fm.SaturateC(int64(w.Raw(int(i)))+int64(delta), c))
 		}
 	default:
 		for j, i := range idx {
@@ -188,8 +175,11 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 // through the quantizer's vector entry point (same rounding-lane order as
 // the scalar loop), while the scattered model updates stay elementwise —
 // duplicate indices inside a block must read each other's writes, exactly
-// as the scalar reference does. Returns the nonzero count processed.
+// as the scalar reference does. Counted runs take the same loop: the
+// scatter clamps through the nil-safe SaturateC and underflows are read
+// off the block in hand. Returns the nonzero count processed.
 func (k *Sparse) axpySwar(a64 int64, shift uint, idx []int32, x, w Vec) int {
+	c := k.Num
 	fm := k.M.Fixed()
 	n8 := len(idx) &^ 7
 	var xv [8]int32
@@ -201,17 +191,20 @@ func (k *Sparse) axpySwar(a64 int64, shift uint, idx []int32, x, w Vec) int {
 			wide[l] = int64(xv[l]) * a64
 		}
 		k.Q.RoundRaw8(&wide, shift, &delta)
+		if c != nil {
+			c.Underflows += underflows8(&wide, &delta)
+		}
 		if k.M == I8 {
 			wr := w.I8
 			for l := 0; l < 8; l++ {
 				t := idx[j+l]
-				wr[t] = int8(fm.Saturate(int64(wr[t]) + int64(delta[l])))
+				wr[t] = int8(fm.SaturateC(int64(wr[t])+int64(delta[l]), c))
 			}
 		} else {
 			wr := w.I16
 			for l := 0; l < 8; l++ {
 				t := idx[j+l]
-				wr[t] = int16(fm.Saturate(int64(wr[t]) + int64(delta[l])))
+				wr[t] = int16(fm.SaturateC(int64(wr[t])+int64(delta[l]), c))
 			}
 		}
 	}

@@ -37,7 +37,8 @@ var swarLE = func() bool {
 }()
 
 // swarOn is the kill switch for the SWAR fast paths, true in production.
-// The differential tests flip it to force the scalar reference loops over
+// The differential tests flip it to force the scalar reference loops —
+// the executable specification of values and health counts alike — over
 // identical inputs and compare bit-for-bit.
 var swarOn = true
 

@@ -20,10 +20,12 @@ import (
 // engine aggregates it from per-worker counting shards after the workers
 // join; Merge folds several runs together for sweep-level reports.
 type NumStats struct {
-	// SatBySite counts saturation (clamp) events by arithmetic site
-	// (fixed.Site names: "saturate" for raw model-write clamps,
-	// "muladd8to16" for the vpmaddubsw pair saturation, "quantize" for
-	// float-to-fixed conversions hitting the format bounds, ...).
+	// SatBySite counts saturation (clamp) events by arithmetic site, keyed
+	// by the three fixed.Site names: "saturate" for raw model-write clamps
+	// (the rounded AXPY delta and the saturating add that applies it),
+	// "muladd8to16" for the vpmaddubsw pair-sum clamp of the 8-bit dot,
+	// "quantize" for float-to-fixed conversions hitting the format bounds.
+	// Sites that never fired are absent.
 	SatBySite map[string]uint64 `json:"saturations_by_site,omitempty"`
 	// Saturations is the total across all sites.
 	Saturations uint64 `json:"saturations"`

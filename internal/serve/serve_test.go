@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -464,5 +467,55 @@ func TestStartAddrAndDrain(t *testing.T) {
 	}
 	if err := s.Drain(nil); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// TestSlowHeaderClientDisconnected dribbles half a request header at the
+// real listener and never finishes it: the server must close that
+// connection once readHeaderTimeout passes (net/http sends a bare 400 with
+// Connection: close on the way out), while a well-formed /predict sent in
+// the meantime still answers 200.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
+	s, err := New(Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Promote(newLin(2, 2), 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+
+	slow, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := slow.Write([]byte("POST /predict HTTP/1.1\r\nHost: x\r\nContent-Le")); err != nil {
+		t.Fatal(err)
+	}
+
+	code, pr := post(t, "http://"+s.Addr(), `{"x":[1,1]}`)
+	if code != 200 || pr.Margin == nil || *pr.Margin != 4 {
+		t.Fatalf("well-formed request beside the slow client: code %d, resp %+v", code, pr)
+	}
+
+	if err := slow.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(slow) // returns at the server's close, or at our deadline
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("slow client still connected %v after its first byte (read %q)", time.Since(start), reply)
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Errorf("half a header was answered as a request: %q", reply)
+	}
+	if held := time.Since(start); held < readHeaderTimeout-time.Second {
+		t.Errorf("connection dropped after %v, before the %v header timeout", held, readHeaderTimeout)
 	}
 }

@@ -73,18 +73,6 @@ func TestPredictTypedErrors(t *testing.T) {
 			}
 		})
 	}
-
-	// The deprecated SavedModel wrappers surface the same typed errors.
-	sm := &SavedModel{Signature: "D8M8", Weights: make([]float32, 8)}
-	if _, err := sm.Predict(nil, nil); !errors.Is(err, ErrEmptyExample) {
-		t.Errorf("SavedModel.Predict empty: %v", err)
-	}
-	if _, err := sm.Predict([]int32{0}, []float32{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Errorf("SavedModel.Predict mismatch: %v", err)
-	}
-	if _, err := sm.PredictDense(make([]float32, 3)); !errors.Is(err, ErrDimension) {
-		t.Errorf("SavedModel.PredictDense mismatch: %v", err)
-	}
 }
 
 func TestNewModelValidation(t *testing.T) {
@@ -202,10 +190,6 @@ func TestSavedModelHandleBitIdentity(t *testing.T) {
 				vals = append(vals, x[j])
 			}
 		}
-		d0, err := sm.PredictDense(x)
-		if err != nil {
-			t.Fatal(err)
-		}
 		d1, err := h.PredictDense(x)
 		if err != nil {
 			t.Fatal(err)
@@ -214,22 +198,22 @@ func TestSavedModelHandleBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float32bits(d0) != math.Float32bits(d1) || math.Float32bits(d0) != math.Float32bits(d2) {
-			t.Fatalf("dense %d: SavedModel %x, Handle %x, NewModel %x", i, math.Float32bits(d0), math.Float32bits(d1), math.Float32bits(d2))
+		if math.Float32bits(d1) != math.Float32bits(d2) {
+			t.Fatalf("dense %d: Handle %x, NewModel %x", i, math.Float32bits(d1), math.Float32bits(d2))
 		}
 		if len(idx) == 0 {
 			continue
-		}
-		s0, err := sm.Predict(idx, vals)
-		if err != nil {
-			t.Fatal(err)
 		}
 		s1, err := h.PredictSparse(idx, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float32bits(s0) != math.Float32bits(s1) {
-			t.Fatalf("sparse %d: SavedModel %x, Handle %x", i, math.Float32bits(s0), math.Float32bits(s1))
+		s2, err := nm.PredictSparse(idx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float32bits(s1) != math.Float32bits(s2) {
+			t.Fatalf("sparse %d: Handle %x, NewModel %x", i, math.Float32bits(s1), math.Float32bits(s2))
 		}
 	}
 }

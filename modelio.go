@@ -157,7 +157,7 @@ func LoadModelFile(path string) (*SavedModel, error) {
 }
 
 // LoadLibSVM reads a LIBSVM-format file into a sparse dataset stored at the
-// signature's dataset and index precisions, ready for TrainSparse. Parse
+// signature's dataset and index precisions, ready for Train. Parse
 // errors name the file and line.
 func LoadLibSVM(path, sigText string) (*SparseDataset, error) {
 	sig, err := ParseSignature(orDefault(sigText, "D32fi32M32f"))
@@ -193,25 +193,4 @@ func LoadLibSVM(path, sigText string) (*SparseDataset, error) {
 // safe for any number of concurrent predict calls.
 func (m *SavedModel) Handle() (*Model, error) {
 	return NewModel(m.Signature, m.Weights)
-}
-
-// Predict applies a saved linear model to one example given as
-// (index, value) pairs, returning the margin w.x.
-//
-// Deprecated: use Handle to obtain a *Model and call its PredictSparse —
-// the immutable handle is safe for concurrent use and is the one shared
-// inference path. This wrapper routes through the same implementation
-// and stays bit-identical.
-func (m *SavedModel) Predict(idx []int32, vals []float32) (float32, error) {
-	return predictSparse(m.Weights, idx, vals)
-}
-
-// PredictDense applies a saved linear model to a dense example.
-//
-// Deprecated: use Handle to obtain a *Model and call its PredictDense —
-// the immutable handle is safe for concurrent use and is the one shared
-// inference path. This wrapper routes through the same implementation
-// and stays bit-identical.
-func (m *SavedModel) PredictDense(x []float32) (float32, error) {
-	return predictDense(m.Weights, x)
 }

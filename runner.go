@@ -117,7 +117,6 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 		MinThreads:   rc.MinThreads,
 		Faults:       rc.Faults,
 		Hooks:        cfg.Hooks,
-		CollectStats: cfg.CollectStats,
 		StepSample:   cfg.StepSample,
 		NumHealth:    cfg.NumHealth,
 		Tracer:       cfg.Tracer,
@@ -129,8 +128,8 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 	}
 }
 
-// RunDense is the supervised counterpart of TrainDense: it checkpoints
-// every CheckpointEvery epochs, resumes from the newest valid
+// RunDense is the supervised counterpart of Train on a dense dataset: it
+// checkpoints every CheckpointEvery epochs, resumes from the newest valid
 // checkpoint after a crash or detected stall, retries with exponential
 // backoff, and degrades the worker count after repeated stalls.
 // Cancelling cfg.Context stops the run without retrying and leaves the
@@ -153,7 +152,8 @@ func RunDense(cfg Config, rc RunConfig, ds *DenseDataset) (*RunReport, error) {
 	return rep, wrapErr(err)
 }
 
-// RunSparse is the supervised counterpart of TrainSparse; see RunDense.
+// RunSparse is the supervised counterpart of Train on a sparse dataset; see
+// RunDense.
 func RunSparse(cfg Config, rc RunConfig, ds *SparseDataset) (*RunReport, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("buckwild: empty dataset")

@@ -15,7 +15,7 @@ func TestRunDenseSupervised(t *testing.T) {
 	}
 	cfg := Config{Signature: "D8M8", Epochs: 5, Seed: 21}
 
-	base, err := TrainDense(cfg, ds)
+	base, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

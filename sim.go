@@ -144,18 +144,3 @@ func SimulateThroughputOpts(sigText string, modelSize, threads int, o SimOptions
 	res, err := machine.SimulateCtx(obs.ContextWithTracer(o.Context, o.Tracer), machine.Xeon(), w)
 	return res, wrapErr(err)
 }
-
-// SimulateThroughput is the variadic form of SimulateThroughputOpts: at
-// most one SimOptions may be given, and omitting it is the zero value.
-//
-// Deprecated: use SimulateThroughputOpts, which makes the options
-// explicit instead of a variadic tail that only ever accepts one value.
-func SimulateThroughput(sigText string, modelSize, threads int, opts ...SimOptions) (*MachineResult, error) {
-	switch len(opts) {
-	case 0:
-		return SimulateThroughputOpts(sigText, modelSize, threads, SimOptions{})
-	case 1:
-		return SimulateThroughputOpts(sigText, modelSize, threads, opts[0])
-	}
-	return nil, fmt.Errorf("buckwild: at most one SimOptions, got %d", len(opts))
-}

@@ -23,10 +23,10 @@ var (
 	_ Dataset = (*SparseDataset)(nil)
 )
 
-// Train runs Buckwild! SGD on a dense or sparse dataset — the unified
-// entry point over TrainDense and TrainSparse, which remain as thin
-// wrappers. Each dataset type trains exactly as its wrapper always has
-// (bit-identical results and errors for the same Config and seed).
+// Train runs Buckwild! SGD on a dense or sparse dataset — the one training
+// entry point. A dense dataset must be stored at the signature's dataset
+// precision (see GenerateDense); a sparse one additionally at its index
+// precision (see GenerateSparse, LoadLibSVM).
 //
 // With Config.Cluster asking for multiple nodes (Nodes >= 2), a dense
 // run is routed through the simulated cluster tier instead of the
@@ -43,25 +43,6 @@ func Train(cfg Config, ds Dataset) (*Result, error) {
 		return nil, fmt.Errorf("buckwild: nil dataset")
 	}
 	return nil, fmt.Errorf("buckwild: unsupported dataset type %T (use *DenseDataset or *SparseDataset)", ds)
-}
-
-// TrainDense runs Buckwild! SGD on a dense dataset. The dataset must be
-// stored at the signature's dataset precision (see GenerateDense). It is
-// a thin wrapper over Train, kept for compatibility.
-//
-// Deprecated: use Train, the one entry point for both dataset kinds; it
-// trains bit-identically for the same Config and seed.
-func TrainDense(cfg Config, ds *DenseDataset) (*Result, error) {
-	return Train(cfg, ds)
-}
-
-// TrainSparse runs Buckwild! SGD on a sparse dataset. It is a thin
-// wrapper over Train, kept for compatibility.
-//
-// Deprecated: use Train, the one entry point for both dataset kinds; it
-// trains bit-identically for the same Config and seed.
-func TrainSparse(cfg Config, ds *SparseDataset) (*Result, error) {
-	return Train(cfg, ds)
 }
 
 func trainDense(cfg Config, ds *DenseDataset) (*Result, error) {

@@ -26,39 +26,36 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestTrainUnifiesEntryPoints pins the satellite contract: the unified
-// Train and the historical wrappers produce bit-identical results for the
-// same config and seed.
+// TestTrainUnifiesEntryPoints pins the one-entry-point contract: Train
+// takes both dataset kinds, and a seeded single-thread rerun of either is
+// bit-identical.
 func TestTrainUnifiesEntryPoints(t *testing.T) {
 	dense, err := GenerateDense("D8M8", 64, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Signature: "D8M8", Epochs: 3, Seed: 7, Threads: 1}
-	viaWrapper, err := TrainDense(cfg, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTrain, err := Train(cfg, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "dense", viaWrapper, viaTrain)
-
 	sparse, err := GenerateSparse("D8i16M8", 256, 600, 0.05, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := Config{Signature: "D8i16M8", Epochs: 3, Seed: 7, Threads: 1}
-	sWrapper, err := TrainSparse(scfg, sparse)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		label string
+		cfg   Config
+		ds    Dataset
+	}{
+		{"dense", Config{Signature: "D8M8", Epochs: 3, Seed: 7, Threads: 1}, dense},
+		{"sparse", Config{Signature: "D8i16M8", Epochs: 3, Seed: 7, Threads: 1}, sparse},
+	} {
+		first, err := Train(tc.cfg, tc.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Train(tc.cfg, tc.ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, tc.label, first, again)
 	}
-	sTrain, err := Train(scfg, sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sparse", sWrapper, sTrain)
 }
 
 func TestTrainRejectsOtherDatasets(t *testing.T) {
@@ -181,13 +178,6 @@ func TestClusterFacadeRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "cluster rerun", res, again)
-
-	// TrainDense routes identically.
-	wrapped, err := TrainDense(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "cluster wrapper", res, wrapped)
 }
 
 func TestClusterWireBitsFromSignature(t *testing.T) {
@@ -246,25 +236,5 @@ func TestClusterStalenessCompensationThroughFacade(t *testing.T) {
 	}
 	if res.Cluster.Staleness.Count == 0 {
 		t.Error("staleness histogram empty")
-	}
-}
-
-// TestSimulateThroughputOptsMatchesVariadic pins that the explicit form
-// and the deprecated variadic form are the same simulation.
-func TestSimulateThroughputOptsMatchesVariadic(t *testing.T) {
-	opt := SimOptions{Variant: "generic", Seed: 5}
-	a, err := SimulateThroughputOpts("D8M8", 1<<12, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateThroughput("D8M8", 1<<12, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.GNPS != b.GNPS {
-		t.Errorf("variadic GNPS %v != explicit %v", b.GNPS, a.GNPS)
-	}
-	if _, err := SimulateThroughput("D8M8", 1<<12, 1, SimOptions{}, SimOptions{}); err == nil {
-		t.Error("two SimOptions should fail")
 	}
 }
