@@ -232,12 +232,12 @@ func serveCmd(args []string) {
 			roundCtx, cancelCause := context.WithCancelCause(ctx)
 			gate := &promotionGate{srv: srv, next: live}
 			cfg := buckwild.Config{
-				Signature: *sig,
-				Problem:   buckwild.Problem(*problem),
-				Rounding:  buckwild.Rounding(*rounding),
-				Threads:   *threads,
-				StepSize:  float32(eta),
-				StepDecay: float32(*decay),
+				Signature:  *sig,
+				Problem:    buckwild.Problem(*problem),
+				Rounding:   buckwild.Rounding(*rounding),
+				Threads:    *threads,
+				StepSize:   float32(eta),
+				StepDecay:  float32(*decay),
 				Epochs:     (r + 1) * *epochs,
 				Seed:       *seed,
 				NumHealth:  true,

@@ -19,8 +19,11 @@ type ServeMetrics struct {
 	examples    atomic.Uint64
 	rejected    atomic.Uint64 // admission control: queue full -> 429
 	unavailable atomic.Uint64 // no model yet, or draining -> 503
-	badRequests atomic.Uint64 // malformed JSON / predict errors -> 400
+	badRequests atomic.Uint64 // malformed JSON / predict errors -> 400, oversized body -> 413
 	inFlight    atomic.Int64
+	// decodeFallbacks counts requests whose body was outside the fast
+	// decoder's grammar and went through encoding/json.
+	decodeFallbacks atomic.Uint64
 
 	// Latency is measured request-in to response-written, in
 	// microseconds (power-of-two buckets resolve the microsecond to
@@ -54,8 +57,12 @@ func (m *ServeMetrics) Rejected() { m.rejected.Add(1) }
 // yet or the server is draining (503).
 func (m *ServeMetrics) Unavailable() { m.unavailable.Add(1) }
 
-// BadRequest records one malformed request (400).
+// BadRequest records one malformed request (400) or oversized body (413).
 func (m *ServeMetrics) BadRequest() { m.badRequests.Add(1) }
+
+// DecodeFallback records one request that took the encoding/json decode
+// path: its body was outside the fast decoder's grammar.
+func (m *ServeMetrics) DecodeFallback() { m.decodeFallbacks.Add(1) }
 
 // Batch records one predict batch of n examples.
 func (m *ServeMetrics) Batch(n int) { m.batchSize.Observe(uint64(n)) }
@@ -100,6 +107,7 @@ type ServeStats struct {
 	Rejected          uint64       `json:"rejected"`
 	Unavailable       uint64       `json:"unavailable"`
 	BadRequests       uint64       `json:"bad_requests"`
+	DecodeFallbacks   uint64       `json:"decode_fallbacks"`
 	LatencyUS         HistSnapshot `json:"latency_us"`
 	BatchSize         HistSnapshot `json:"batch_size"`
 	Promotions        uint64       `json:"promotions"`
@@ -116,6 +124,7 @@ func (m *ServeMetrics) Snapshot() *ServeStats {
 		Rejected:          m.rejected.Load(),
 		Unavailable:       m.unavailable.Load(),
 		BadRequests:       m.badRequests.Load(),
+		DecodeFallbacks:   m.decodeFallbacks.Load(),
 		LatencyUS:         m.latencyUS.Snapshot(),
 		BatchSize:         m.batchSize.Snapshot(),
 		Promotions:        m.promotions.Load(),
@@ -136,6 +145,7 @@ func (s *ServeStats) Merge(other *ServeStats) {
 	s.Rejected += other.Rejected
 	s.Unavailable += other.Unavailable
 	s.BadRequests += other.BadRequests
+	s.DecodeFallbacks += other.DecodeFallbacks
 	s.LatencyUS.Merge(other.LatencyUS)
 	s.BatchSize.Merge(other.BatchSize)
 	s.Promotions += other.Promotions
@@ -154,7 +164,8 @@ func (m *ServeMetrics) WriteProm(w io.Writer) error {
 	p.metric("buckwild_serve_examples_total", "counter", "Examples predicted (batched requests count each example).", float64(m.examples.Load()))
 	p.metric("buckwild_serve_rejected_total", "counter", "Requests rejected by admission control (429).", float64(m.rejected.Load()))
 	p.metric("buckwild_serve_unavailable_total", "counter", "Requests refused with no model or while draining (503).", float64(m.unavailable.Load()))
-	p.metric("buckwild_serve_bad_requests_total", "counter", "Malformed predict requests (400).", float64(m.badRequests.Load()))
+	p.metric("buckwild_serve_bad_requests_total", "counter", "Malformed (400) or oversized (413) predict requests.", float64(m.badRequests.Load()))
+	p.metric("buckwild_serve_decode_fallback_total", "counter", "Requests decoded by encoding/json because the fast decoder declined them.", float64(m.decodeFallbacks.Load()))
 	p.metric("buckwild_serve_in_flight", "gauge", "Requests currently being served.", float64(m.inFlight.Load()))
 	p.histogram("buckwild_serve_latency_us", "Predict request latency, request-in to response-written, microseconds.", m.latencyUS.Snapshot())
 	p.histogram("buckwild_serve_batch_size", "Examples per predict batch.", m.batchSize.Snapshot())

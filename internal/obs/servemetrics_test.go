@@ -16,6 +16,9 @@ func TestServeMetricsProm(t *testing.T) {
 	m.Unavailable()
 	m.Unavailable()
 	m.BadRequest()
+	m.DecodeFallback()
+	m.DecodeFallback()
+	m.DecodeFallback()
 	m.Batch(4)
 	m.InFlight(1)
 	m.Promoted(7, 0x3f800000)
@@ -34,6 +37,8 @@ func TestServeMetricsProm(t *testing.T) {
 		"buckwild_serve_rejected_total 1",
 		"buckwild_serve_unavailable_total 2",
 		"buckwild_serve_bad_requests_total 1",
+		"# TYPE buckwild_serve_decode_fallback_total counter",
+		"buckwild_serve_decode_fallback_total 3",
 		"# TYPE buckwild_serve_in_flight gauge",
 		"buckwild_serve_in_flight 1",
 		"buckwild_serve_latency_us_count 2",
@@ -59,7 +64,7 @@ func TestServeMetricsProm(t *testing.T) {
 	}
 
 	sn := m.Snapshot()
-	if sn.Requests != 2 || sn.Examples != 4 || sn.ModelEpoch != 7 || sn.InFlight != 1 {
+	if sn.Requests != 2 || sn.Examples != 4 || sn.ModelEpoch != 7 || sn.InFlight != 1 || sn.DecodeFallbacks != 3 {
 		t.Errorf("snapshot = %+v", sn)
 	}
 }

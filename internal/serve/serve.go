@@ -24,8 +24,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -381,7 +383,9 @@ func (s *Server) batcher() {
 		if timer != nil {
 			timer.Stop()
 		}
-		asm.EndArgs(map[string]string{"jobs": fmt.Sprint(len(batch)), "examples": fmt.Sprint(n)})
+		if s.cfg.Tracer != nil {
+			asm.EndArgs(map[string]string{"jobs": fmt.Sprint(len(batch)), "examples": fmt.Sprint(n)})
+		}
 		s.serveBatch(batch)
 	}
 }
@@ -515,18 +519,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Metrics.InFlight(1)
 	defer s.cfg.Metrics.InFlight(-1)
 
-	if s.cur.Load() == nil {
+	pm := s.cur.Load()
+	if pm == nil {
 		s.cfg.Metrics.Unavailable()
 		writeJSON(w, http.StatusServiceUnavailable, predictResponse{Error: "serve: no model promoted yet"})
 		span.EndArgs(map[string]string{"status": "503"})
 		return
 	}
 
-	var req predictRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
+	req, err := s.readRequest(w, r, pm.p.Dim())
+	if err != nil {
+		status, msg := http.StatusBadRequest, fmt.Sprintf("serve: bad request body: %v", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status, msg = http.StatusRequestEntityTooLarge, "serve: request body over 16 MiB"
+		}
 		s.cfg.Metrics.BadRequest()
-		writeJSON(w, http.StatusBadRequest, predictResponse{Error: fmt.Sprintf("serve: bad request body: %v", err)})
-		span.EndArgs(map[string]string{"status": "400"})
+		writeJSON(w, status, predictResponse{Error: msg})
+		span.EndArgs(map[string]string{"status": fmt.Sprint(status)})
 		return
 	}
 	j := &job{done: make(chan struct{})}
@@ -580,11 +590,48 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 	elapsed := time.Since(start)
 	s.cfg.Metrics.Request(j.examples(), uint64(elapsed.Microseconds()))
-	span.EndArgs(map[string]string{
-		"status": "200", "examples": fmt.Sprint(j.examples()),
-		"model_epoch": fmt.Sprint(j.epoch), "promotion": fmt.Sprint(j.seq),
-	})
+	if s.cfg.Tracer != nil {
+		span.EndArgs(map[string]string{
+			"status": "200", "examples": fmt.Sprint(j.examples()),
+			"model_epoch": fmt.Sprint(j.epoch), "promotion": fmt.Sprint(j.seq),
+		})
+	}
 	s.noteSlow(elapsed, "200", j)
+}
+
+// Request bodies are read whole, up to maxBodyBytes, into pooled buffers;
+// a buffer a large body grew past maxPooledBody is dropped rather than
+// pinned in the pool.
+const (
+	maxBodyBytes  = 16 << 20
+	maxPooledBody = 1 << 20
+)
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readRequest reads and decodes one /predict body: decodePredict where the
+// body is in its grammar, encoding/json on the same bytes where it
+// declines, so every error is encoding/json's. A body over the limit
+// returns *http.MaxBytesError. Nothing returned aliases the pooled buffer.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, dim int) (predictRequest, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return predictRequest{}, err
+	}
+	req, ok := decodePredict(buf.Bytes(), dim)
+	if ok {
+		return req, nil
+	}
+	s.cfg.Metrics.DecodeFallback()
+	req = predictRequest{}
+	err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req)
+	return req, err
 }
 
 // noteSlow logs (and flight-records) a completed request whose latency

@@ -26,6 +26,8 @@ import (
 type linModel struct {
 	w     []float32
 	delay time.Duration // per predict call, to hold requests in flight
+	// gate, when non-nil, holds every predict call until it is closed.
+	gate chan struct{}
 }
 
 func newLin(dim int, val float32) *linModel {
@@ -39,6 +41,9 @@ func newLin(dim int, val float32) *linModel {
 func (m *linModel) Dim() int { return len(m.w) }
 
 func (m *linModel) PredictDense(x []float32) (float32, error) {
+	if m.gate != nil {
+		<-m.gate
+	}
 	if m.delay > 0 {
 		time.Sleep(m.delay)
 	}
@@ -280,12 +285,16 @@ func TestPredictDuringPromotionRace(t *testing.T) {
 // and zero admitted requests are dropped.
 func TestDrainCompletesInFlight(t *testing.T) {
 	const inFlight = 24
-	slow := newLin(2, 3)
-	slow.delay = 5 * time.Millisecond
+	gated := newLin(2, 3)
+	gated.gate = make(chan struct{})
 	s, hs := newTestServer(t, Config{QueueDepth: inFlight * 2, MaxBatch: 1})
-	if _, err := s.Promote(slow, 1, 1); err != nil {
+	if _, err := s.Promote(gated, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	// Registered after the server's own cleanup, so it runs before it: a
+	// failure with the gate shut must not leave Close waiting on the batcher.
+	openGate := sync.OnceFunc(func() { close(gated.gate) })
+	t.Cleanup(openGate)
 
 	var ok200 atomic.Int64
 	var wg sync.WaitGroup
@@ -301,21 +310,25 @@ func TestDrainCompletesInFlight(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until every request is actually admitted (in flight); the
-	// slow predictor (5ms/example, MaxBatch 1) keeps them there far
-	// longer than the poll takes, so the drain genuinely overlaps them.
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if s.Metrics().Snapshot().InFlight == inFlight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("requests never all admitted: in flight %d", s.Metrics().Snapshot().InFlight)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// No request can finish while the gate is shut, so every one of them
+	// is admitted and in flight before the drain starts, however slowly
+	// the clients are scheduled.
+	waitFor(t, "every request admitted", func() bool {
+		return s.Metrics().Snapshot().InFlight == inFlight
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	// Open the gate only once the drain has stopped admission, so the
+	// drain overlaps all of them.
+	waitFor(t, "drain to stop admission", func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.draining
+	})
+	openGate()
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	wg.Wait()
@@ -334,6 +347,17 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("second Drain: %v", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
