@@ -251,7 +251,7 @@ func BenchmarkFig6dMiniBatch(b *testing.B) {
 			b.SetBytes(int64(ds.Len() * ds.N))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainDense(cfg, ds); err != nil {
+				if _, err := core.Train(cfg, ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,7 +276,7 @@ func BenchmarkFig6fObstinateTraining(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainDense(cfg, ds); err != nil {
+				if _, err := core.Train(cfg, ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,7 +392,7 @@ func BenchmarkAblationLocking(b *testing.B) {
 			b.SetBytes(int64(ds.Len() * ds.N))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainDense(cfg, ds); err != nil {
+				if _, err := core.Train(cfg, ds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -451,7 +451,7 @@ func BenchmarkEngineSparseEpoch(b *testing.B) {
 	b.SetBytes(int64(ds.NNZ()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TrainSparse(cfg, ds); err != nil {
+		if _, err := core.Train(cfg, ds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -465,23 +465,30 @@ type DenseDataset = dataset.DenseSet
 // SparseDataset is a coordinate-form sparse dataset.
 type SparseDataset = dataset.SparseSet
 
+// observe gathers what a shared-memory run observes; supervised runs hand
+// it to the supervisor as is.
+func (c Config) observe() obs.Observer {
+	return obs.Observer{
+		Hooks: c.Hooks, StepSample: c.StepSample, Tracer: c.Tracer,
+		Series: c.TimeSeries, NumHealth: c.NumHealth,
+	}
+}
+
+// observer is the engine's Observer, or nil — the bare algorithm — when
+// the configuration asks for no observation.
 func (c Config) observer() *obs.Observer {
+	o := c.observe()
 	// Only the cluster tier has flight-recorder and live-metric call
 	// sites; on the shared-memory engine those fields alone must not
 	// switch the per-step counters on (a non-nil Observer does).
-	flight, live := c.Flight, c.Cluster.LiveMetrics
-	if !c.Cluster.enabled() {
-		flight, live = nil, nil
+	if c.Cluster.enabled() {
+		o.Flight, o.ClusterLive = c.Flight, c.Cluster.LiveMetrics
 	}
-	if c.Hooks == nil && c.Tracer == nil && c.TimeSeries == nil &&
-		!c.NumHealth && flight == nil && live == nil {
+	if o.Hooks == nil && o.Tracer == nil && o.Series == nil &&
+		!o.NumHealth && o.Flight == nil && o.ClusterLive == nil {
 		return nil
 	}
-	return &obs.Observer{
-		Hooks: c.Hooks, StepSample: c.StepSample, Tracer: c.Tracer,
-		Series: c.TimeSeries, NumHealth: c.NumHealth,
-		Flight: flight, ClusterLive: live,
-	}
+	return &o
 }
 
 func (c Config) coreConfig(sparse bool, idxBits uint) (core.Config, error) {

@@ -40,7 +40,7 @@ func runFaultTol(quick bool) error {
 	}
 
 	// Baseline: the same training, unsupervised and fault-free.
-	base, err := core.TrainDense(cfg, ds)
+	base, err := core.Train(cfg, ds)
 	if err != nil {
 		return err
 	}
@@ -56,14 +56,13 @@ func runFaultTol(quick bool) error {
 	if err != nil {
 		return err
 	}
-	rep, err := run.TrainDense(runCtx, run.Config{
+	rep, err := run.Train(runCtx, run.Config{
 		Dir: dir, Every: 1, Keep: 2,
 		MaxRetries: 3, Backoff: time.Millisecond, BackoffCap: 10 * time.Millisecond,
-		Faults:       plan,
-		CollectStats: report != nil,
+		Faults: plan,
 		// The supervisor doesn't read the context tracer itself (its
 		// callers pass one explicitly), so thread -trace's through.
-		Tracer: obs.TracerFrom(runCtx),
+		Observer: obs.Observer{Tracer: obs.TracerFrom(runCtx)},
 	}, cfg, ds)
 	if err != nil {
 		return err

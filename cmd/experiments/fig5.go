@@ -52,7 +52,7 @@ func runFig5a(quick bool) error {
 			Sharing: core.Sequential, Seed: 9,
 			Observer: trainObserver(),
 		}
-		res, err := core.TrainDense(cfg, ds)
+		res, err := core.Train(cfg, ds)
 		if err != nil {
 			return nil, err
 		}

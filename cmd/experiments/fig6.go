@@ -151,7 +151,7 @@ func runFig6e(quick bool) error {
 			Sharing: core.Sequential, Seed: 5,
 			Observer: trainObserver(),
 		}
-		res, err := core.TrainDense(cfg, ds)
+		res, err := core.Train(cfg, ds)
 		if err != nil {
 			return 0, err
 		}
@@ -194,7 +194,7 @@ func runFig6f(quick bool) error {
 			Sharing: core.Racy, ObstinateQ: qs[i], Seed: 6,
 			Observer: trainObserver(),
 		}
-		res, err := core.TrainDense(cfg, ds)
+		res, err := core.Train(cfg, ds)
 		if err != nil {
 			return 0, err
 		}

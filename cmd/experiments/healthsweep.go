@@ -58,7 +58,7 @@ func runHealthSweep(quick bool) error {
 			Sharing: core.Sequential, Seed: 7,
 			Observer: &obs.Observer{NumHealth: true},
 		}
-		res, err := core.TrainDense(cfg, ds)
+		res, err := core.Train(cfg, ds)
 		if err != nil {
 			return 0, err
 		}

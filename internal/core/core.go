@@ -17,10 +17,8 @@ import (
 	"sync"
 	"time"
 
-	"buckwild/internal/dataset"
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
-	"buckwild/internal/metrics"
 	"buckwild/internal/obs"
 	"buckwild/internal/prng"
 )
@@ -255,23 +253,42 @@ type Result struct {
 	Cluster *obs.ClusterStats
 }
 
-// TrainDense runs Buckwild! SGD on a dense dataset.
-func TrainDense(cfg Config, ds *dataset.DenseSet) (*Result, error) {
+// Dataset is what Train accepts: a *dataset.DenseSet or a
+// *dataset.SparseSet. The interface exists so both fit one entry point,
+// not as an extension surface; a new example layout is a new case in
+// kindOf.
+type Dataset interface {
+	// Len returns the number of examples.
+	Len() int
+	// Dim returns the model dimension.
+	Dim() int
+}
+
+// Train runs Buckwild! SGD on a dense or a sparse (coordinate-form)
+// dataset: one epoch loop, one worker fan-out and one step for both.
+// Sparse Hogwild! is the setting the algorithm was originally designed
+// for: updates touch few coordinates, so collisions between workers are
+// rare and the races are especially benign.
+func Train(cfg Config, ds Dataset) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("core: empty dataset")
+	k, err := kindOf(ds)
+	if err != nil {
+		return nil, err
 	}
-	if ds.X[0].P != cfg.D {
-		return nil, fmt.Errorf("core: dataset stored at %v but config says %v", ds.X[0].P, cfg.D)
+	if k.stored != cfg.D {
+		return nil, fmt.Errorf("core: dataset stored at %v but config says %v", k.stored, cfg.D)
 	}
-	w, err := initModel(&cfg, ds.N)
+	if cfg.MiniBatch != 1 && k.rows == nil {
+		return nil, fmt.Errorf("core: %s training supports MiniBatch=1 (got %d); the paper's mini-batch study is dense", k.name, cfg.MiniBatch)
+	}
+	w, err := initModel(&cfg, ds.Dim())
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	loss, err := denseLoss(cfg.Problem, w.Floats(), ds)
+	loss, err := k.loss(cfg.Problem, w.Floats())
 	if err != nil {
 		return nil, err
 	}
@@ -279,40 +296,49 @@ func TrainDense(cfg Config, ds *dataset.DenseSet) (*Result, error) {
 
 	eta := resumeEta(&cfg)
 	ro := newRunObs(&cfg)
-	trainSpan := ro.span("train-dense")
+	trainSpan := ro.span("train-" + k.name)
+	var epochSpan obs.SpanHandle // inert between epochs
+	// A span records nothing until it ends, so a failed run ends the ones
+	// still open — with the error — before returning it.
+	fail := func(err error) (*Result, error) {
+		args := map[string]string{"error": err.Error()}
+		epochSpan.EndArgs(args)
+		trainSpan.EndArgs(args)
+		return nil, err
+	}
 	start := time.Now()
-	var numbers float64
 	epochsRun := 0
 	for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
 		if err := ctxErr(cfg.Ctx); err != nil {
-			return nil, err
+			return fail(err)
 		}
-		epochSpan := ro.span("epoch")
-		if err := runDenseEpoch(cfg, ds, w, eta, epoch, ro); err != nil {
-			return nil, err
-		}
-		epochsRun++
-		numbers += float64(ds.Len()) * float64(ds.N)
-		eta *= cfg.StepDecay
-		loss, err := denseLoss(cfg.Problem, w.Floats(), ds)
+		epochSpan = ro.span("epoch")
+		steps, err := runEpoch(&cfg, k, w, eta, epoch, ro)
 		if err != nil {
-			return nil, err
+			return fail(err)
+		}
+		res.Steps += steps
+		epochsRun++
+		eta *= cfg.StepDecay
+		loss, err := k.loss(cfg.Problem, w.Floats())
+		if err != nil {
+			return fail(err)
 		}
 		res.TrainLoss = append(res.TrainLoss, loss)
 		ro.observeWeights(epoch+1, w)
 		ro.epochDone(epoch+1, loss)
 		epochSpan.EndArgs(map[string]string{"epoch": fmt.Sprint(epoch + 1), "loss": fmt.Sprintf("%.6g", loss)})
+		epochSpan = obs.SpanHandle{}
 		if cfg.EpochEnd != nil {
 			if err := cfg.EpochEnd(EpochState{Epoch: epoch + 1, Loss: loss, W: w, TrainLoss: res.TrainLoss}); err != nil {
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
 	res.Elapsed = time.Since(start)
 	res.W = w.Floats()
-	res.Steps = epochsRun * (ds.Len() / cfg.MiniBatch)
 	if res.Elapsed > 0 {
-		res.NumbersPerSec = numbers / res.Elapsed.Seconds()
+		res.NumbersPerSec = float64(epochsRun) * k.numbers / res.Elapsed.Seconds()
 	}
 	trainSpan.EndArgs(map[string]string{"epochs": fmt.Sprint(epochsRun)})
 	res.Stats = ro.snapshot()
@@ -356,61 +382,73 @@ func resumeEta(cfg *Config) float32 {
 	return eta
 }
 
-// runDenseEpoch processes every example once, spread over the workers.
-func runDenseEpoch(cfg Config, ds *dataset.DenseSet, w kernels.Vec, eta float32, epoch int, ro *runObs) error {
+// runEpoch processes every example once, spread over the workers, and
+// returns the number of model updates that takes: a worker covers its
+// shard in ceil(shard / MiniBatch) of them.
+func runEpoch(cfg *Config, k *kind, w kernels.Vec, eta float32, epoch int, ro *runObs) (int, error) {
 	threads := cfg.Threads
 	if cfg.Sharing == Sequential {
 		threads = 1
 	}
-	var mu sync.Mutex
+	var mu *sync.Mutex
+	if cfg.Sharing == Locked {
+		mu = new(sync.Mutex)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, threads)
+	steps := 0
 	for t := 0; t < threads; t++ {
-		worker, err := newDenseWorker(cfg, t, epoch)
+		wk, err := newWorker(cfg, k, ro, t, epoch)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		worker.ro = ro
-		if nc := ro.numCounts(t); nc != nil {
-			worker.nc = nc
-			worker.kernel.Num = nc
-			if worker.kernel.Q != nil {
-				worker.kernel.Q.Num = nc
-			}
-		}
-		lo := t * ds.Len() / threads
-		hi := (t + 1) * ds.Len() / threads
-		run := func(t, lo, hi int, wk *denseWorker) {
+		wk.w, wk.eta, wk.mu = w, eta, mu
+		lo := t * k.len / threads
+		hi := (t + 1) * k.len / threads
+		steps += (hi - lo + cfg.MiniBatch - 1) / cfg.MiniBatch
+		run := func() {
 			defer wg.Done()
-			errs[t] = wk.run(ds, w, eta, lo, hi, cfg.Sharing == Locked, &mu)
+			errs[t] = wk.run(lo, hi)
 		}
 		wg.Add(1)
 		if cfg.Sharing == Sequential {
-			run(t, lo, hi, worker)
+			run()
 		} else {
-			go run(t, lo, hi, worker)
+			go run()
 		}
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return steps, nil
 }
 
-// denseWorker holds one worker's kernels and scratch state.
-type denseWorker struct {
-	cfg     Config
-	kernel  *kernels.Dense
-	scratch []float32
-	order   *prng.Xorshift64
+// worker is one worker's state for one epoch: its kernel over the examples,
+// its PRNG streams — keyed by (Seed, worker, epoch), which is what makes a
+// resume at an epoch boundary replay an uninterrupted run — and its scratch.
+// Everything a model update does between reading the model and writing it
+// lives in step and batchStep, so that is where a new update rule plugs in.
+type worker struct {
+	cfg *Config
+	// w is the shared model and eta the epoch's step size.
+	w   kernels.Vec
+	eta float32
+	k   kernel
+	// q rounds model writes (nil for float models); k writes through it.
+	q *kernels.Quantizer
+	y []float32
+	// order drives the obstinate-cache emulation's refresh decisions.
+	order *prng.Xorshift64
 	// id and epoch locate the worker for observability; ro is the run's
 	// shared observability state (nil when no Observer is installed).
 	id    int
 	epoch int
 	ro    *runObs
+	// mu serializes steps under Locked sharing; nil otherwise.
+	mu *sync.Mutex
 	// snapshot is the worker's stale view of the model when the
 	// obstinate-cache emulation is active (ObstinateQ > 0).
 	snapshot kernels.Vec
@@ -420,136 +458,122 @@ type denseWorker struct {
 	// collection is off); the same block is shared with the kernel and
 	// its quantizer.
 	nc *fixed.NumCounts
+	// rows and scratch serve the mini-batch accumulate (dense only).
+	rows    []kernels.Vec
+	scratch []float32
 }
 
-// quantGrad rounds a gradient intermediate onto the G grid, counting a
-// nonzero value that quantizes to zero as an underflow when health
-// collection is on.
-func (dw *denseWorker) quantGrad(v float32) float32 {
-	if dw.gradFmt == nil {
-		return v
-	}
-	q := dw.gradFmt.QuantizeBiased(v)
-	if dw.nc != nil && q == 0 && v != 0 {
-		dw.nc.Underflows++
-	}
-	return dw.gradFmt.Dequantize(q)
-}
-
-func newDenseWorker(cfg Config, id, epoch int) (*denseWorker, error) {
+func newWorker(cfg *Config, k *kind, ro *runObs, id, epoch int) (*worker, error) {
+	nc := ro.numCounts(id)
 	var q *kernels.Quantizer
-	var err error
 	if cfg.M != kernels.F32 {
+		var err error
 		q, err = kernels.NewQuantizer(cfg.M, cfg.Quant, cfg.QuantPeriod,
 			cfg.Seed^uint64(id)*0x9E3779B9+uint64(epoch)|1)
 		if err != nil {
 			return nil, err
 		}
+		q.Num = nc
 	}
-	k, err := kernels.NewDense(cfg.D, cfg.M, cfg.Variant, q)
+	kern, err := k.newKernel(cfg, q, nc)
 	if err != nil {
 		return nil, err
 	}
-	return &denseWorker{cfg: cfg, kernel: k, gradFmt: cfg.gradFormat(), id: id, epoch: epoch,
+	return &worker{cfg: cfg, k: kern, q: q, y: k.y, rows: k.rows, gradFmt: cfg.gradFormat(),
+		id: id, epoch: epoch, ro: ro, nc: nc,
 		order: prng.NewXorshift64(cfg.Seed ^ (uint64(id)+1)*0x51ED2701 ^ uint64(epoch))}, nil
 }
 
+// quantGrad rounds a gradient intermediate onto the G grid, counting a
+// nonzero value that quantizes to zero as an underflow when health
+// collection is on.
+func (wk *worker) quantGrad(v float32) float32 {
+	if wk.gradFmt == nil {
+		return v
+	}
+	q := wk.gradFmt.QuantizeBiased(v)
+	if wk.nc != nil && q == 0 && v != 0 {
+		wk.nc.Underflows++
+	}
+	return wk.gradFmt.Dequantize(q)
+}
+
 // run processes examples [lo, hi) in mini-batches.
-func (dw *denseWorker) run(ds *dataset.DenseSet, w kernels.Vec, eta float32, lo, hi int, locked bool, mu *sync.Mutex) error {
-	b := dw.cfg.MiniBatch
+func (wk *worker) run(lo, hi int) error {
+	b := wk.cfg.MiniBatch
 	var stepsBefore uint64
-	if dw.ro != nil {
-		stepsBefore = dw.ro.shards[dw.id].steps
+	if wk.ro != nil {
+		stepsBefore = wk.ro.shards[wk.id].steps
 	}
 	var steps uint64
 	for i := lo; i < hi; i += b {
-		if dw.cfg.Ctx != nil && steps&ctxCheckMask == 0 {
-			if err := ctxErr(dw.cfg.Ctx); err != nil {
+		if wk.cfg.Ctx != nil && steps&ctxCheckMask == 0 {
+			if err := ctxErr(wk.cfg.Ctx); err != nil {
 				return err
 			}
 		}
 		steps++
-		end := i + b
-		if end > hi {
-			end = hi
-		}
-		if locked {
-			if dw.ro != nil {
-				dw.ro.lock(dw.id, mu)
+		if wk.mu != nil {
+			if wk.ro != nil {
+				wk.ro.lock(wk.id, wk.mu)
 			} else {
-				mu.Lock()
+				wk.mu.Lock()
 			}
 		}
 		if b == 1 {
-			dw.step(ds, w, eta, i)
+			wk.step(i)
 		} else {
-			dw.batchStep(ds, w, eta, i, end)
+			wk.batchStep(i, min(i+b, hi))
 		}
-		if locked {
-			mu.Unlock()
+		if wk.mu != nil {
+			wk.mu.Unlock()
 		}
 	}
-	if dw.ro != nil {
-		dw.ro.workerDone(dw.id, dw.epoch, stepsBefore)
+	if wk.ro != nil {
+		wk.ro.workerDone(wk.id, wk.epoch, stepsBefore)
 	}
 	return nil
 }
 
 // step performs one single-example update: dot, scalar glue, AXPY.
-func (dw *denseWorker) step(ds *dataset.DenseSet, w kernels.Vec, eta float32, i int) {
+func (wk *worker) step(i int) {
 	var readClock uint64
 	var sampled bool
-	if dw.ro != nil {
-		readClock, sampled = dw.ro.stepBegin(dw.id)
+	if wk.ro != nil {
+		readClock, sampled = wk.ro.stepBegin(wk.id)
 	}
-	x := ds.X[i]
-	view := w
-	if dw.cfg.ObstinateQ > 0 {
-		view = dw.obstinateView(w)
+	view := &wk.w
+	if wk.cfg.ObstinateQ > 0 {
+		view = wk.obstinateView()
 	}
-	d := dw.quantGrad(dw.kernel.Dot(x, view))
-	a := dw.quantGrad(GradScale(dw.cfg.Problem, d, ds.Y[i], eta))
+	d := wk.quantGrad(wk.k.dot(i, view))
+	a := wk.quantGrad(GradScale(wk.cfg.Problem, d, wk.y[i], wk.eta))
 	wrote := a != 0
 	if wrote {
-		dw.kernel.Axpy(a, x, w)
-		if dw.cfg.ObstinateQ > 0 && !sameVec(view, w) {
+		wk.k.axpy(a, i, &wk.w)
+		if view != &wk.w {
 			// The worker's own writes land in its cached copy.
-			dw.kernel.Axpy(a, x, view)
+			wk.k.axpy(a, i, view)
 		}
 	}
-	if dw.ro != nil {
-		dw.ro.stepEnd(dw.id, dw.epoch, readClock, sampled, wrote, a)
+	if wk.ro != nil {
+		wk.ro.stepEnd(wk.id, wk.epoch, readClock, sampled, wrote, a)
 	}
 }
 
 // obstinateView returns the model view for this step: with probability
 // 1-q the snapshot is refreshed from the shared model (the invalidate was
 // honoured); otherwise the stale snapshot is used as-is.
-func (dw *denseWorker) obstinateView(w kernels.Vec) kernels.Vec {
-	if dw.snapshot.Len() == 0 {
-		dw.snapshot = w.Clone()
-		return dw.snapshot
+func (wk *worker) obstinateView() *kernels.Vec {
+	if wk.snapshot.Len() == 0 {
+		wk.snapshot = wk.w.Clone()
+		return &wk.snapshot
 	}
-	u := float64(dw.order.Uint32()>>8) * (1.0 / (1 << 24))
-	if u >= dw.cfg.ObstinateQ {
-		copyVec(dw.snapshot, w)
+	u := float64(wk.order.Uint32()>>8) * (1.0 / (1 << 24))
+	if u >= wk.cfg.ObstinateQ {
+		copyVec(wk.snapshot, wk.w)
 	}
-	return dw.snapshot
-}
-
-// sameVec reports whether two Vecs alias the same storage.
-func sameVec(a, b kernels.Vec) bool {
-	if a.P != b.P || a.Len() != b.Len() || a.Len() == 0 {
-		return false
-	}
-	switch a.P {
-	case kernels.F32:
-		return &a.F32[0] == &b.F32[0]
-	case kernels.I16:
-		return &a.I16[0] == &b.I16[0]
-	default:
-		return &a.I8[0] == &b.I8[0]
-	}
+	return &wk.snapshot
 }
 
 // copyVec copies src's storage into dst (same precision and length).
@@ -567,24 +591,25 @@ func copyVec(dst, src kernels.Vec) {
 // batchStep accumulates B gradients at full precision and writes the model
 // once (Section 5.4: the model is written less frequently, so cache lines
 // are invalidated correspondingly less frequently).
-func (dw *denseWorker) batchStep(ds *dataset.DenseSet, w kernels.Vec, eta float32, lo, hi int) {
+func (wk *worker) batchStep(lo, hi int) {
+	w := wk.w
 	var readClock uint64
 	var sampled bool
-	if dw.ro != nil {
-		readClock, sampled = dw.ro.stepBegin(dw.id)
+	if wk.ro != nil {
+		readClock, sampled = wk.ro.stepBegin(wk.id)
 	}
-	if dw.scratch == nil {
-		dw.scratch = make([]float32, w.Len())
+	if wk.scratch == nil {
+		wk.scratch = make([]float32, w.Len())
 	}
-	g := dw.scratch
+	g := wk.scratch
 	for j := range g {
 		g[j] = 0
 	}
 	any := false
 	var gradAbs float32
 	for i := lo; i < hi; i++ {
-		d := dw.quantGrad(dw.kernel.Dot(ds.X[i], w))
-		a := dw.quantGrad(GradScale(dw.cfg.Problem, d, ds.Y[i], eta) / float32(hi-lo))
+		d := wk.quantGrad(wk.k.dot(i, &wk.w))
+		a := wk.quantGrad(GradScale(wk.cfg.Problem, d, wk.y[i], wk.eta) / float32(hi-lo))
 		if a == 0 {
 			continue
 		}
@@ -594,24 +619,23 @@ func (dw *denseWorker) batchStep(ds *dataset.DenseSet, w kernels.Vec, eta float3
 		} else {
 			gradAbs += a
 		}
-		x := ds.X[i]
+		x := wk.rows[i]
 		for j := 0; j < x.Len(); j++ {
 			g[j] += a * x.At(j)
 		}
 	}
 	if any {
-		q := dw.kernel.Q
 		for j := range g {
 			if g[j] != 0 || w.P == kernels.F32 {
-				w.Set(j, w.At(j)+g[j], q)
+				w.Set(j, w.At(j)+g[j], wk.q)
 			}
 		}
 	}
-	if dw.ro != nil {
+	if wk.ro != nil {
 		if any {
-			dw.ro.shards[dw.id].batchFlushes++
+			wk.ro.shards[wk.id].batchFlushes++
 		}
-		dw.ro.stepEnd(dw.id, dw.epoch, readClock, sampled, any, gradAbs)
+		wk.ro.stepEnd(wk.id, wk.epoch, readClock, sampled, any, gradAbs)
 	}
 }
 
@@ -636,16 +660,4 @@ func GradScale(p Problem, dot, y, eta float32) float32 {
 
 func sigmoid(z float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(z))))
-}
-
-// denseLoss evaluates the configured loss on the raw data.
-func denseLoss(p Problem, w []float32, ds *dataset.DenseSet) (float64, error) {
-	switch p {
-	case Logistic:
-		return metrics.LogisticLoss(w, ds.Raw, ds.Y)
-	case Linear:
-		return metrics.SquaredLoss(w, ds.Raw, ds.Y)
-	default:
-		return metrics.HingeLoss(w, ds.Raw, ds.Y)
-	}
 }

@@ -37,7 +37,7 @@ func baseCfg(d, m kernels.Prec) Config {
 func TestTrainDenseFullPrecisionConverges(t *testing.T) {
 	ds := denseData(t, 64, 2000, kernels.F32, 1)
 	cfg := baseCfg(kernels.F32, kernels.F32)
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestTrainDenseLowPrecisionConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := TrainDense(baseCfg(kernels.F32, kernels.F32), ds32)
+	full, err := Train(baseCfg(kernels.F32, kernels.F32), ds32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := TrainDense(baseCfg(kernels.I8, kernels.I8), ds8)
+	low, err := Train(baseCfg(kernels.I8, kernels.I8), ds8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestBiasedRoundingHurtsAtLowPrecision(t *testing.T) {
 	unb.StepSize = 0.02
 	biased := unb
 	biased.Quant = kernels.QBiased
-	ru, err := TrainDense(unb, ds)
+	ru, err := Train(unb, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := TrainDense(biased, ds)
+	rb, err := Train(biased, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRacyHogwildConverges(t *testing.T) {
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.Sharing = Racy
 	cfg.Threads = 4
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestLockedMatchesRacyQuality(t *testing.T) {
 	racy.Threads = 4
 	locked := racy
 	locked.Sharing = Locked
-	rr, err := TrainDense(racy, ds)
+	rr, err := Train(racy, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := TrainDense(locked, ds)
+	rl, err := Train(locked, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMiniBatchTrains(t *testing.T) {
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.MiniBatch = 8
 	cfg.StepSize = 0.4
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestVeryLargeMiniBatchHurtsStatistically(t *testing.T) {
 	small.MiniBatch = 1
 	big := small
 	big.MiniBatch = 256
-	rs, err := TrainDense(small, ds)
+	rs, err := Train(small, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := TrainDense(big, ds)
+	rb, err := Train(big, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestLinearAndSVMProblems(t *testing.T) {
 	cfg := baseCfg(kernels.F32, kernels.F32)
 	cfg.Problem = Linear
 	cfg.StepSize = 0.05
-	res, err := TrainDense(cfg, lin)
+	res, err := Train(cfg, lin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLinearAndSVMProblems(t *testing.T) {
 	cfg = baseCfg(kernels.F32, kernels.F32)
 	cfg.Problem = SVM
 	cfg.StepSize = 0.02
-	res, err = TrainDense(cfg, svm)
+	res, err = Train(cfg, svm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTrainSparseConverges(t *testing.T) {
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.StepSize = 0.2
 	cfg.Epochs = 8
-	res, err := TrainSparse(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTrainSparseRacyThreads(t *testing.T) {
 	cfg.Threads = 4
 	cfg.StepSize = 0.2
 	cfg.Epochs = 8
-	res, err := TrainSparse(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +256,25 @@ func TestConfigValidation(t *testing.T) {
 	ds := denseData(t, 8, 10, kernels.I8, 12)
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.StepSize = 0
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("zero step size should fail")
 	}
 	cfg = baseCfg(kernels.I8, kernels.I8)
 	cfg.StepDecay = 2
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("decay > 1 should fail")
 	}
 	cfg = baseCfg(kernels.I16, kernels.I8) // dataset stored at I8
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("precision mismatch should fail")
 	}
-	if _, err := TrainDense(baseCfg(kernels.I8, kernels.I8), nil); err == nil {
+	if _, err := Train(baseCfg(kernels.I8, kernels.I8), nil); err == nil {
 		t.Error("nil dataset should fail")
 	}
 	sp, _ := dataset.GenSparse(dataset.SparseConfig{N: 64, M: 10, Density: 0.1, P: kernels.I8, IdxBits: 16, Seed: 1})
 	scfg := baseCfg(kernels.I8, kernels.I8)
 	scfg.MiniBatch = 4
-	if _, err := TrainSparse(scfg, sp); err == nil {
+	if _, err := Train(scfg, sp); err == nil {
 		t.Error("sparse mini-batch should be rejected")
 	}
 }
@@ -284,7 +284,7 @@ func TestStepDecayReducesStep(t *testing.T) {
 	cfg := baseCfg(kernels.F32, kernels.F32)
 	cfg.StepDecay = 0.5
 	cfg.Epochs = 6
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestObstinateEmulationConverges(t *testing.T) {
 		cfg.Sharing = Racy
 		cfg.Threads = 4
 		cfg.ObstinateQ = q
-		res, err := TrainDense(cfg, ds)
+		res, err := Train(cfg, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestObstinateQValidation(t *testing.T) {
 	ds := denseData(t, 8, 10, kernels.I8, 21)
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.ObstinateQ = 1.5
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("q > 1 should fail")
 	}
 }
@@ -343,7 +343,7 @@ func TestGradientPrecision(t *testing.T) {
 	run := func(gradBits uint) float64 {
 		cfg := baseCfg(kernels.F32, kernels.F32)
 		cfg.GradBits = gradBits
-		res, err := TrainDense(cfg, ds)
+		res, err := Train(cfg, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestGradientPrecisionValidation(t *testing.T) {
 	ds := denseData(t, 8, 10, kernels.I8, 31)
 	cfg := baseCfg(kernels.I8, kernels.I8)
 	cfg.GradBits = 3
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("GradBits below 6 should fail")
 	}
 }
@@ -379,7 +379,7 @@ func TestGradientPrecisionSparse(t *testing.T) {
 	cfg.GradBits = 10
 	cfg.StepSize = 0.2
 	cfg.Epochs = 6
-	res, err := TrainSparse(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestTrainDenseCtxPreCancelled(t *testing.T) {
 	cancel()
 	cfg := ctxTestConfig(3)
 	cfg.Ctx = ctx
-	if _, err := TrainDense(cfg, ds); !errors.Is(err, context.Canceled) {
+	if _, err := Train(cfg, ds); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestTrainDenseCtxCustomCause(t *testing.T) {
 	cancel(cause)
 	cfg := ctxTestConfig(3)
 	cfg.Ctx = ctx
-	if _, err := TrainDense(cfg, ds); !errors.Is(err, cause) {
+	if _, err := Train(cfg, ds); !errors.Is(err, cause) {
 		t.Fatalf("got %v, want the cancellation cause", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestTrainSparseCtxPreCancelled(t *testing.T) {
 	cancel()
 	cfg := ctxTestConfig(3)
 	cfg.Ctx = ctx
-	if _, err := TrainSparse(cfg, ds); !errors.Is(err, context.Canceled) {
+	if _, err := Train(cfg, ds); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -80,65 +80,21 @@ func TestTrainSyncCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestStartEpochResumeMatchesUninterrupted is the engine-level core of
-// the checkpoint/resume determinism story: a run split at an epoch
-// boundary (resuming from the dequantized weights) must be bit-identical
-// to an uninterrupted run, because the per-(worker, epoch) PRNG streams
-// depend only on absolute epoch numbers.
-func TestStartEpochResumeMatchesUninterrupted(t *testing.T) {
-	ds := ctxTestSet(t)
-	const epochs, split = 6, 3
-
-	full, err := TrainDense(ctxTestConfig(epochs), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	firstCfg := ctxTestConfig(split)
-	first, err := TrainDense(firstCfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumeCfg := ctxTestConfig(epochs)
-	resumeCfg.StartEpoch = split
-	resumeCfg.InitWeights = first.W
-	second, err := TrainDense(resumeCfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.W {
-		if full.W[i] != second.W[i] {
-			t.Fatalf("weight %d diverged after resume: %v vs %v", i, full.W[i], second.W[i])
-		}
-	}
-	if got, want := second.TrainLoss[len(second.TrainLoss)-1], full.TrainLoss[epochs]; got != want {
-		t.Fatalf("resumed final loss %v, uninterrupted %v", got, want)
-	}
-	// The resumed run's trajectory covers [split, epochs]; its first
-	// entry is the resume-point loss.
-	if len(second.TrainLoss) != epochs-split+1 {
-		t.Fatalf("resumed trajectory has %d entries, want %d", len(second.TrainLoss), epochs-split+1)
-	}
-	if second.TrainLoss[0] != full.TrainLoss[split] {
-		t.Fatalf("resume-point loss %v, uninterrupted epoch-%d loss %v", second.TrainLoss[0], split, full.TrainLoss[split])
-	}
-}
-
 func TestStartEpochValidation(t *testing.T) {
 	ds := ctxTestSet(t)
 	cfg := ctxTestConfig(3)
 	cfg.StartEpoch = 4
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Fatal("StartEpoch beyond Epochs should fail")
 	}
 	cfg = ctxTestConfig(3)
 	cfg.StartEpoch = -1
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Fatal("negative StartEpoch should fail")
 	}
 	cfg = ctxTestConfig(3)
 	cfg.InitWeights = []float32{1, 2} // model needs 16
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Fatal("mis-sized InitWeights should fail")
 	}
 }
@@ -155,7 +111,7 @@ func TestEpochEndAbortsRun(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := TrainDense(cfg, ds); !errors.Is(err, boom) {
+	if _, err := Train(cfg, ds); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the EpochEnd error", err)
 	}
 	if calls != 2 {

@@ -14,7 +14,7 @@ import (
 // oversized step — the update magnitudes saturate the tiny format on
 // nearly every write — under a HealthWatchdog with a tight saturation
 // budget, and checks the whole divergence path: the watchdog fires, the
-// run's context is cancelled with the detailed cause, and TrainDense
+// run's context is cancelled with the detailed cause, and Train
 // returns an error matching obs.ErrDivergence. The TestHooks prefix keeps
 // it in the race-enabled CI filter.
 func TestHooksHealthWatchdogTripsQ4(t *testing.T) {
@@ -32,7 +32,7 @@ func TestHooksHealthWatchdogTripsQ4(t *testing.T) {
 		Ctx:      ctx,
 		Observer: &obs.Observer{Hooks: wd, NumHealth: true},
 	}
-	_, err = TrainDense(cfg, ds)
+	_, err = Train(cfg, ds)
 	if err == nil {
 		t.Fatal("saturating Q4 run completed without tripping the watchdog")
 	}
@@ -66,7 +66,7 @@ func TestHooksNumStatsOnResult(t *testing.T) {
 		Sharing: Locked, Seed: 11,
 		Observer: &obs.Observer{NumHealth: true},
 	}
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestHooksNumStatsOnResult(t *testing.T) {
 	}
 	// Without the flag the collection stays off and the result is nil.
 	cfg.Observer = &obs.Observer{}
-	res, err = TrainDense(cfg, ds)
+	res, err = Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestHooksSequentialDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &countingHooks{}
-	res, err := TrainDense(denseObsConfig(1, Sequential, h, 1), ds)
+	res, err := Train(denseObsConfig(1, Sequential, h, 1), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHooksLockedDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &countingHooks{}
-	res, err := TrainDense(denseObsConfig(threads, Locked, h, 1), ds)
+	res, err := Train(denseObsConfig(threads, Locked, h, 1), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestHooksRacySparseDisjoint(t *testing.T) {
 		Sharing: Racy, Seed: 11,
 		Observer: &obs.Observer{Hooks: h, StepSample: 1},
 	}
-	res, err := TrainSparse(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestHooksSamplingAndBatchFlushes(t *testing.T) {
 		Sharing: Sequential, Seed: 4,
 		Observer: &obs.Observer{StepSample: 8},
 	}
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestHooksDisabledByDefault(t *testing.T) {
 		Variant: kernels.HandOpt, Quant: kernels.QShared, QuantPeriod: 8,
 		Threads: 1, StepSize: 0.05, Epochs: 1, Sharing: Sequential, Seed: 6,
 	}
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestHooksDisabledByDefault(t *testing.T) {
 		t.Error("Result.Stats should be nil without an Observer")
 	}
 	cfg.Observer = &obs.Observer{StepSample: -1}
-	if _, err := TrainDense(cfg, ds); err == nil {
+	if _, err := Train(cfg, ds); err == nil {
 		t.Error("negative StepSample should fail validation")
 	}
 }

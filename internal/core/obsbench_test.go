@@ -104,7 +104,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := TrainDense(cfg, ds); err != nil {
+				if _, err := Train(cfg, ds); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -87,7 +87,7 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 	agg := make([]float32, n)
 
 	res := &Result{}
-	loss, err := denseLoss(cfg.Problem, w, ds)
+	loss, err := SyncLoss(cfg.Problem, w, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 			}
 			res.Steps++
 		}
-		loss, err := denseLoss(cfg.Problem, w, ds)
+		loss, err := SyncLoss(cfg.Problem, w, ds)
 		if err != nil {
 			return nil, err
 		}

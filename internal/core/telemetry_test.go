@@ -30,7 +30,7 @@ func TestHooksTraceDeterminism(t *testing.T) {
 		tr := obs.NewTracer(256)
 		cfg := denseObsConfig(1, Sequential, nil, 0)
 		cfg.Observer = &obs.Observer{Tracer: tr}
-		if _, err := TrainDense(cfg, ds); err != nil {
+		if _, err := Train(cfg, ds); err != nil {
 			t.Fatal(err)
 		}
 		return tr.Snapshot(), tr.SpanCount()
@@ -65,7 +65,7 @@ func TestHooksSeriesOnResult(t *testing.T) {
 	se := obs.NewSeries(8)
 	cfg := denseObsConfig(1, Sequential, nil, 1)
 	cfg.Observer = &obs.Observer{Series: se, StepSample: 1}
-	res, err := TrainDense(cfg, ds)
+	res, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestHooksSeriesOnResult(t *testing.T) {
 	}
 	// No observer: no series, the established nil fast path.
 	cfg.Observer = nil
-	res, err = TrainDense(cfg, ds)
+	res, err = Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

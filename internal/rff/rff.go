@@ -147,7 +147,7 @@ func Train(cfg Config, train, test *dataset.Digits) (*Model, *Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := core.TrainDense(ccfg, ds)
+		res, err := core.Train(ccfg, ds)
 		if err != nil {
 			return nil, nil, err
 		}

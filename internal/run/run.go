@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"buckwild/internal/core"
-	"buckwild/internal/dataset"
 	"buckwild/internal/obs"
 )
 
@@ -50,28 +49,17 @@ type Config struct {
 	// Faults is the deterministic fault-injection schedule; nil injects
 	// nothing.
 	Faults *Plan
-	// Hooks receives the training callbacks of every attempt; if it also
-	// implements obs.LifecycleHooks it receives checkpoint and retry
-	// events. CollectStats requests engine counters without hooks, and
-	// StepSample is forwarded to the engine's Observer (forced to 1 while
-	// step faults are armed).
-	Hooks        obs.Hooks
-	CollectStats bool
-	StepSample   int
-	// NumHealth is forwarded to the engine Observer: collect
-	// numerical-health counters (saturation, rounding bias, underflow,
-	// weight distribution) for every attempt. If Hooks implements
-	// obs.HealthHooks it receives the per-epoch health snapshots.
-	NumHealth bool
-	// Tracer, when non-nil, records the supervisor's lifecycle as trace
-	// spans — attempts, checkpoint saves, resume decisions, backoff
-	// waits — and is forwarded to the engine so epochs appear nested
-	// inside their attempt. Nil traces nothing at no cost.
-	Tracer *obs.Tracer
-	// Series, when non-nil, is forwarded to the engine's Observer so the
-	// windowed time-series spans the whole supervised run (the recorder
-	// detects each attempt's counter restart and keeps accumulating).
-	Series *obs.Series
+	// Observer is installed in the engine of every attempt. Its Hooks
+	// also receive checkpoint and retry events if they implement
+	// obs.LifecycleHooks; its StepSample is forced to 1 while step faults
+	// are armed; its Tracer also records the supervisor's lifecycle
+	// (attempts, checkpoint saves, resume decisions, backoff waits), so
+	// epochs appear nested inside their attempt; its Series spans the whole
+	// supervised run (the recorder detects each attempt's counter restart
+	// and keeps accumulating). With the zero value the engine runs bare
+	// unless step faults or the stall watchdog need its callbacks; for
+	// counters alone install obs.NopHooks{}.
+	Observer obs.Observer
 	// Logger, when non-nil, receives the supervisor's structured
 	// operational log: resumes, checkpoints, retries, stall degradations
 	// and retry exhaustion. Nil is silent at no cost.
@@ -144,27 +132,13 @@ type Report struct {
 	Checkpoint string
 }
 
-// TrainDense supervises core.TrainDense: checkpoints every cfg.Every
-// epochs, resumes from the newest valid checkpoint after a crash or
-// stall, retries with exponential backoff up to cfg.MaxRetries times,
-// and degrades the worker count after repeated stalls. Cancelling ctx
-// stops the run (mid-epoch) and is never retried; the latest checkpoint
-// stays on disk for a later resume.
-func TrainDense(ctx context.Context, cfg Config, tc core.Config, ds *dataset.DenseSet) (*Report, error) {
-	return supervise(ctx, cfg, tc, func(c core.Config) (*core.Result, error) {
-		return core.TrainDense(c, ds)
-	})
-}
-
-// TrainSparse supervises core.TrainSparse; see TrainDense.
-func TrainSparse(ctx context.Context, cfg Config, tc core.Config, ds *dataset.SparseSet) (*Report, error) {
-	return supervise(ctx, cfg, tc, func(c core.Config) (*core.Result, error) {
-		return core.TrainSparse(c, ds)
-	})
-}
-
-// supervise is the engine-agnostic attempt loop.
-func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.Config) (*core.Result, error)) (*Report, error) {
+// Train supervises core.Train: checkpoints every cfg.Every epochs, resumes
+// from the newest valid checkpoint after a crash or stall, retries with
+// exponential backoff up to cfg.MaxRetries times, and degrades the worker
+// count after repeated stalls. Cancelling ctx stops the run (mid-epoch)
+// and is never retried; the latest checkpoint stays on disk for a later
+// resume.
+func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*Report, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -187,7 +161,8 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 	}
 
 	inj := newInjector(cfg.Faults)
-	lifecycle, _ := cfg.Hooks.(obs.LifecycleHooks)
+	tracer := cfg.Observer.Tracer
+	lifecycle, _ := cfg.Observer.Hooks.(obs.LifecycleHooks)
 	var stats obs.SupervisorStats
 
 	// Resume state: a previous process may have left checkpoints behind.
@@ -198,7 +173,7 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 		lastPath   string
 	)
 	loadResume := func() error {
-		span := cfg.Tracer.Begin("run", "resume", 0)
+		span := tracer.Begin("run", "resume", 0)
 		ck, path, skipped, err := LoadLatest(cfg.Dir)
 		stats.CheckpointFallbacks += skipped
 		if err != nil {
@@ -245,22 +220,22 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 
 		actx, cancel := context.WithCancelCause(ctx)
 		var progress atomic.Uint64
-		hooks := &attemptHooks{inner: cfg.Hooks, inj: inj, cancel: cancel, done: actx.Done(), progress: &progress, tracer: cfg.Tracer}
-		attemptSpan := cfg.Tracer.Begin("run", "attempt", 0)
+		hooks := &attemptHooks{inner: cfg.Observer.Hooks, inj: inj, cancel: cancel, done: actx.Done(), progress: &progress, tracer: tracer}
+		attemptSpan := tracer.Begin("run", "attempt", 0)
 
 		run := tc
 		run.Ctx = actx
 		run.Threads = threads
 		run.StartEpoch = startEpoch
 		run.InitWeights = initW
-		run.Observer = attemptObserver(&cfg, inj, hooks)
+		run.Observer = attemptObserver(&cfg, hooks)
 		resumeHist := history
 		run.EpochEnd = func(st core.EpochState) error {
 			progress.Add(1)
 			if st.Epoch%cfg.Every != 0 && st.Epoch != epochs {
 				return nil
 			}
-			ckSpan := cfg.Tracer.Begin("run", "checkpoint-save", 0)
+			ckSpan := tracer.Begin("run", "checkpoint-save", 0)
 			ck := newCheckpoint(st.Epoch, tc.Seed, threads, st.W, stitchLoss(resumeHist, st.TrainLoss))
 			path, n, err := writeCheckpoint(cfg.Dir, ck, inj.corruptNextWrite())
 			if err != nil {
@@ -293,7 +268,7 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 		if cfg.StallTimeout > 0 {
 			dog = startWatchdog(cancel, &progress, cfg.StallTimeout)
 		}
-		res, err := train(run)
+		res, err := core.Train(run, ds)
 		if dog != nil {
 			dog.stop()
 		}
@@ -376,11 +351,11 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 				ResumeEpoch: startEpoch, Threads: threads,
 			})
 		}
-		cfg.Tracer.Instant("run", "retry", 0, map[string]string{
+		tracer.Instant("run", "retry", 0, map[string]string{
 			"attempt": fmt.Sprint(attempt), "error": err.Error(),
 			"resume_epoch": fmt.Sprint(startEpoch),
 		})
-		backoffSpan := cfg.Tracer.Begin("run", "backoff", 0)
+		backoffSpan := tracer.Begin("run", "backoff", 0)
 		cfg.Sleep(backoff)
 		backoffSpan.EndArgs(map[string]string{"backoff": backoff.String()})
 		if backoff *= 2; backoff > cfg.BackoffCap {
@@ -389,24 +364,23 @@ func supervise(ctx context.Context, cfg Config, tc core.Config, train func(core.
 	}
 }
 
-// attemptObserver builds the engine Observer for one attempt, or nil
-// when neither the user nor the supervisor needs callbacks — the
-// zero-cost path.
-func attemptObserver(cfg *Config, inj *injector, hooks *attemptHooks) *obs.Observer {
-	needHooks := cfg.Hooks != nil || cfg.Faults.hasStepFaults() || cfg.StallTimeout > 0
-	if !needHooks {
-		if cfg.CollectStats || cfg.Tracer != nil || cfg.Series != nil || cfg.NumHealth {
-			return &obs.Observer{StepSample: cfg.StepSample, Tracer: cfg.Tracer, Series: cfg.Series, NumHealth: cfg.NumHealth}
+// attemptObserver builds the engine Observer for one attempt: the
+// caller's, with the supervisor's hooks in front when it needs the
+// callbacks, or nil when nobody asked for anything — the zero-cost path.
+func attemptObserver(cfg *Config, hooks *attemptHooks) *obs.Observer {
+	o := cfg.Observer
+	stepFaults := cfg.Faults.hasStepFaults()
+	if o.Hooks != nil || stepFaults || cfg.StallTimeout > 0 {
+		o.Hooks = hooks
+		if stepFaults {
+			// Step faults address individual model updates; sampling would
+			// skip the scheduled one.
+			o.StepSample = 1
 		}
+	} else if o.Tracer == nil && o.Series == nil && !o.NumHealth {
 		return nil
 	}
-	sample := cfg.StepSample
-	if cfg.Faults.hasStepFaults() {
-		// Step faults address individual model updates; sampling would
-		// skip the scheduled one.
-		sample = 1
-	}
-	return &obs.Observer{Hooks: hooks, StepSample: sample, Tracer: cfg.Tracer, Series: cfg.Series, NumHealth: cfg.NumHealth}
+	return &o
 }
 
 // stitchLoss joins a checkpoint's loss history [0..resume] with an

@@ -54,7 +54,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	ds := testDense(t)
 	const epochs = 6
 
-	base, err := core.TrainDense(testTrainConfig(epochs), ds)
+	base, err := core.Train(testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	}
 	supervised := func() *Report {
 		t.Helper()
-		rep, err := TrainDense(context.Background(), Config{
+		rep, err := Train(context.Background(), Config{
 			Dir:    t.TempDir(),
 			Faults: plan,
 			Sleep:  noSleep,
@@ -121,7 +121,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	ds := testDense(t)
 	const epochs = 6
 
-	base, err := core.TrainDense(testTrainConfig(epochs), ds)
+	base, err := core.Train(testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TrainDense(context.Background(), Config{
+	rep, err := Train(context.Background(), Config{
 		Dir:    t.TempDir(),
 		Faults: plan,
 		Sleep:  noSleep,
@@ -158,7 +158,7 @@ func TestStallDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TrainDense(context.Background(), Config{
+	rep, err := Train(context.Background(), Config{
 		Dir:          t.TempDir(),
 		Faults:       plan,
 		StallTimeout: 200 * time.Millisecond,
@@ -204,7 +204,7 @@ func TestContextCancelLeavesResumableCheckpoint(t *testing.T) {
 	const epochs = 6
 	dir := t.TempDir()
 
-	base, err := core.TrainDense(testTrainConfig(epochs), ds)
+	base, err := core.Train(testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,10 @@ func TestContextCancelLeavesResumableCheckpoint(t *testing.T) {
 	defer cancel()
 	// 120 updates per epoch: step 250 is mid-epoch 3, after the epoch-2
 	// checkpoint.
-	_, err = TrainDense(ctx, Config{
-		Dir:        dir,
-		Hooks:      &cancelAt{n: 250, cancel: cancel},
-		StepSample: 1,
-		Sleep:      noSleep,
+	_, err = Train(ctx, Config{
+		Dir:      dir,
+		Observer: obs.Observer{Hooks: &cancelAt{n: 250, cancel: cancel}, StepSample: 1},
+		Sleep:    noSleep,
 	}, testTrainConfig(epochs), ds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -232,7 +231,7 @@ func TestContextCancelLeavesResumableCheckpoint(t *testing.T) {
 	}
 
 	// A fresh supervisor over the same directory picks the run back up.
-	rep, err := TrainDense(context.Background(), Config{Dir: dir, Sleep: noSleep}, testTrainConfig(epochs), ds)
+	rep, err := Train(context.Background(), Config{Dir: dir, Sleep: noSleep}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestGiveUpAfterRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = TrainDense(context.Background(), Config{
+	_, err = Train(context.Background(), Config{
 		Dir:        t.TempDir(),
 		MaxRetries: 1,
 		Faults:     plan,
@@ -271,11 +270,11 @@ func TestGiveUpAfterRetries(t *testing.T) {
 func TestSupervisedMatchesBare(t *testing.T) {
 	ds := testDense(t)
 	const epochs = 4
-	base, err := core.TrainDense(testTrainConfig(epochs), ds)
+	base, err := core.Train(testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TrainDense(context.Background(), Config{Dir: t.TempDir(), Keep: 8, Sleep: noSleep}, testTrainConfig(epochs), ds)
+	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Keep: 8, Sleep: noSleep}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func TestSparseCrashResume(t *testing.T) {
 	}
 	const epochs = 5
 	tc := testTrainConfig(epochs)
-	base, err := core.TrainSparse(tc, ds)
+	base, err := core.Train(tc, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestSparseCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TrainSparse(context.Background(), Config{Dir: t.TempDir(), Faults: plan, Sleep: noSleep}, tc, ds)
+	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Faults: plan, Sleep: noSleep}, tc, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +339,11 @@ func TestLifecycleHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &lifecycleRecorder{}
-	rep, err := TrainDense(context.Background(), Config{
-		Dir:    t.TempDir(),
-		Faults: plan,
-		Hooks:  rec,
-		Sleep:  noSleep,
+	rep, err := Train(context.Background(), Config{
+		Dir:      t.TempDir(),
+		Faults:   plan,
+		Observer: obs.Observer{Hooks: rec},
+		Sleep:    noSleep,
 	}, testTrainConfig(6), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +374,7 @@ func TestRetriesExhaustedTriggersBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = TrainDense(context.Background(), Config{
+	_, err = Train(context.Background(), Config{
 		Dir:        t.TempDir(),
 		MaxRetries: 1,
 		Faults:     plan,

@@ -58,11 +58,11 @@ func TestLifecycleHooksOrderingUnderRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &orderedRecorder{}
-	rep, err := TrainDense(context.Background(), Config{
-		Dir:    t.TempDir(),
-		Faults: plan,
-		Hooks:  rec,
-		Sleep:  noSleep,
+	rep, err := Train(context.Background(), Config{
+		Dir:      t.TempDir(),
+		Faults:   plan,
+		Observer: obs.Observer{Hooks: rec},
+		Sleep:    noSleep,
 	}, testTrainConfig(6), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -126,22 +126,40 @@ func TestSupervisedRunTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer(256)
-	rep, err := TrainDense(context.Background(), Config{
-		Dir:    t.TempDir(),
-		Faults: plan,
-		Tracer: tr,
-		Sleep:  noSleep,
+	rep, err := Train(context.Background(), Config{
+		Dir:      t.TempDir(),
+		Faults:   plan,
+		Observer: obs.Observer{Tracer: tr},
+		Sleep:    noSleep,
 	}, testTrainConfig(4), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
 	foundResume := false
-	for _, s := range tr.Snapshot().Spans {
+	spans := tr.Snapshot().Spans
+	var failed obs.Span
+	for _, s := range spans {
 		counts[s.Cat+"/"+s.Name]++
 		if s.Cat == "run" && s.Name == "resume" && s.Args["found"] == "true" {
 			foundResume = true
 		}
+		if s.Cat == "run" && s.Name == "attempt" && s.Args["error"] != "" {
+			failed = s
+		}
+	}
+	// A span records nothing until it ends, so the engine has to end its
+	// spans on the failure path too: the crashed attempt must contain its
+	// train-dense span and the epoch the crash interrupted, both carrying
+	// the error.
+	inFailed := map[string]int{}
+	for _, s := range spans {
+		if s.Cat == "core" && s.Args["error"] != "" && s.Start >= failed.Start && s.Start+s.Dur <= failed.Start+failed.Dur {
+			inFailed[s.Name]++
+		}
+	}
+	if inFailed["train-dense"] != 1 || inFailed["epoch"] != 1 {
+		t.Errorf("failed attempt %+v contains engine spans %v, want one train-dense and one epoch", failed, inFailed)
 	}
 	if got := counts["run/attempt"]; got != rep.Stats.Attempts {
 		t.Errorf("%d attempt spans, stats say %d attempts", got, rep.Stats.Attempts)

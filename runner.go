@@ -1,7 +1,6 @@
 package buckwild
 
 import (
-	"fmt"
 	"time"
 
 	"buckwild/internal/obs"
@@ -116,11 +115,7 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 		DegradeAfter: rc.DegradeAfter,
 		MinThreads:   rc.MinThreads,
 		Faults:       rc.Faults,
-		Hooks:        cfg.Hooks,
-		StepSample:   cfg.StepSample,
-		NumHealth:    cfg.NumHealth,
-		Tracer:       cfg.Tracer,
-		Series:       cfg.TimeSeries,
+		Observer:     cfg.observe(),
 		Logger:       obs.Component(cfg.Logger, "run"),
 		Flight:       cfg.Flight,
 		Bundle:       cfg.Bundle,
@@ -135,38 +130,24 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 // Cancelling cfg.Context stops the run without retrying and leaves the
 // newest checkpoint on disk for a later resume.
 func RunDense(cfg Config, rc RunConfig, ds *DenseDataset) (*RunReport, error) {
-	cc, err := cfg.coreConfig(false, 0)
-	if err != nil {
-		return nil, err
-	}
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("buckwild: empty dataset")
-	}
-	if ds.X[0].P != cc.D {
-		return nil, fmt.Errorf("buckwild: dataset stored at %v but signature wants %v", ds.X[0].P, cc.D)
-	}
-	// The supervisor owns observation (it must see every step while
-	// faults are armed), so the facade's Observer is not pre-installed.
-	cc.Observer = nil
-	rep, err := run.TrainDense(cfg.Context, rc.internal(cfg), cc, ds)
-	return rep, wrapErr(err)
+	return rc.run(cfg, ds)
 }
 
 // RunSparse is the supervised counterpart of Train on a sparse dataset; see
 // RunDense.
 func RunSparse(cfg Config, rc RunConfig, ds *SparseDataset) (*RunReport, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("buckwild: empty dataset")
-	}
-	cc, err := cfg.coreConfig(true, ds.IdxBits)
+	return rc.run(cfg, ds)
+}
+
+func (rc RunConfig) run(cfg Config, ds Dataset) (*RunReport, error) {
+	cc, err := cfg.lower(ds)
 	if err != nil {
 		return nil, err
 	}
-	if ds.Val[0].P != cc.D {
-		return nil, fmt.Errorf("buckwild: dataset stored at %v but signature wants %v", ds.Val[0].P, cc.D)
-	}
+	// The supervisor owns observation (it must see every step while
+	// faults are armed), so the facade's Observer is not pre-installed.
 	cc.Observer = nil
-	rep, err := run.TrainSparse(cfg.Context, rc.internal(cfg), cc, ds)
+	rep, err := run.Train(cfg.Context, rc.internal(cfg), cc, ds)
 	return rep, wrapErr(err)
 }
 

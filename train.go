@@ -5,23 +5,14 @@ import (
 
 	"buckwild/internal/cluster"
 	"buckwild/internal/core"
+	"buckwild/internal/kernels"
 )
 
 // Dataset is the input to Train: a dense (*DenseDataset) or sparse
 // (*SparseDataset) example set. The interface is intentionally small —
 // it exists so both dataset types fit one entry point, not as an
 // extension surface; Train accepts exactly those two types.
-type Dataset interface {
-	// Len returns the number of examples.
-	Len() int
-	// Dim returns the model dimension.
-	Dim() int
-}
-
-var (
-	_ Dataset = (*DenseDataset)(nil)
-	_ Dataset = (*SparseDataset)(nil)
-)
+type Dataset = core.Dataset
 
 // Train runs Buckwild! SGD on a dense or sparse dataset — the one training
 // entry point. A dense dataset must be stored at the signature's dataset
@@ -34,54 +25,61 @@ var (
 // wire precision, and Result.Cluster reports the exact wire bytes.
 // Sparse datasets do not support cluster training.
 func Train(cfg Config, ds Dataset) (*Result, error) {
-	switch d := ds.(type) {
-	case *DenseDataset:
-		return trainDense(cfg, d)
-	case *SparseDataset:
-		return trainSparse(cfg, d)
-	case nil:
-		return nil, fmt.Errorf("buckwild: nil dataset")
-	}
-	return nil, fmt.Errorf("buckwild: unsupported dataset type %T (use *DenseDataset or *SparseDataset)", ds)
-}
-
-func trainDense(cfg Config, ds *DenseDataset) (*Result, error) {
-	cc, err := cfg.coreConfig(false, 0)
+	cc, err := cfg.lower(ds)
 	if err != nil {
 		return nil, err
 	}
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("buckwild: empty dataset")
-	}
-	if ds.X[0].P != cc.D {
-		return nil, fmt.Errorf("buckwild: dataset stored at %v but signature wants %v", ds.X[0].P, cc.D)
-	}
-	if cfg.Cluster.enabled() {
-		ccl, err := cfg.clusterConfig(cc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.Train(ccl, ds)
+	if !cfg.Cluster.enabled() {
+		res, err := core.Train(cc, ds)
 		return res, wrapErr(err)
 	}
-	res, err := core.TrainDense(cc, ds)
-	return res, wrapErr(err)
-}
-
-func trainSparse(cfg Config, ds *SparseDataset) (*Result, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("buckwild: empty dataset")
+	dense, ok := ds.(*DenseDataset)
+	if !ok {
+		return nil, fmt.Errorf("buckwild: cluster training supports dense datasets only")
 	}
-	cc, err := cfg.coreConfig(true, ds.IdxBits)
+	ccl, err := cfg.clusterConfig(cc)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cluster.enabled() {
-		return nil, fmt.Errorf("buckwild: cluster training supports dense datasets only")
-	}
-	if ds.Val[0].P != cc.D {
-		return nil, fmt.Errorf("buckwild: dataset stored at %v but signature wants %v", ds.Val[0].P, cc.D)
-	}
-	res, err := core.TrainSparse(cc, ds)
+	res, err := cluster.Train(ccl, dense)
 	return res, wrapErr(err)
+}
+
+// lower checks cfg against the dataset it is to train on and lowers it to
+// the engine's configuration. Train, RunDense and RunSparse all come
+// through here, so a nil or empty dataset, a signature of the wrong
+// sparsity or index width, and a dataset stored at another precision than
+// the signature's are each rejected in one place with one message.
+func (c Config) lower(ds Dataset) (core.Config, error) {
+	var (
+		sparse  bool
+		idxBits uint
+		stored  kernels.Prec
+		ok      bool
+	)
+	switch d := ds.(type) {
+	case nil:
+		return core.Config{}, fmt.Errorf("buckwild: nil dataset")
+	case *DenseDataset:
+		if d != nil && d.Len() > 0 {
+			stored, ok = d.X[0].P, true
+		}
+	case *SparseDataset:
+		if d != nil && d.Len() > 0 {
+			sparse, idxBits, stored, ok = true, d.IdxBits, d.Val[0].P, true
+		}
+	default:
+		return core.Config{}, fmt.Errorf("buckwild: unsupported dataset type %T (use *DenseDataset or *SparseDataset)", ds)
+	}
+	if !ok {
+		return core.Config{}, fmt.Errorf("buckwild: empty dataset")
+	}
+	cc, err := c.coreConfig(sparse, idxBits)
+	if err != nil {
+		return core.Config{}, err
+	}
+	if stored != cc.D {
+		return core.Config{}, fmt.Errorf("buckwild: dataset stored at %v but signature wants %v", stored, cc.D)
+	}
+	return cc, nil
 }
