@@ -213,6 +213,15 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// workers is the number of goroutines an epoch — and the loss evaluation
+// after it — fans out to: Threads, or one under Sequential sharing.
+func (c *Config) workers() int {
+	if c.Sharing == Sequential {
+		return 1
+	}
+	return c.Threads
+}
+
 // gradFormat returns the fixed-point grid for gradient intermediates, or
 // nil for full precision.
 func (c *Config) gradFormat() *fixed.Format {
@@ -231,12 +240,13 @@ type Result struct {
 	// epoch (index 0 is the loss before training).
 	TrainLoss []float64
 	// Steps counts model updates; Elapsed is wall time spent in
-	// workers.
+	// workers: the epochs' fan-outs, without the loss evaluations, the
+	// observers and the EpochEnd callbacks between them.
 	Steps   int
 	Elapsed time.Duration
-	// NumbersPerSec is the measured dataset throughput on the host
-	// (meaningful for relative comparisons only; absolute hardware
-	// efficiency comes from package machine).
+	// NumbersPerSec is the measured dataset throughput on the host over
+	// Elapsed (meaningful for relative comparisons only; absolute
+	// hardware efficiency comes from package machine).
 	NumbersPerSec float64
 	// Stats holds the run's observability counters; nil unless the
 	// config installed an Observer.
@@ -288,7 +298,7 @@ func Train(cfg Config, ds Dataset) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	loss, err := k.loss(cfg.Problem, w.Floats())
+	loss, err := k.loss(cfg.Problem, w.Floats(), cfg.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -306,21 +316,22 @@ func Train(cfg Config, ds Dataset) (*Result, error) {
 		trainSpan.EndArgs(args)
 		return nil, err
 	}
-	start := time.Now()
 	epochsRun := 0
 	for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return fail(err)
 		}
 		epochSpan = ro.span("epoch")
+		start := time.Now()
 		steps, err := runEpoch(&cfg, k, w, eta, epoch, ro)
+		res.Elapsed += time.Since(start)
 		if err != nil {
 			return fail(err)
 		}
 		res.Steps += steps
 		epochsRun++
 		eta *= cfg.StepDecay
-		loss, err := k.loss(cfg.Problem, w.Floats())
+		loss, err := k.loss(cfg.Problem, w.Floats(), cfg.workers())
 		if err != nil {
 			return fail(err)
 		}
@@ -335,7 +346,6 @@ func Train(cfg Config, ds Dataset) (*Result, error) {
 			}
 		}
 	}
-	res.Elapsed = time.Since(start)
 	res.W = w.Floats()
 	if res.Elapsed > 0 {
 		res.NumbersPerSec = float64(epochsRun) * k.numbers / res.Elapsed.Seconds()
@@ -386,10 +396,7 @@ func resumeEta(cfg *Config) float32 {
 // returns the number of model updates that takes: a worker covers its
 // shard in ceil(shard / MiniBatch) of them.
 func runEpoch(cfg *Config, k *kind, w kernels.Vec, eta float32, epoch int, ro *runObs) (int, error) {
-	threads := cfg.Threads
-	if cfg.Sharing == Sequential {
-		threads = 1
-	}
+	threads := cfg.workers()
 	var mu *sync.Mutex
 	if cfg.Sharing == Locked {
 		mu = new(sync.Mutex)

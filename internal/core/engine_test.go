@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"buckwild/internal/dataset"
 	"buckwild/internal/kernels"
@@ -259,5 +260,67 @@ func TestObstinateViewIsKindAgnostic(t *testing.T) {
 	}
 	if stale.TrainLoss[last] >= stale.TrainLoss[0]*0.9 {
 		t.Errorf("sparse training under stale reads did not converge: %v", stale.TrainLoss)
+	}
+}
+
+// TestElapsedCoversWorkersOnly pins what Result.Elapsed says it is: wall
+// time in the epochs' worker fan-outs. A sleeping EpochEnd (a checkpoint
+// write, say) must not be in it, nor in NumbersPerSec.
+func TestElapsedCoversWorkersOnly(t *testing.T) {
+	const nap = 20 * time.Millisecond
+	cfg := baseCfg(kernels.I8, kernels.I8)
+	cfg.Epochs = 3
+	cfg.EpochEnd = func(EpochState) error {
+		time.Sleep(nap)
+		return nil
+	}
+	ds := denseData(t, 32, 200, kernels.I8, 3)
+	start := time.Now()
+	res, err := Train(cfg, ds)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := wall - time.Duration(cfg.Epochs)*nap; res.Elapsed <= 0 || res.Elapsed > limit {
+		t.Errorf("Elapsed = %v, want in (0, wall - epochs x sleep = %v]", res.Elapsed, limit)
+	}
+	if want := float64(cfg.Epochs*200*32) / res.Elapsed.Seconds(); math.Abs(res.NumbersPerSec-want) > 1e-6*want {
+		t.Errorf("NumbersPerSec = %v, want numbers / Elapsed = %v", res.NumbersPerSec, want)
+	}
+}
+
+// TestLossFanOutMatchesSerial: the per-epoch loss a run records does not
+// depend on how many goroutines evaluated it — Threads workers under Racy
+// and Locked sharing, one under Sequential — bit for bit against the
+// serial SyncLoss, for every problem and a row count the workers split
+// unevenly. It trains nothing in Racy mode, so it is race-clean.
+func TestLossFanOutMatchesSerial(t *testing.T) {
+	ds := denseData(t, 24, 61, kernels.I8, 5)
+	k, err := kindOf(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float32, ds.N)
+	for j := range w {
+		w[j] = float32(j%7-3) / 8
+	}
+	for _, p := range []Problem{Logistic, Linear, SVM} {
+		want, err := SyncLoss(p, w, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 3, 7, 64} {
+			cfg := Config{Threads: threads, Sharing: Locked}
+			got, err := k.loss(p, w, cfg.workers())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v threads=%d: loss %v, serial %v", p, threads, got, want)
+			}
+		}
+	}
+	if got := (&Config{Threads: 8, Sharing: Sequential}).workers(); got != 1 {
+		t.Errorf("Sequential run evaluates the loss on %d goroutines, want 1", got)
 	}
 }

@@ -26,8 +26,9 @@ type kind struct {
 	// rows holds the examples as dense vectors for the mini-batch
 	// accumulate; a kind that leaves it nil supports MiniBatch = 1 only.
 	rows []kernels.Vec
-	// loss evaluates the full-precision training loss.
-	loss func(p Problem, w []float32) (float64, error)
+	// loss evaluates the full-precision training loss, on up to workers
+	// goroutines; the value does not depend on workers.
+	loss func(p Problem, w []float32, workers int) (float64, error)
 	// newKernel builds one worker's kernel, writing the model through q
 	// and counting into nc (either may be nil).
 	newKernel func(cfg *Config, q *kernels.Quantizer, nc *fixed.NumCounts) (kernel, error)
@@ -48,7 +49,9 @@ func kindOf(ds Dataset) (*kind, error) {
 		return &kind{
 			name: "dense", len: d.Len(), stored: d.X[0].P, y: d.Y, rows: d.X,
 			numbers: float64(d.Len()) * float64(d.N),
-			loss:    func(p Problem, w []float32) (float64, error) { return SyncLoss(p, w, d) },
+			loss: func(p Problem, w []float32, workers int) (float64, error) {
+				return metrics.Mean(p.loss(), w, d.Raw, d.Y, workers)
+			},
 			newKernel: func(cfg *Config, q *kernels.Quantizer, nc *fixed.NumCounts) (kernel, error) {
 				k, err := kernels.NewDense(cfg.D, cfg.M, cfg.Variant, q)
 				if err != nil {
@@ -65,7 +68,7 @@ func kindOf(ds Dataset) (*kind, error) {
 		return &kind{
 			name: "sparse", len: d.Len(), stored: d.Val[0].P, y: d.Y,
 			numbers: float64(d.NNZ()),
-			loss: func(p Problem, w []float32) (float64, error) {
+			loss: func(p Problem, w []float32, _ int) (float64, error) {
 				if p != Logistic {
 					return 0, fmt.Errorf("core: sparse training currently evaluates logistic loss only, got %v", p)
 				}

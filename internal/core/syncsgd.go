@@ -245,12 +245,17 @@ func quantizeComm(g, residual []float32, bits uint, errorFeedback bool, nc *fixe
 
 // SyncLoss evaluates the configured problem's loss for external callers.
 func SyncLoss(p Problem, w []float32, ds *dataset.DenseSet) (float64, error) {
+	return metrics.Mean(p.loss(), w, ds.Raw, ds.Y, 1)
+}
+
+// loss is the problem's per-example loss.
+func (p Problem) loss() metrics.Loss {
 	switch p {
 	case Logistic:
-		return metrics.LogisticLoss(w, ds.Raw, ds.Y)
+		return metrics.Logistic
 	case Linear:
-		return metrics.SquaredLoss(w, ds.Raw, ds.Y)
+		return metrics.Squared
 	default:
-		return metrics.HingeLoss(w, ds.Raw, ds.Y)
+		return metrics.Hinge
 	}
 }

@@ -239,10 +239,10 @@ func (f Format) RoundRaw(v int64, shift uint, mode Rounding, rs RandSource) int3
 }
 
 // RoundRawU is RoundRaw with the random word supplied by the caller instead
-// of drawn from a source. It is the pure core of the rounding pipeline: the
-// batched paths draw one 64-bit word per eight values, fan it out into lane
-// words, and feed each lane here, producing results bit-identical to
-// RoundRaw fed the same words one at a time. u is ignored for Biased mode
+// of drawn from a source. It is the pure core of the rounding pipeline:
+// kernels.Quantizer draws one 64-bit word per eight values, fans it out
+// into lane words, and feeds each lane here, producing results
+// bit-identical to RoundRaw fed the same words one at a time. u is ignored for Biased mode
 // and when shift is zero (exactly the cases RoundRaw does not draw).
 func (f Format) RoundRawU(v int64, shift uint, mode Rounding, u uint32) int32 {
 	if shift == 0 {

@@ -1,11 +1,8 @@
 package fixed
 
-import "math/bits"
-
-// SWAR (SIMD-within-a-register) primitives: saturating lane adds over a
-// uint64 word, emulating the paddsb/paddsw half of the hand-optimized AVX2
-// kernels with plain 64-bit integer arithmetic. A word packs eight int8
-// lanes (or four int16 lanes) little-endian, so lane i of word w is element
+// SWAR (SIMD-within-a-register) primitive: a saturating lane add over a
+// uint64 word, emulating paddsb with plain 64-bit integer arithmetic. A word
+// packs eight int8 lanes little-endian, so lane i of word w is element
 // 8*w+i of the underlying int8 array — the layout kernels.Vec guarantees on
 // little-endian hosts.
 //
@@ -14,36 +11,26 @@ import "math/bits"
 // recombined with xor, and true two's-complement overflow is detected per
 // lane as "operand signs equal, result sign different". Overflowed lanes
 // are then forced to the format extreme matching the first operand's sign.
-// For the full-width formats (Q8 into int8 lanes, Q16 into int16 lanes)
-// this is bit-identical to Saturate(int64(a)+int64(b)) applied per lane,
-// which the differential tests in package kernels verify exhaustively.
+// For Q8 in int8 lanes this is bit-identical to Saturate(int64(a)+int64(b))
+// applied per lane, which TestAddSat8x8Exhaustive verifies.
 //
-// The overflow mask is also the saturation count: one set bit per clamped
-// lane. The N forms return its popcount (taken only on the rare overflow
-// branch), which is how the integer AXPY feeds NumCounts.Sat[SiteSaturate]
-// from the same loop whether or not anyone is counting.
+// The integer AXPY no longer packs its deltas to add them — its fused loop
+// clamps each lane as it writes (kernels.axpyFused) — so this is kept as
+// the word-add the repository benchmark times (fixed.addsat8x8_ns).
 
 const (
-	lo7x8  = 0x7F7F7F7F7F7F7F7F
-	hi1x8  = 0x8080808080808080
-	lo15x4 = 0x7FFF7FFF7FFF7FFF
-	hi1x4  = 0x8000800080008000
+	lo7x8 = 0x7F7F7F7F7F7F7F7F
+	hi1x8 = 0x8080808080808080
 )
 
 // AddSat8x8 adds two words of eight int8 lanes with per-lane signed
 // saturation at [-128, 127].
 func AddSat8x8(a, b uint64) uint64 {
-	r, _ := AddSat8x8N(a, b)
-	return r
-}
-
-// AddSat8x8N is AddSat8x8 that also returns how many lanes saturated.
-func AddSat8x8N(a, b uint64) (sum uint64, clamped int) {
 	low := (a & lo7x8) + (b & lo7x8)
 	r := low ^ ((a ^ b) & hi1x8)
 	ov := (a ^ r) & (b ^ r) & hi1x8
 	if ov == 0 {
-		return r, 0
+		return r
 	}
 	// Each overflowed lane becomes 0x7F + sign(a): 0x7F for positive
 	// overflow, 0x80 for negative. The byte multiplies cannot carry
@@ -51,26 +38,5 @@ func AddSat8x8N(a, b uint64) (sum uint64, clamped int) {
 	lanes := ov >> 7
 	sat := lanes*0x7F + (a&ov)>>7
 	keep := ^(lanes * 0xFF)
-	return r&keep | sat, bits.OnesCount64(ov)
-}
-
-// AddSat16x4 adds two words of four int16 lanes with per-lane signed
-// saturation at [-32768, 32767].
-func AddSat16x4(a, b uint64) uint64 {
-	r, _ := AddSat16x4N(a, b)
-	return r
-}
-
-// AddSat16x4N is AddSat16x4 that also returns how many lanes saturated.
-func AddSat16x4N(a, b uint64) (sum uint64, clamped int) {
-	low := (a & lo15x4) + (b & lo15x4)
-	r := low ^ ((a ^ b) & hi1x4)
-	ov := (a ^ r) & (b ^ r) & hi1x4
-	if ov == 0 {
-		return r, 0
-	}
-	lanes := ov >> 15
-	sat := lanes*0x7FFF + (a&ov)>>15
-	keep := ^(lanes * 0xFFFF)
-	return r&keep | sat, bits.OnesCount64(ov)
+	return r&keep | sat
 }

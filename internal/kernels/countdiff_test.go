@@ -20,15 +20,16 @@ type countedOut struct {
 // runCounted drives dot, then one axpy per scalar in as, then dot again
 // with health counting on, down the SWAR path or (scalar=true) the scalar
 // reference loops. A nil idx runs the dense kernel, otherwise the sparse
-// one over (idx, x). Every call builds a fresh same-seeded quantizer, so
-// the two paths see the same rounding stream.
-func runCounted(scalar bool, d, m Prec, v Variant, kind QuantKind, seed uint64, idx []int32, x, w0 Vec, as []float32) countedOut {
+// one over (idx, x). Every call builds a fresh same-seeded quantizer (period
+// is QShared's reuse period, 0 for the default), so the two paths see the
+// same rounding stream.
+func runCounted(scalar bool, d, m Prec, v Variant, kind QuantKind, period int, seed uint64, idx []int32, x, w0 Vec, as []float32) countedOut {
 	old := swarOn
 	swarOn = !scalar
 	defer func() { swarOn = old }()
 
 	var out countedOut
-	q := MustQuantizer(m, kind, 0, seed)
+	q := MustQuantizer(m, kind, period, seed)
 	q.Num = &out.c
 	out.w = w0.Clone()
 	var dot func() float32
@@ -115,7 +116,7 @@ func sparseIdx(nnz, wlen int, seed uint64) []int32 {
 // scalar reference loops on every NumCounts field, over the D x M x
 // variant x kind grid of the value-level differential tests, ragged and
 // sub-word lengths, and an all-MinInt operand pair that forces
-// vpmaddubsw-pair and model-write clamps.
+// vpmaddubsw-pair and model-write clamps; then the fused loop's corners.
 func TestCountedSwarMatchesScalar(t *testing.T) {
 	precs := []Prec{I8, I16, I4}
 	seed := uint64(0xC0DE)
@@ -135,8 +136,8 @@ func TestCountedSwarMatchesScalar(t *testing.T) {
 								fillRawVec(x, seed*3+1)
 								fillRawVec(w0, seed*5+2)
 							}
-							swar := runCounted(false, d, m, v, kind, seed, nil, x, w0, countedScalars)
-							ref := runCounted(true, d, m, v, kind, seed, nil, x, w0, countedScalars)
+							swar := runCounted(false, d, m, v, kind, 0, seed, nil, x, w0, countedScalars)
+							ref := runCounted(true, d, m, v, kind, 0, seed, nil, x, w0, countedScalars)
 							if err := diffCounted(swar, ref); err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -176,8 +177,8 @@ func TestCountedSwarMatchesScalar(t *testing.T) {
 							fillRawVec(x, seed*7+3)
 							fillRawVec(w0, seed*11+4)
 						}
-						swar := runCounted(false, d, m, HandOpt, kind, seed, idx, x, w0, countedScalars)
-						ref := runCounted(true, d, m, HandOpt, kind, seed, idx, x, w0, countedScalars)
+						swar := runCounted(false, d, m, HandOpt, kind, 0, seed, idx, x, w0, countedScalars)
+						ref := runCounted(true, d, m, HandOpt, kind, 0, seed, idx, x, w0, countedScalars)
 						if err := diffCounted(swar, ref); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -194,10 +195,69 @@ func TestCountedSwarMatchesScalar(t *testing.T) {
 	}
 }
 
+// clampScalars drives the fused loop's own corners: scalars at the ends of
+// the a-lane so the *rounding* clamp fires (|a*x| reaches 2, before any
+// add), an ordinary one between them, and the zero-delta sources.
+var clampScalars = []float32{-2, 1.99997, 0.371, 2, 0.002, -1.9999}
+
+// countedFusedCorners is the part of TestCountedSwarMatchesScalar for what
+// the fused block loop adds: QShared at reuse periods 1, 3, 8 and 32 — with ragged
+// lengths, so every call after the first starts inside a reuse window and
+// blocks straddle it — scalars that trip the rounding clamp, every lane
+// width pair, dense and sparse, every NumCounts field. A single a = -2
+// update of a zero model by an all-MinInt x is checked by hand: every
+// delta clamps in the rounding, none in the add, none feeds the bias.
+func countedFusedCorners(t *testing.T) {
+	seed := uint64(0xF05ED)
+	for _, d := range []Prec{I8, I16} {
+		for _, m := range []Prec{I8, I16} {
+			for _, period := range []int{1, 3, 8, 32} {
+				for _, n := range swarLens {
+					for _, sparse := range []bool{false, true} {
+						seed++
+						name := fmt.Sprintf("D%v/M%v/period%d/n%d/sparse=%v", d, m, period, n, sparse)
+						wlen := n
+						var idx []int32
+						if sparse {
+							wlen = 37
+							idx = sparseIdx(n, wlen, seed)
+						}
+						x, w0 := NewVec(d, n), NewVec(m, wlen)
+						fillRawVec(x, seed*3+1)
+						fillRawVec(w0, seed*5+2)
+						swar := runCounted(false, d, m, HandOpt, QShared, period, seed, idx, x, w0, clampScalars)
+						ref := runCounted(true, d, m, HandOpt, QShared, period, seed, idx, x, w0, clampScalars)
+						if err := diffCounted(swar, ref); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+
+						if sparse {
+							continue
+						}
+						fillMinInt(x)
+						w0.Zero()
+						one := runCounted(false, d, m, HandOpt, QShared, period, seed, nil, x, w0, []float32{-2})
+						if err := diffCounted(one, runCounted(true, d, m, HandOpt, QShared, period, seed, nil, x, w0, []float32{-2})); err != nil {
+							t.Fatalf("%s rounding clamp: %v", name, err)
+						}
+						if got := one.c.Sat[fixed.SiteSaturate]; got != uint64(n) || one.c.BiasN != 0 || one.c.BiasSumQ != 0 {
+							t.Errorf("%s rounding clamp: Sat %d BiasN %d BiasSumQ %g, want %d 0 0", name, got, one.c.BiasN, one.c.BiasSumQ, n)
+						}
+						if got := one.w.Raw(n - 1); got != m.Fixed().MaxInt() {
+							t.Errorf("%s rounding clamp: w = %d, want MaxInt", name, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzCountedSwarMatchesScalar is the same property under fuzzing: raw
 // holds the operand bytes (dataset lanes first, then model lanes, both
-// reinterpreted at the selected widths), sel picks D, M, the rounding kind
-// and dense vs sparse, and a1/a2 are the AXPY scalars. Plain `go test`
+// reinterpreted at the selected widths), sel picks D, M, the rounding kind,
+// dense vs sparse and (top two bits) QShared's reuse period, and a1/a2 are
+// the AXPY scalars. Plain `go test`
 // runs the committed corpus under testdata/fuzz.
 func FuzzCountedSwarMatchesScalar(f *testing.F) {
 	minInt8 := make([]byte, 48)
@@ -208,6 +268,13 @@ func FuzzCountedSwarMatchesScalar(f *testing.F) {
 	f.Add(minInt8, uint8(3), float32(-1.9), float32(0.5)) // D16M16 dense
 	f.Add([]byte{1, 2, 3, 250, 128, 127, 9}, uint8(1), float32(1e-6), float32(0.002))
 	f.Add([]byte("ragged-tail-and-then-some-more-lanes!"), uint8(0x24), float32(0.371), float32(-1.044))
+	// The fused loop's corners: rounding clamps (|a| at the lane ends) under
+	// QShared (kind 3 << 2) at periods 1, 3, 32; 13 lanes leave the second
+	// update's blocks straddling the reuse window; D8M16, D16M8, sparse.
+	f.Add(minInt8[:26], uint8(0x0C|0x40), float32(-2), float32(1.99997))
+	f.Add(minInt8[:39], uint8(0x0C|0x80|0x02), float32(2), float32(-2))
+	f.Add(minInt8[:39], uint8(0x0C|0xC0|0x01), float32(-1.9999), float32(0.371))
+	f.Add([]byte("straddles-the-reuse-window-twice-over"), uint8(0x0C|0x80|0x20|0x03), float32(1.99997), float32(-2))
 	f.Fuzz(func(t *testing.T, raw []byte, sel uint8, a1, a2 float32) {
 		if a1 != a1 || a2 != a2 {
 			t.Skip("NaN scalar")
@@ -216,6 +283,7 @@ func FuzzCountedSwarMatchesScalar(f *testing.F) {
 		m := []Prec{I8, I16}[sel>>1&1]
 		kind := swarKinds[int(sel>>2&7)%len(swarKinds)]
 		sparse := sel>>5&1 == 1
+		period := []int{0, 1, 3, 32}[sel>>6]
 
 		// Split raw evenly between the operands; each needs whole lanes.
 		n := len(raw) / int((d.Bits()+m.Bits())/8)
@@ -243,10 +311,10 @@ func FuzzCountedSwarMatchesScalar(f *testing.F) {
 		}
 		as := []float32{a1, a2}
 		seed := uint64(sel)<<8 | uint64(n&0xFF)
-		swar := runCounted(false, d, m, HandOpt, kind, seed, idx, x, w0, as)
-		ref := runCounted(true, d, m, HandOpt, kind, seed, idx, x, w0, as)
+		swar := runCounted(false, d, m, HandOpt, kind, period, seed, idx, x, w0, as)
+		ref := runCounted(true, d, m, HandOpt, kind, period, seed, idx, x, w0, as)
 		if err := diffCounted(swar, ref); err != nil {
-			t.Fatalf("D%v M%v %v sparse=%v n=%d a=(%g, %g): %v", d, m, kind, sparse, n, a1, a2, err)
+			t.Fatalf("D%v M%v %v period=%d sparse=%v n=%d a=(%g, %g): %v", d, m, kind, period, sparse, n, a1, a2, err)
 		}
 	})
 }

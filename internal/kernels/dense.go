@@ -213,7 +213,7 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 			w.F32[i] += a * x.At(i)
 		}
 	case k.V != Generic && !k.D.IsFloat():
-		k.axpyInt(a, x, w, n)
+		axpyInt(k.Q, k.Num, a, nil, x, w)
 	case k.V != Generic: // float dataset, fixed model
 		// Hand-optimized float->fixed pipeline: the product is
 		// stochastically rounded to a model-format delta, which is
@@ -237,7 +237,8 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 	}
 }
 
-// axpyInt is the all-integer AXPY pipeline: the scalar a is quantized once
+// axpyInt is the all-integer AXPY pipeline, dense (nil idx) or sparse (x
+// holds the nonzeros of positions idx): the scalar a is quantized once
 // into a 16-bit lane with aqFrac fractional bits; each product
 // x_raw * a_raw is a wide integer whose model-format value is recovered by
 // a rounding right-shift (stochastic or nearest per the quantizer); the
@@ -247,9 +248,8 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 // Health counts come out of the same loop: a dropped whole update (the
 // scalar underflowing its 16-bit lane) and per-element deltas that round
 // to zero count as underflows, the model write clamp counts under
-// SiteSaturate, and RoundRaw feeds the bias accumulator through Q.Num.
-func (k *Dense) axpyInt(a float32, x, w Vec, n int) {
-	c := k.Num
+// SiteSaturate, and RoundRaw feeds the bias accumulator through q.Num.
+func axpyInt(q *Quantizer, c *fixed.NumCounts, a float32, idx []int32, x, w Vec) {
 	aq := quantizeScalarA(a)
 	if aq == 0 {
 		// The scalar underflowed the a-lane format; the hand-optimized
@@ -259,96 +259,142 @@ func (k *Dense) axpyInt(a float32, x, w Vec, n int) {
 		}
 		return
 	}
-	fx := k.D.Fixed()
-	fm := k.M.Fixed()
-	shift := fx.Frac + aqFrac - fm.Frac
+	fm := w.P.Fixed()
+	shift := x.P.Fixed().Frac + aqFrac - fm.Frac
 	i := 0
-	if swarOn && x.w64 != nil && w.w64 != nil &&
-		(k.D == I8 || k.D == I16) && (k.M == I8 || k.M == I16) {
-		i = k.axpySwar(int64(aq), shift, x, w, n)
+	if swarOn && q.Fmt == fm {
+		i = axpySwar(q, c, int64(aq), shift, idx, x, w)
 	}
 	// Scalar reference loop; also finishes the ragged tail (n mod 8) of
-	// the word path, popping the same rounding-lane stream the vector
-	// entry point would.
-	for ; i < n; i++ {
+	// the block path, popping the same rounding-lane stream it would.
+	for n := x.Len(); i < n; i++ {
+		p := i
+		if idx != nil {
+			p = int(idx[i])
+		}
 		wide := int64(x.Raw(i)) * int64(aq)
-		delta := k.Q.RoundRaw(wide, shift)
+		delta := q.RoundRaw(wide, shift)
 		if c != nil && delta == 0 && wide != 0 {
 			c.Underflows++
 		}
-		w.SetRaw(i, fm.SaturateC(int64(w.Raw(i))+int64(delta), c))
+		w.SetRaw(p, fm.SaturateC(int64(w.Raw(p))+int64(delta), c))
 	}
 }
 
-// axpySwar is the word-parallel body of the integer AXPY pipeline: eight
-// elements per iteration are loaded with word accesses, multiplied wide by
-// the broadcast scalar, rounded through the quantizer's vector entry point
-// (which consumes rounding randomness in scalar lane order), packed back
-// into lane words and added to the model with the word-parallel saturating
-// adds. RoundRaw8 already saturates every delta into the model format, so
-// the packed lanes are exact and the final add is the only clamp — the
-// same two-stage structure as the scalar loop, hence bit-identical, counts
-// included: the adds report their overflowed lanes (the scalar loop's
-// SaturateC events) and an underflow is a zero delta from a nonzero wide
-// product on the block in hand. It returns how many elements it processed
-// (a multiple of 8).
-func (k *Dense) axpySwar(a64 int64, shift uint, x, w Vec, n int) int {
-	c := k.Num
-	n8 := n &^ 7
-	var xv [8]int32
-	var wide [8]int64
-	var delta [8]int32
-	var sat int
-	for i := 0; i < n8; i += 8 {
-		x.lanes8(i>>3, &xv)
-		for l := range wide {
-			wide[l] = int64(xv[l]) * a64
-		}
-		k.Q.RoundRaw8(&wide, shift, &delta)
-		if c != nil {
-			c.Underflows += underflows8(&wide, &delta)
-		}
-		var s0, s1 int
-		if k.M == I8 {
-			dw := uint64(uint8(delta[0])) |
-				uint64(uint8(delta[1]))<<8 |
-				uint64(uint8(delta[2]))<<16 |
-				uint64(uint8(delta[3]))<<24 |
-				uint64(uint8(delta[4]))<<32 |
-				uint64(uint8(delta[5]))<<40 |
-				uint64(uint8(delta[6]))<<48 |
-				uint64(uint8(delta[7]))<<56
-			w.w64[i>>3], s0 = fixed.AddSat8x8N(w.w64[i>>3], dw)
+// axpySwar runs the block pipeline of the integer AXPY at the operands'
+// lane widths and returns how many elements it processed: a multiple of 8,
+// or none at a width the pipeline does not cover (I4). A nil idx is the
+// dense AXPY; otherwise x holds the nonzeros of positions idx.
+func axpySwar(q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32, x, w Vec) int {
+	switch {
+	case x.P == I8 && w.P == I8:
+		return axpyFused(q, c, a, shift, idx, x.I8, w.I8)
+	case x.P == I8 && w.P == I16:
+		return axpyFused(q, c, a, shift, idx, x.I8, w.I16)
+	case x.P == I16 && w.P == I8:
+		return axpyFused(q, c, a, shift, idx, x.I16, w.I8)
+	case x.P == I16 && w.P == I16:
+		return axpyFused(q, c, a, shift, idx, x.I16, w.I16)
+	}
+	return 0
+}
+
+// axpyFused is that pipeline, one loop for dense and sparse, counted or
+// not. Product and addend are scaled by 2^(32-shift) so the rounding shift
+// is the constant 32. Elements go through in chunks: the quantizer lays
+// down the chunk's rounding addends (one word per block when a QShared
+// window covers it, half a quantum for nearest rounding), roundLanes turns
+// each into the delta (x*a + add) >> 32 clamped into the model format, and
+// writeLanes adds with saturation. That is RoundRaw followed by SaturateC
+// with the bounds, the mask and the mode hoisted, so values are
+// bit-identical to the scalar loop; lanes are written in element order, so
+// duplicate sparse indices read each other's writes.
+//
+// The health counts come back from the same passes and fold into the
+// counter blocks once per call: each clamp is one SiteSaturate event, and
+// the bias numerator is an exact integer (see roundLanes). Every term
+// RoundRawUC adds is that integer over 2^32, a multiple of 2^-shift below 1
+// in magnitude, so its float64 partial sums are exact while |BiasSumQ| <
+// 2^(53-shift) and adding the call's total instead yields the same bits
+// (up to 2^31 roundings per call keep the integer sum in range).
+func axpyFused[X, W int8 | int16](q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32, xs []X, ws []W) int {
+	lo := int64(q.Fmt.MinInt())
+	up := 32 - shift
+	a <<= up
+	counted := c != nil || q.Num != nil
+	var rsat, wsat, under, bias int64
+	var buf [64]int64
+	n8 := len(xs) &^ 7
+	for i := 0; i < n8; i += len(buf) {
+		d := buf[:min(len(buf), n8-i)]
+		q.addends(d, up)
+		b, u, s := roundLanes[X, W](xs[i:i+len(d)], d, a, lo, counted)
+		bias, under, rsat = bias+b, under+u, rsat+s
+		if idx == nil {
+			wsat += writeLanes(ws[i:i+len(d)], nil, d, lo)
 		} else {
-			d0 := uint64(uint16(delta[0])) |
-				uint64(uint16(delta[1]))<<16 |
-				uint64(uint16(delta[2]))<<32 |
-				uint64(uint16(delta[3]))<<48
-			d1 := uint64(uint16(delta[4])) |
-				uint64(uint16(delta[5]))<<16 |
-				uint64(uint16(delta[6]))<<32 |
-				uint64(uint16(delta[7]))<<48
-			w.w64[i>>2], s0 = fixed.AddSat16x4N(w.w64[i>>2], d0)
-			w.w64[i>>2+1], s1 = fixed.AddSat16x4N(w.w64[i>>2+1], d1)
+			wsat += writeLanes(ws, idx[i:i+len(d)], d, lo)
 		}
-		sat += s0 + s1
+	}
+	if qc := q.Num; qc != nil {
+		qc.Sat[fixed.SiteSaturate] += uint64(rsat)
+		qc.BiasN += uint64(int64(n8) - rsat)
+		qc.BiasSumQ += float64(bias) / (1 << 32)
 	}
 	if c != nil {
-		c.Sat[fixed.SiteSaturate] += uint64(sat)
+		c.Sat[fixed.SiteSaturate] += uint64(wsat)
+		c.Underflows += uint64(under)
 	}
 	return n8
 }
 
-// underflows8 counts the lanes of one rounded block whose nonzero wide
-// product came back as a zero delta — the per-element underflow test of the
-// scalar loop, applied to the eight lanes in hand.
-func underflows8(wide *[8]int64, delta *[8]int32) (n uint64) {
-	for l, d := range delta {
-		if d == 0 && wide[l] != 0 {
-			n++
+// roundLanes replaces each addend d[j] by the delta of lane j, clamped to
+// W's range [lo, ^lo], and returns the clamps and, when counted, the
+// underflows and the bias numerator in units of 2^-32: with t = x*a + add,
+// rounded<<32 - x*a = add - uint32(t) exactly, summed over the unclamped
+// lanes. x == 0 forces a zero delta, so underflows are zero deltas minus
+// zero inputs.
+func roundLanes[X, W int8 | int16](xs []X, d []int64, a, lo int64, counted bool) (bias, under, clamps int64) {
+	d = d[:len(xs)]
+	for j, xv := range xs {
+		add := d[j]
+		t := int64(xv)*a + add
+		r := t >> 32
+		if int64(W(r)) != r {
+			r, add = ^lo^r>>63, int64(uint32(t)) // the bound on r's side; no bias term
+			clamps++
+		}
+		d[j] = r
+		if counted {
+			bias += add - int64(uint32(t))
+			if r == 0 {
+				under++
+			}
+			if xv == 0 {
+				under--
+			}
 		}
 	}
-	return n
+	return bias, under, clamps
+}
+
+// writeLanes adds delta d[j] to the model element of lane j (ws[j], or
+// ws[idx[j]] for a sparse update) with saturation at [lo, ^lo] and returns
+// the clamps.
+func writeLanes[W int8 | int16](ws []W, idx []int32, d []int64, lo int64) (clamps int64) {
+	for j, r := range d {
+		p := j
+		if idx != nil {
+			p = int(idx[j])
+		}
+		s := int64(ws[p]) + r
+		if int64(W(s)) != s {
+			s = ^lo ^ s>>63 // the bound on s's side
+			clamps++
+		}
+		ws[p] = W(s)
+	}
+	return clamps
 }
 
 // quantizeScalarA rounds the AXPY scalar into its 16-bit broadcast lane

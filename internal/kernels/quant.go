@@ -66,6 +66,9 @@ type Quantizer struct {
 	// when unset; see fixed.NumCounts for the ownership contract.
 	Num *fixed.NumCounts
 	src prng.Source
+	// shared is src's concrete type for QShared, whose block fill the
+	// fused AXPY loop calls directly; nil for the other kinds.
+	shared *prng.Shared
 	// src64 is non-nil for the batched kinds (QXorshift, QHardware),
 	// whose rounding words come from the lane buffer below: one 64-bit
 	// draw refills all eight lanes (the paper's §4 trick of stretching
@@ -74,10 +77,10 @@ type Quantizer struct {
 	// behaviour — merely staged through the same buffer-free path.
 	src64 prng.Source64
 	// rbuf holds buffered rounding words; rpos is the next unconsumed
-	// lane. Scalar and vector rounding entry points pop lanes strictly in
-	// order, so the stream a value sees never depends on how values were
-	// grouped into calls — the lockstep invariant the SWAR kernels rely
-	// on for bit-identity with the scalar reference.
+	// lane. The scalar and block rounding entry points (RoundRaw, addends)
+	// pop lanes strictly in order, so the stream a value sees never depends
+	// on how values were grouped into calls — the lockstep invariant the
+	// block AXPY relies on for bit-identity with the scalar reference.
 	rbuf [prng.BatchLanes]uint32
 	rpos int
 }
@@ -106,7 +109,7 @@ func NewQuantizer(m Prec, kind QuantKind, period int, seed uint64) (*Quantizer, 
 		if err != nil {
 			return nil, err
 		}
-		q.src = s
+		q.src, q.shared = s, s
 	default:
 		return nil, fmt.Errorf("kernels: unknown quantizer kind %d", int(kind))
 	}
@@ -163,21 +166,42 @@ func (q *Quantizer) rand() uint32 {
 // consumes the identical lane stream.
 func (q *Quantizer) Uint32() uint32 { return q.rand() }
 
-// Rand8 fills dst with the next eight rounding words — exactly the words
-// eight successive scalar roundings would consume.
-func (q *Quantizer) Rand8(dst *[prng.BatchLanes]uint32) {
-	if q.src64 != nil {
-		if q.rpos >= prng.BatchLanes {
-			q.refill()
+// addends fills d, a whole number of 8-lane blocks, with the rounding
+// addends of the next len(d) RoundRaw calls by shift 32-up, each scaled by
+// 2^up: the low shift bits of the rounding word the scalar call would draw
+// — the same words in the same order, for any interleaving with scalar
+// calls — or half a quantum under nearest rounding, which draws nothing. A
+// block costs one fetch: a QShared window covering it is a single word.
+func (q *Quantizer) addends(d []int64, up uint) {
+	var u [prng.BatchLanes]uint32
+	u[0] = 1 << 31 >> up
+	for j := 0; j < len(d); j += len(u) {
+		uniform := true
+		switch {
+		case q.Kind == QBiased:
+		case q.shared != nil:
+			uniform = q.shared.Fill8(&u)
+		case q.src64 != nil && (q.rpos == 0 || q.rpos >= len(u)):
+			if q.rpos != 0 {
+				q.refill()
+			}
+			u, q.rpos, uniform = q.rbuf, len(u), false
+		default:
+			for l := range u {
+				u[l] = q.rand()
+			}
+			uniform = false
 		}
-		if q.rpos == 0 {
-			*dst = q.rbuf
-			q.rpos = prng.BatchLanes
-			return
+		blk := d[j : j+len(u) : j+len(u)]
+		if v := int64(u[0] << up); uniform {
+			for l := range blk {
+				blk[l] = v
+			}
+		} else {
+			for l := range blk {
+				blk[l] = int64(u[l] << up)
+			}
 		}
-	}
-	for i := range dst {
-		dst[i] = q.rand()
 	}
 }
 
@@ -218,25 +242,4 @@ func (q *Quantizer) RoundRaw(v int64, shift uint) int32 {
 		return q.Fmt.RoundRawUC(v, shift, q.Mode(), u, q.Num)
 	}
 	return q.Fmt.RoundRawU(v, shift, q.Mode(), u)
-}
-
-// RoundRaw8 rounds eight wide raw values by shift in one call — the vector
-// half of the integer AXPY pipeline. It consumes exactly the rounding
-// words eight scalar RoundRaw calls would, in lane order, so the SWAR and
-// scalar kernels stay bit-identical for any grouping of elements.
-func (q *Quantizer) RoundRaw8(v *[8]int64, shift uint, out *[8]int32) {
-	mode := q.Mode()
-	var u [prng.BatchLanes]uint32 // stays zero where RoundRaw draws nothing
-	if mode == fixed.Unbiased && shift != 0 {
-		q.Rand8(&u)
-	}
-	if c := q.Num; c != nil {
-		for i := range v {
-			out[i] = q.Fmt.RoundRawUC(v[i], shift, mode, u[i], c)
-		}
-		return
-	}
-	for i := range v {
-		out[i] = q.Fmt.RoundRawU(v[i], shift, mode, u[i])
-	}
 }

@@ -127,31 +127,7 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 			w.F32[i] += a * x.At(j)
 		}
 	case k.V != Generic && !k.D.IsFloat():
-		c := k.Num
-		aq := quantizeScalarA(a)
-		if aq == 0 {
-			if c != nil && a != 0 {
-				c.Underflows++
-			}
-			return
-		}
-		fx := k.D.Fixed()
-		fm := k.M.Fixed()
-		shift := fx.Frac + aqFrac - fm.Frac
-		j := 0
-		if swarOn && x.w64 != nil && (k.D == I8 || k.D == I16) && (k.M == I8 || k.M == I16) {
-			j = k.axpySwar(int64(aq), shift, idx, x, w)
-		}
-		// Scalar reference loop; also the ragged tail of the word path.
-		for ; j < len(idx); j++ {
-			i := idx[j]
-			wide := int64(x.Raw(j)) * int64(aq)
-			delta := k.Q.RoundRaw(wide, shift)
-			if c != nil && delta == 0 && wide != 0 {
-				c.Underflows++
-			}
-			w.SetRaw(int(i), fm.SaturateC(int64(w.Raw(int(i)))+int64(delta), c))
-		}
+		axpyInt(k.Q, k.Num, a, idx, x, w)
 	case k.V != Generic: // float dataset, fixed model
 		fm := k.M.Fixed()
 		c := k.Num
@@ -168,45 +144,4 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 			w.Set(int(i), w.At(int(i))+a*x.At(j), k.Q)
 		}
 	}
-}
-
-// axpySwar is the word-parallel body of the sparse integer AXPY: the dense
-// nonzero values are loaded eight lanes per word access and rounded
-// through the quantizer's vector entry point (same rounding-lane order as
-// the scalar loop), while the scattered model updates stay elementwise —
-// duplicate indices inside a block must read each other's writes, exactly
-// as the scalar reference does. Counted runs take the same loop: the
-// scatter clamps through the nil-safe SaturateC and underflows are read
-// off the block in hand. Returns the nonzero count processed.
-func (k *Sparse) axpySwar(a64 int64, shift uint, idx []int32, x, w Vec) int {
-	c := k.Num
-	fm := k.M.Fixed()
-	n8 := len(idx) &^ 7
-	var xv [8]int32
-	var wide [8]int64
-	var delta [8]int32
-	for j := 0; j < n8; j += 8 {
-		x.lanes8(j>>3, &xv)
-		for l := range wide {
-			wide[l] = int64(xv[l]) * a64
-		}
-		k.Q.RoundRaw8(&wide, shift, &delta)
-		if c != nil {
-			c.Underflows += underflows8(&wide, &delta)
-		}
-		if k.M == I8 {
-			wr := w.I8
-			for l := 0; l < 8; l++ {
-				t := idx[j+l]
-				wr[t] = int8(fm.SaturateC(int64(wr[t])+int64(delta[l]), c))
-			}
-		} else {
-			wr := w.I16
-			for l := 0; l < 8; l++ {
-				t := idx[j+l]
-				wr[t] = int16(fm.SaturateC(int64(wr[t])+int64(delta[l]), c))
-			}
-		}
-	}
-	return n8
 }

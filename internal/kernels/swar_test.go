@@ -217,45 +217,44 @@ func TestVecWordView(t *testing.T) {
 	}
 }
 
-// TestRoundRaw8Lockstep verifies the vector rounding entry point consumes
-// the rounding-word stream exactly as scalar calls do, for any grouping —
-// including misaligned interleavings of scalar and vector calls.
-func TestRoundRaw8Lockstep(t *testing.T) {
-	vals := make([]int64, 24)
-	g := prng.NewXorshift64(99)
-	for i := range vals {
-		vals[i] = int64(int32(g.Uint64())) // wide, signed
-	}
-	const shift = 14
+// TestAddendsLockstep verifies the block entry point of the fused AXPY loop
+// consumes the rounding-word stream exactly as scalar draws do, for any
+// grouping — including misaligned interleavings of scalar and block calls
+// — and lays down the low shift bits of each word, scaled to bit 32.
+func TestAddendsLockstep(t *testing.T) {
+	const n, shift = 40, 14
 	for _, kind := range []QuantKind{QMersenne, QXorshift, QShared, QHardware} {
-		ref := MustQuantizer(I8, kind, 0, 42)
-		want := make([]int32, len(vals))
-		for i, v := range vals {
-			want[i] = ref.RoundRaw(v, shift)
-		}
-
-		vec := MustQuantizer(I8, kind, 0, 42)
-		got := make([]int32, len(vals))
-		// 3 scalar, one vector block (misaligned), 8-aligned block, tail.
-		for i := 0; i < 3; i++ {
-			got[i] = vec.RoundRaw(vals[i], shift)
-		}
-		var in [8]int64
-		var out [8]int32
-		copy(in[:], vals[3:11])
-		vec.RoundRaw8(&in, shift, &out)
-		copy(got[3:11], out[:])
-		copy(in[:], vals[11:19])
-		vec.RoundRaw8(&in, shift, &out)
-		copy(got[11:19], out[:])
-		for i := 19; i < len(vals); i++ {
-			got[i] = vec.RoundRaw(vals[i], shift)
-		}
-
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%v: value %d: scalar %d, grouped %d", kind, i, want[i], got[i])
+		for _, period := range []int{0, 1, 3, 32} {
+			ref := MustQuantizer(I8, kind, period, 42)
+			want := make([]int64, n)
+			for i := range want {
+				want[i] = int64(ref.rand()&(1<<shift-1)) << (32 - shift)
 			}
+
+			vec := MustQuantizer(I8, kind, period, 42)
+			got := make([]int64, n)
+			scalar := func(i int) { got[i] = int64(vec.rand()&(1<<shift-1)) << (32 - shift) }
+			// 3 scalar, one block (misaligned), two more at once, tail.
+			for i := 0; i < 3; i++ {
+				scalar(i)
+			}
+			vec.addends(got[3:11], 32-shift)
+			vec.addends(got[11:27], 32-shift)
+			for i := 27; i < n; i++ {
+				scalar(i)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%v period %d: addend %d: scalar %#x, grouped %#x", kind, period, i, want[i], got[i])
+				}
+			}
+		}
+	}
+	half := make([]int64, 8)
+	MustQuantizer(I8, QBiased, 0, 1).addends(half, 32-shift)
+	for i, v := range half {
+		if v != 1<<31 {
+			t.Errorf("nearest rounding: addend %d = %#x, want half a quantum 1<<31", i, v)
 		}
 	}
 }
@@ -316,6 +315,32 @@ func TestQuantizeScalarABoundaries(t *testing.T) {
 	for _, c := range cases {
 		if got := quantizeScalarA(c.a); got != c.want {
 			t.Errorf("quantizeScalarA(%g) = %d, want %d", c.a, got, c.want)
+		}
+	}
+}
+
+// TestAxpyAllocatesNothing: the block path's chunk buffer stays on the
+// stack — an integer AXPY, dense or sparse, counted or not, allocates
+// nothing.
+func TestAxpyAllocatesNothing(t *testing.T) {
+	const n = 100
+	x, w := NewVec(I8, n), NewVec(I16, n)
+	fillRawVec(x, 1)
+	idx := sparseIdx(n, n, 2)
+	for _, counted := range []bool{false, true} {
+		q := MustQuantizer(I16, QShared, 8, 3)
+		dk, sk := MustDense(I8, I16, HandOpt, q), MustSparse(I8, I16, HandOpt, q, 16)
+		if counted {
+			q.Num = &fixed.NumCounts{}
+			dk.Num, sk.Num = q.Num, q.Num
+		}
+		a := float32(0.371)
+		if got := testing.AllocsPerRun(50, func() {
+			dk.Axpy(a, x, w)
+			sk.Axpy(a, idx, x, w)
+			a = -a
+		}); got != 0 {
+			t.Errorf("counted=%v: dense + sparse Axpy allocate %v objects, want 0", counted, got)
 		}
 	}
 }

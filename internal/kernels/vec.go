@@ -36,10 +36,10 @@ var swarLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// swarOn is the kill switch for the SWAR fast paths, true in production.
-// The differential tests flip it to force the scalar reference loops —
-// the executable specification of values and health counts alike — over
-// identical inputs and compare bit-for-bit.
+// swarOn is the kill switch for the fast paths (the SWAR dots and the fused
+// block AXPY), true in production. The differential tests flip it to force
+// the scalar reference loops — the executable specification of values and
+// health counts alike — over identical inputs and compare bit-for-bit.
 var swarOn = true
 
 // Prec is a storage precision for dataset or model numbers.

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,118 @@ func TestShapeErrors(t *testing.T) {
 	}
 	if _, err := SparseLogisticLoss(w2, [][]int32{{0}}, nil, nil); err == nil {
 		t.Error("sparse mismatch should fail")
+	}
+	// A short row anywhere, not only the first, is a shape error — for
+	// every dense loss, and never an index panic inside the dot.
+	short := [][]float32{{1, 0}, {0, 1}, {1, 1}, {1, 1}, {1}, {0, 0}}
+	ys := []float32{1, -1, 1, 1, -1, 1}
+	for name, f := range map[string]func([]float32, [][]float32, []float32) (float64, error){
+		"logistic": LogisticLoss, "hinge": HingeLoss, "squared": SquaredLoss, "binary": BinaryError,
+	} {
+		if _, err := f(w2, short, ys); err == nil || !strings.HasPrefix(err.Error(), "metrics:") {
+			t.Errorf("%s: short row 4: err = %v, want a metrics: error", name, err)
+		}
+	}
+}
+
+// serialMean is the loop the dense losses were before Mean: one row at a
+// time, one float64 add chain per inner product, terms added as they come.
+// It is the oracle Mean must match bit for bit.
+func serialMean(loss Loss, w []float32, xs [][]float32, ys []float32) float64 {
+	var total float64
+	for i, x := range xs {
+		var d float64
+		for j := range w {
+			d += float64(w[j]) * float64(x[j])
+		}
+		total += loss(d, float64(ys[i]))
+	}
+	return total / float64(len(xs))
+}
+
+// lossData draws m rows of dimension n, labels and a model from a fixed
+// xorshift stream.
+func lossData(m, n int) (w []float32, xs [][]float32, ys []float32) {
+	s := uint64(0x9E3779B97F4A7C15) ^ uint64(m*131+n)
+	next := func() float32 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return float32(int32(s>>32)) / (1 << 31)
+	}
+	w = make([]float32, n)
+	for j := range w {
+		w[j] = next()
+	}
+	xs, ys = make([][]float32, m), make([]float32, m)
+	for i := range xs {
+		xs[i] = make([]float32, n)
+		for j := range xs[i] {
+			xs[i][j] = next()
+		}
+		ys[i] = 1
+		if next() < 0 {
+			ys[i] = -1
+		}
+	}
+	return w, xs, ys
+}
+
+// TestMeanMatchesSerialLoop pins the four-row, fanned-out evaluation to
+// the old serial loop, bit for bit: every m mod 4, fewer rows than
+// workers, worker counts that split the rows unevenly, all three losses.
+func TestMeanMatchesSerialLoop(t *testing.T) {
+	losses := map[string]Loss{"logistic": Logistic, "hinge": Hinge, "squared": Squared}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 61} {
+		w, xs, ys := lossData(m, 37)
+		for name, loss := range losses {
+			want := serialMean(loss, w, xs, ys)
+			for _, workers := range []int{1, 2, 3, 7} {
+				got, err := Mean(loss, w, xs, ys, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s m=%d workers=%d: Mean %v (%#x), serial loop %v (%#x)",
+						name, m, workers, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestMeanAllocations: one evaluation allocates a fixed number of objects
+// (the term buffer, the fan-out's closures), whatever the row count.
+func TestMeanAllocations(t *testing.T) {
+	allocs := func(m, workers int) float64 {
+		w, xs, ys := lossData(m, 16)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Mean(Logistic, w, xs, ys, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a := allocs(64, 1); a > 2 {
+		t.Errorf("serial evaluation of 64 rows allocates %v objects, want <= 2", a)
+	}
+	if small, large := allocs(64, 3), allocs(1024, 3); large > small || small > 12 {
+		t.Errorf("3-worker evaluation allocates %v objects at 64 rows, %v at 1024; want equal and small", small, large)
+	}
+}
+
+func BenchmarkLogisticLoss(b *testing.B) {
+	for _, shape := range [][2]int{{8192, 4096}, {2048, 512}} {
+		w, xs, ys := lossData(shape[0], shape[1])
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%d/workers%d", shape[0], shape[1], workers), func(b *testing.B) {
+				b.SetBytes(int64(shape[0]) * int64(shape[1]) * 4)
+				for i := 0; i < b.N; i++ {
+					if _, err := Mean(Logistic, w, xs, ys, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

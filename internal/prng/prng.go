@@ -249,6 +249,27 @@ func (s *Shared) Uint32() uint32 {
 	return s.cur
 }
 
+// Fill8 yields the words of the next BatchLanes Uint32 calls, consuming the
+// stream exactly as those calls would. When the current reuse window covers
+// the whole block all eight are one word: only dst[0] is written and Fill8
+// reports true — at Period >= 8 a block of roundings then costs one draw
+// and no per-lane call.
+func (s *Shared) Fill8(dst *[BatchLanes]uint32) bool {
+	if s.count >= s.period {
+		s.cur = s.src.Uint32()
+		s.count = 0
+	}
+	if s.period-s.count >= BatchLanes {
+		s.count += BatchLanes
+		dst[0] = s.cur
+		return true
+	}
+	for i := range dst {
+		dst[i] = s.Uint32()
+	}
+	return false
+}
+
 // Draws reports how many words have been drawn from the underlying source;
 // only meaningful when the underlying source is a *Counting.
 func Draws(s Source) (int, bool) {

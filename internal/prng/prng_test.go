@@ -246,3 +246,41 @@ func TestBatchUint64(t *testing.T) {
 		take64()
 	}
 }
+
+// TestSharedFill8MatchesUint32 pins the block fill against the scalar
+// draws: for every period 1..20 and every phase of the reuse window a block
+// can start at, 1000 Fill8 calls yield, word for word, what eight Uint32
+// calls each would have, draw from the underlying source exactly as often,
+// and report a single word only when all eight are equal.
+func TestSharedFill8MatchesUint32(t *testing.T) {
+	for period := 1; period <= 20; period++ {
+		for phase := 0; phase < period; phase++ {
+			refSrc := &Counting{Src: NewXorshift32(uint32(period*31 + phase + 1))}
+			gotSrc := &Counting{Src: NewXorshift32(uint32(period*31 + phase + 1))}
+			ref, _ := NewShared(refSrc, period)
+			got, _ := NewShared(gotSrc, period)
+			for i := 0; i < phase; i++ {
+				ref.Uint32()
+				got.Uint32()
+			}
+			for blk := 0; blk < 1000; blk++ {
+				var u [BatchLanes]uint32
+				uniform := got.Fill8(&u)
+				for l := range u {
+					want := ref.Uint32()
+					if uniform {
+						u[l] = u[0]
+					}
+					if u[l] != want {
+						t.Fatalf("period %d phase %d block %d lane %d: Fill8 %#x (uniform=%v), Uint32 %#x",
+							period, phase, blk, l, u[l], uniform, want)
+					}
+				}
+				if gotSrc.Count() != refSrc.Count() {
+					t.Fatalf("period %d phase %d block %d: %d draws, want %d",
+						period, phase, blk, gotSrc.Count(), refSrc.Count())
+				}
+			}
+		}
+	}
+}
