@@ -246,7 +246,7 @@ func main() {
 		stats    = flag.Bool("stats", false, "collect and print run counters (steps, writes, staleness, numerical health)")
 		report   = flag.String("report", "", "write a JSON run report to this file (implies -stats)")
 		healthW  = flag.Bool("health-watch", false, "abort the run on numerical divergence (NaN/Inf loss, excessive saturation rate or rounding-bias drift)")
-		httpAddr = flag.String("http", "", "serve /metrics (Prometheus), /debug/obs and /debug/pprof on this address during the run")
+		httpAddr = flag.String("http", "", "serve /metrics (Prometheus), /debug/flight, /debug/dash, /debug/bundle and /debug/pprof on this address during the run")
 
 		tracePath    = flag.String("trace", "", "write Chrome trace_event JSON of the run's phases to this file (Perfetto-loadable)")
 		traceCap     = flag.Int("trace-capacity", 0, "trace ring capacity in spans (0 = default)")
@@ -446,7 +446,7 @@ func main() {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("live metrics on http://%s/metrics, dashboard on /debug/dash, debug endpoints on /debug/obs, /debug/flight, /debug/bundle and /debug/pprof\n", srv.Addr)
+		fmt.Printf("live metrics on http://%s/metrics, dashboard on /debug/dash, debug endpoints on /debug/flight, /debug/bundle and /debug/pprof\n", srv.Addr)
 	}
 	if *healthW {
 		// The watchdog wraps whatever hooks are already installed (live

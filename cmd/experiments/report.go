@@ -3,7 +3,7 @@ package main
 // This file is the experiments driver's side of the observability layer:
 // -report collects per-experiment counters from both halves of the
 // reproduction — simulated-machine sweeps (cache/coherence/access
-// statistics via sweep.SimulateEach) and real trainings (engine RunStats
+// statistics via sweep.SimulateEachCtx) and real trainings (engine RunStats
 // via core's Observer) — and writes one JSON document at the end of the
 // run. Without -report nothing is collected and the trainings run
 // uninstrumented.
@@ -113,7 +113,7 @@ func reportFinish(wallSeconds, headlineGNPS float64) {
 }
 
 // reportSim folds one sweep point's machine statistics into the running
-// entry. sweep.SimulateEach invokes it sequentially on the driver
+// entry. sweep.SimulateEachCtx invokes it sequentially on the driver
 // goroutine after the sweep completes, so no locking is needed.
 func reportSim(_ int, r *machine.Result) {
 	if currentRpt == nil || r == nil {

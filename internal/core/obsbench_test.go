@@ -75,7 +75,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		// CPU profile — so this measures the heap/goroutine/mutex rounds.
 		{"profiler", func(b *testing.B) Config {
 			p, err := obs.NewProfiler(obs.ProfileConfig{
-				Dir: b.TempDir(), Interval: 50e6, CPUDuration: 0, MutexFraction: -1,
+				Dir: b.TempDir(), Interval: 50e6, CPUDuration: -1, MutexFraction: -1,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -245,23 +245,6 @@ func TestDigitsSplit(t *testing.T) {
 	}
 }
 
-func TestGenImages(t *testing.T) {
-	imgs := GenImages(3, 8, 8, 3, 1)
-	if len(imgs) != 3 {
-		t.Fatal("count")
-	}
-	for _, img := range imgs {
-		if len(img) != 8*8*3 {
-			t.Fatal("size")
-		}
-		for _, p := range img {
-			if p < -1 || p >= 1 {
-				t.Fatalf("pixel %v outside [-1,1)", p)
-			}
-		}
-	}
-}
-
 func TestDeltaRoundTrip(t *testing.T) {
 	idx := []int32{3, 7, 300, 301, 70000}
 	for _, bits := range []uint{8, 16, 32} {

@@ -130,19 +130,3 @@ func (d *Digits) Split(frac float64) (train, test *Digits) {
 	test = &Digits{W: d.W, H: d.H, C: d.C, Images: d.Images[cut:], Labels: d.Labels[cut:]}
 	return train, test
 }
-
-// GenImages generates m random images of size h x w x c with entries in
-// [-1, 1], used as convolution-layer throughput inputs (Figure 7a uses
-// 227x227x3 ImageNet-sized images).
-func GenImages(m, h, w, c int, seed uint64) [][]float32 {
-	g := prng.NewXorshift128(seed ^ 0x1A6E5)
-	out := make([][]float32, m)
-	for i := range out {
-		img := make([]float32, h*w*c)
-		for j := range img {
-			img[j] = prng.Float32(g)*2 - 1
-		}
-		out[i] = img
-	}
-	return out
-}

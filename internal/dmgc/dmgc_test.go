@@ -280,20 +280,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestLinearSpeedupIdeal(t *testing.T) {
-	if LinearSpeedupIdeal(8) != 4 || LinearSpeedupIdeal(16) != 2 || LinearSpeedupIdeal(32) != 1 {
-		t.Error("linear speedup wrong")
-	}
-}
-
-func TestSortSignatures(t *testing.T) {
-	sigs := []Signature{MustParse("D8M8"), MustParse("D32fM32f"), MustParse("D16M8")}
-	SortSignatures(sigs)
-	if sigs[0].String() != "D32fM32f" || sigs[2].String() != "D8M8" {
-		t.Errorf("sort order: %v %v %v", sigs[0], sigs[1], sigs[2])
-	}
-}
-
 func TestParsePropertyRoundTrip(t *testing.T) {
 	// Any signature built from valid terms round-trips through
 	// String/Parse.

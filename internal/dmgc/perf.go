@@ -3,7 +3,6 @@ package dmgc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Regime classifies which resource bounds throughput at a given model size
@@ -197,25 +196,4 @@ func Validate(pred, meas []float64, tol float64) (fracWithin float64, err error)
 		}
 	}
 	return float64(within) / float64(len(pred)), nil
-}
-
-// LinearSpeedupIdeal returns the best-case speedup of lowering precision:
-// throughput inversely proportional to the number of bits (Section 4,
-// "linear speedup"), relative to a 32-bit baseline.
-func LinearSpeedupIdeal(bits uint) float64 {
-	return 32 / float64(bits)
-}
-
-// SortSignatures orders signatures by (dataset bits, model bits) descending
-// for stable table output.
-func SortSignatures(sigs []Signature) {
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].DatasetBits() != sigs[j].DatasetBits() {
-			return sigs[i].DatasetBits() > sigs[j].DatasetBits()
-		}
-		if sigs[i].ModelBits() != sigs[j].ModelBits() {
-			return sigs[i].ModelBits() > sigs[j].ModelBits()
-		}
-		return sigs[i].String() < sigs[j].String()
-	})
 }

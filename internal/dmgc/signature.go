@@ -21,9 +21,6 @@ type Term struct {
 	Float   bool
 }
 
-// F32Term is the full-precision floating-point term.
-func F32Term() Term { return Term{Present: true, Bits: 32, Float: true} }
-
 // FixedTerm returns a fixed-point term of the given width.
 func FixedTerm(bits uint) Term { return Term{Present: true, Bits: bits} }
 

@@ -47,22 +47,6 @@ var (
 	Q32 = Format{Bits: 32, Frac: 24}
 )
 
-// ByBits returns the standard format with the given total width.
-// It returns an error for widths without a standard format.
-func ByBits(bits uint) (Format, error) {
-	switch bits {
-	case 4:
-		return Q4, nil
-	case 8:
-		return Q8, nil
-	case 16:
-		return Q16, nil
-	case 32:
-		return Q32, nil
-	}
-	return Format{}, fmt.Errorf("fixed: no standard format with %d bits", bits)
-}
-
 // Valid reports whether the format is usable.
 func (f Format) Valid() bool {
 	return f.Bits >= 2 && f.Bits <= 32 && f.Frac < f.Bits
@@ -117,15 +101,6 @@ func (f Format) Saturate(v int64) int32 {
 // Dequantize converts a raw fixed-point value to its real value.
 func (f Format) Dequantize(v int32) float32 {
 	return float32(v) * f.Quantum()
-}
-
-// DequantizeSlice converts raw values to reals, writing into dst.
-// dst must have the same length as src.
-func (f Format) DequantizeSlice(dst []float32, src []int32) {
-	q := f.Quantum()
-	for i, v := range src {
-		dst[i] = float32(v) * q
-	}
 }
 
 // Rounding selects how reals are converted to raw fixed-point values.
@@ -210,19 +185,6 @@ func (f Format) Quantize(x float32, mode Rounding, rs RandSource) int32 {
 		return f.QuantizeUnbiased(x, rs)
 	}
 	return f.QuantizeBiased(x)
-}
-
-// QuantizeSlice quantizes src into dst (same length) under the given mode.
-func (f Format) QuantizeSlice(dst []int32, src []float32, mode Rounding, rs RandSource) {
-	if mode == Unbiased {
-		for i, x := range src {
-			dst[i] = f.QuantizeUnbiased(x, rs)
-		}
-		return
-	}
-	for i, x := range src {
-		dst[i] = f.QuantizeBiased(x)
-	}
 }
 
 // RoundRaw requantizes a raw value expressed at a higher-precision format

@@ -31,21 +31,6 @@ func TestFormatBounds(t *testing.T) {
 	}
 }
 
-func TestByBits(t *testing.T) {
-	for _, bits := range []uint{4, 8, 16, 32} {
-		f, err := ByBits(bits)
-		if err != nil {
-			t.Fatalf("ByBits(%d): %v", bits, err)
-		}
-		if f.Bits != bits {
-			t.Errorf("ByBits(%d).Bits = %d", bits, f.Bits)
-		}
-	}
-	if _, err := ByBits(7); err == nil {
-		t.Error("ByBits(7) should fail")
-	}
-}
-
 func TestQuantizeBiasedRoundsToNearest(t *testing.T) {
 	f := Q8 // scale 64
 	cases := []struct {
@@ -130,33 +115,17 @@ func TestQuantizeUnbiasedNeverFar(t *testing.T) {
 	}
 }
 
-func TestQuantizeSliceModes(t *testing.T) {
+func TestQuantizeModes(t *testing.T) {
 	src := []float32{0.5, -0.25, 1.5, -2}
-	dst := make([]int32, len(src))
-	Q8.QuantizeSlice(dst, src, Biased, nil)
 	want := []int32{32, -16, 96, -128}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("biased slice[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
 	rs := prng.NewXorshift32(5)
-	Q8.QuantizeSlice(dst, src, Unbiased, rs)
-	for i := range want {
-		if dst[i] != want[i] { // all inputs exactly representable
-			t.Errorf("unbiased slice[%d] = %d, want %d", i, dst[i], want[i])
+	for i, x := range src {
+		if got := Q8.Quantize(x, Biased, nil); got != want[i] {
+			t.Errorf("biased Quantize(%v) = %d, want %d", x, got, want[i])
 		}
-	}
-}
-
-func TestDequantizeSlice(t *testing.T) {
-	raw := []int32{64, -64, 32, 0}
-	out := make([]float32, len(raw))
-	Q8.DequantizeSlice(out, raw)
-	want := []float32{1, -1, 0.5, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("DequantizeSlice[%d] = %v, want %v", i, out[i], want[i])
+		// Every input is exactly representable, so unbiased agrees.
+		if got := Q8.Quantize(x, Unbiased, rs); got != want[i] {
+			t.Errorf("unbiased Quantize(%v) = %d, want %d", x, got, want[i])
 		}
 	}
 }

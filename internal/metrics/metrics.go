@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -148,64 +147,6 @@ func logistic(m float64) float64 {
 		return -m
 	}
 	return math.Log1p(math.Exp(-m))
-}
-
-// Summary holds basic statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	Median         float64
-	P10, P90       float64
-	First, Last    float64
-	MinIdx, MaxIdx int
-}
-
-// Summarize computes statistics over xs; it returns an error for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, fmt.Errorf("metrics: empty sample")
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0], First: xs[0], Last: xs[len(xs)-1]}
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min, s.MinIdx = x, i
-		}
-		if x > s.Max {
-			s.Max, s.MaxIdx = x, i
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		d := x - s.Mean
-		sq += d * d
-	}
-	s.Std = math.Sqrt(sq / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = quantile(sorted, 0.5)
-	s.P10 = quantile(sorted, 0.1)
-	s.P90 = quantile(sorted, 0.9)
-	return s, nil
-}
-
-// quantile interpolates the q-quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // GeoMean returns the geometric mean of positive values.

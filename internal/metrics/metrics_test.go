@@ -224,35 +224,6 @@ func BenchmarkLogisticLoss(b *testing.B) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{3, 1, 4, 1, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("summary wrong: %+v", s)
-	}
-	if math.Abs(s.Mean-2.8) > 1e-12 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.First != 3 || s.Last != 5 {
-		t.Errorf("first/last wrong: %+v", s)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty summarize should fail")
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Median != 7 || s.P10 != 7 || s.P90 != 7 || s.Std != 0 {
-		t.Errorf("single-sample summary wrong: %+v", s)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	g, err := GeoMean([]float64{2, 8})
 	if err != nil || math.Abs(g-4) > 1e-12 {

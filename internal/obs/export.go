@@ -2,13 +2,10 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
-	"sync"
 )
 
 // WriteJSON marshals v with indentation and writes it to path, creating
@@ -22,71 +19,6 @@ func WriteJSON(path string, v any) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// Vars is an expvar-style registry of named snapshot functions: each
-// published variable is a closure returning a JSON-marshalable value, so
-// readers always see a fresh snapshot. The zero value is ready to use.
-type Vars struct {
-	mu   sync.Mutex
-	vars map[string]func() any
-}
-
-// Publish registers fn under name, replacing any previous registration.
-func (v *Vars) Publish(name string, fn func() any) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.vars == nil {
-		v.vars = make(map[string]func() any)
-	}
-	v.vars[name] = fn
-}
-
-// Snapshot evaluates every published variable.
-func (v *Vars) Snapshot() map[string]any {
-	v.mu.Lock()
-	fns := make(map[string]func() any, len(v.vars))
-	for name, fn := range v.vars {
-		fns[name] = fn
-	}
-	v.mu.Unlock()
-	// Evaluate outside the lock: snapshot closures may themselves take
-	// locks.
-	out := make(map[string]any, len(fns))
-	for name, fn := range fns {
-		out[name] = fn()
-	}
-	return out
-}
-
-// ServeHTTP serves the snapshot as indented JSON with sorted keys.
-func (v *Vars) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	snap := v.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, "{")
-	for i, k := range keys {
-		buf, err := json.MarshalIndent(snap[k], "  ", "  ")
-		if err != nil {
-			buf = []byte(fmt.Sprintf("%q", err.Error()))
-		}
-		comma := ","
-		if i == len(keys)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(w, "  %q: %s%s\n", k, buf, comma)
-	}
-	fmt.Fprintln(w, "}")
-}
-
-// Default is the process-wide registry used by Publish and Serve.
-var Default = new(Vars)
-
-// Publish registers fn on the Default registry.
-func Publish(name string, fn func() any) { Default.Publish(name, fn) }
-
 // Server is a running observability endpoint.
 type Server struct {
 	// Addr is the address the listener is bound to (useful with ":0").
@@ -97,30 +29,18 @@ type Server struct {
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve starts an HTTP endpoint on addr exposing the Default registry at
-// /debug/obs and the standard pprof handlers at /debug/pprof/. It
-// returns once the listener is bound; the server runs until Close. This
-// is the optional pprof/HTTP exporter — nothing in the engine depends on
-// it.
-func Serve(addr string) (*Server, error) { return ServeWith(addr, nil) }
-
-// ServeWith is Serve with an optional Prometheus-style metrics handler
-// (typically a *LiveMetrics) mounted at /metrics.
-func ServeWith(addr string, metrics http.Handler) (*Server, error) {
-	return ServeDebug(addr, metrics, nil)
-}
-
-// ServeDebug is ServeWith plus arbitrary extra routes — the training
-// daemon uses it to expose /debug/flight, /debug/dash and /debug/bundle
-// on the same mux as pprof and metrics. Nil handlers in extra are
-// skipped.
+// ServeDebug starts an HTTP endpoint on addr serving metrics (typically a
+// *LiveMetrics) at /metrics, every route in extra, and the standard pprof
+// handlers at /debug/pprof/. The training command uses it to expose
+// /debug/flight, /debug/dash and /debug/bundle on the same mux. Nil
+// handlers, metrics included, are skipped. It returns once the listener
+// is bound; the server runs until Close.
 func ServeDebug(addr string, metrics http.Handler, extra map[string]http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/debug/obs", Default)
 	if metrics != nil {
 		mux.Handle("/metrics", metrics)
 	}

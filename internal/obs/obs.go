@@ -13,8 +13,8 @@
 //   - Histogram and RunStats, the lock-free aggregation types the engine
 //     fills (the engine's sharded counters themselves live next to the
 //     workers in internal/core; this package owns their snapshot form);
-//   - exporters: a JSON report writer, an expvar-style Vars registry,
-//     and an optional HTTP endpoint serving the registry and pprof.
+//   - exporters: a JSON report writer and an optional HTTP endpoint
+//     serving Prometheus metrics, debug routes and pprof.
 //
 // Instrumentation is strictly opt-in: an engine run with a nil Observer
 // executes exactly the pre-observability code path (a single nil check

@@ -2,10 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -123,47 +122,43 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestVarsSnapshotAndHandler(t *testing.T) {
-	var v Vars
-	v.Publish("answer", func() any { return 42 })
-	v.Publish("hist", func() any { return HistSnapshot{Count: 1} })
-	snap := v.Snapshot()
-	if snap["answer"] != 42 {
-		t.Errorf("snapshot = %v", snap)
+// TestServeDebug checks the debug mux: /metrics reaches the passed
+// handler, extra routes are mounted (nil ones skipped), pprof answers,
+// and nothing else is served.
+func TestServeDebug(t *testing.T) {
+	body := func(text string) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, text) })
 	}
-	rec := httptest.NewRecorder()
-	v.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs", nil))
-	var got map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-		t.Fatalf("handler output not JSON: %v\n%s", err, rec.Body.String())
-	}
-	if _, ok := got["hist"]; !ok {
-		t.Errorf("missing key: %s", rec.Body.String())
-	}
-}
-
-func TestServe(t *testing.T) {
-	s, err := Serve("127.0.0.1:0")
+	s, err := ServeDebug("127.0.0.1:0", body("metrics-body"), map[string]http.Handler{
+		"/debug/extra": body("extra-body"),
+		"/debug/nil":   nil,
+	})
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}
 	defer s.Close()
-	Publish("test-var", func() any { return "ok" })
-	resp, err := http.Get("http://" + s.Addr + "/debug/obs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
+	for _, c := range []struct {
+		path string
+		code int
+		body string
+	}{
+		{"/metrics", http.StatusOK, "metrics-body"},
+		{"/debug/extra", http.StatusOK, "extra-body"},
+		{"/debug/pprof/", http.StatusOK, ""},
+		{"/debug/obs", http.StatusNotFound, ""},
+		{"/debug/nil", http.StatusNotFound, ""},
+	} {
+		resp, err := http.Get("http://" + s.Addr + c.path)
 		if err != nil {
-			break
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(sb.String(), "test-var") {
-		t.Errorf("endpoint output: %s", sb.String())
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code || (c.body != "" && string(got) != c.body) {
+			t.Errorf("GET %s = %d %q, want %d %q", c.path, resp.StatusCode, got, c.code, c.body)
+		}
 	}
 }

@@ -52,7 +52,7 @@ type ProfileConfig struct {
 	// period is Interval + CPUDuration.
 	Interval time.Duration
 	// CPUDuration is how long each round's CPU profile samples (default
-	// 2s, clamped to Interval). Zero disables CPU capture entirely —
+	// 2s, clamped to Interval). Negative disables CPU capture entirely —
 	// useful when the process already runs its own CPU profile, which
 	// the runtime only allows one of.
 	CPUDuration time.Duration
@@ -77,8 +77,8 @@ func (c *ProfileConfig) fill() error {
 	if c.Interval <= 0 {
 		c.Interval = DefaultProfileInterval
 	}
-	if c.CPUDuration < 0 {
-		return fmt.Errorf("obs: profiler CPUDuration %v is negative", c.CPUDuration)
+	if c.CPUDuration == 0 {
+		c.CPUDuration = DefaultProfileCPUDuration
 	}
 	if c.CPUDuration > c.Interval {
 		c.CPUDuration = c.Interval

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -9,7 +11,7 @@ import (
 // sampling is disabled (a 2s default sample would dominate test time and
 // collide with any other CPU profile in the process).
 func captureConfig(dir string) ProfileConfig {
-	return ProfileConfig{Dir: dir, CPUDuration: 0, Interval: time.Hour, MutexFraction: -1}
+	return ProfileConfig{Dir: dir, CPUDuration: -1, Interval: time.Hour, MutexFraction: -1}
 }
 
 func TestProfilerCaptureNow(t *testing.T) {
@@ -34,7 +36,7 @@ func TestProfilerCaptureNow(t *testing.T) {
 		}
 	}
 	if kinds["cpu"] {
-		t.Error("CPUDuration 0 still captured a cpu profile")
+		t.Error("negative CPUDuration still captured a cpu profile")
 	}
 	if got := p.Rounds(); got != 1 {
 		t.Errorf("Rounds() = %d, want 1", got)
@@ -149,8 +151,32 @@ func TestProfilerConfigValidation(t *testing.T) {
 	if _, err := NewProfiler(ProfileConfig{}); err == nil {
 		t.Error("empty Dir accepted")
 	}
-	if _, err := NewProfiler(ProfileConfig{Dir: t.TempDir(), CPUDuration: -time.Second}); err == nil {
-		t.Error("negative CPUDuration accepted")
+}
+
+// TestProfilerCPUDuration checks that a zero CPUDuration selects
+// DefaultProfileCPUDuration clamped to Interval, so a config that names
+// only a directory and a cadence captures a CPU profile. (A negative
+// value disables CPU capture; captureConfig relies on that.)
+func TestProfilerCPUDuration(t *testing.T) {
+	p, err := NewProfiler(ProfileConfig{Dir: t.TempDir(), Interval: 50 * time.Millisecond, MutexFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.cfg.CPUDuration != 50*time.Millisecond {
+		t.Errorf("CPUDuration = %v, want the default clamped to Interval (50ms)", p.cfg.CPUDuration)
+	}
+	files, err := p.CaptureNow()
+	if err != nil {
+		t.Fatalf("CaptureNow: %v", err)
+	}
+	var cpu ProfileFile
+	for _, f := range files {
+		if f.Kind == "cpu" {
+			cpu = f
+		}
+	}
+	if cpu.Bytes <= 0 || !strings.HasPrefix(filepath.Base(cpu.Path), "cpu-") {
+		t.Errorf("default config wrote no cpu-*.pprof: %+v", files)
 	}
 }
 

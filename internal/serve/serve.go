@@ -298,8 +298,8 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 	return seq, nil
 }
 
-// RefusePromotions installs a promotion gate: every Promote until
-// AllowPromotions fails with the given reason. The health watchdog's
+// RefusePromotions installs a promotion gate: every later Promote fails
+// with the given reason. The health watchdog's
 // divergence path calls this so a diverged model is never promoted —
 // the previously promoted (healthy) model keeps serving.
 func (s *Server) RefusePromotions(reason string) {
@@ -310,9 +310,6 @@ func (s *Server) RefusePromotions(reason string) {
 	s.cfg.Flight.Record("serve", "promotion-gate", reason, nil)
 	s.logWarn("refusing promotions", slog.String("reason", reason))
 }
-
-// AllowPromotions removes the promotion gate.
-func (s *Server) AllowPromotions() { s.refuse.Store(nil) }
 
 // Promotions returns the number of successful promotions so far.
 func (s *Server) Promotions() uint64 { return s.promoSeq.Load() }

@@ -183,14 +183,7 @@ func TestPromotionGate(t *testing.T) {
 	if _, err := s.Promote(newLin(2, 1), 1, 0.9); err != nil {
 		t.Fatalf("first promote: %v", err)
 	}
-	s.RefusePromotions("health watchdog: diverged at epoch 2")
-	if _, err := s.Promote(newLin(2, 9), 2, 0.1); err == nil {
-		t.Fatal("promotion through the refuse gate succeeded")
-	} else if !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("gate reason lost: %v", err)
-	}
-	// NaN/Inf losses are refused even with the gate open.
-	s.AllowPromotions()
+	// NaN/Inf losses and empty models are refused even with no gate.
 	if _, err := s.Promote(newLin(2, 9), 2, nanLoss()); err == nil {
 		t.Fatal("NaN-loss promotion succeeded")
 	}
@@ -198,7 +191,13 @@ func TestPromotionGate(t *testing.T) {
 		t.Fatal("nil promotion succeeded")
 	}
 	if seq, err := s.Promote(newLin(2, 9), 3, 0.1); err != nil || seq != 2 {
-		t.Fatalf("post-gate promote: seq %d, err %v", seq, err)
+		t.Fatalf("ungated promote: seq %d, err %v", seq, err)
+	}
+	s.RefusePromotions("health watchdog: diverged at epoch 4")
+	if _, err := s.Promote(newLin(2, 5), 4, 0.1); err == nil {
+		t.Fatal("promotion through the refuse gate succeeded")
+	} else if !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("gate reason lost: %v", err)
 	}
 	st := s.Metrics().Snapshot()
 	if st.Promotions != 2 || st.PromotionsRefused != 2 {

@@ -270,11 +270,6 @@ var opPorts = [numOpcodes]Port{
 	PMADD4:     PortMul,
 }
 
-// PortOf returns the port class of an opcode.
-func PortOf(op Opcode) Port {
-	return opPorts[op]
-}
-
 // Stream is a multiset of instructions: how many times each opcode executes
 // for some unit of work (typically: one full kernel invocation over n
 // elements). Streams are value types; the zero value is an empty stream.

@@ -57,7 +57,7 @@ func TestPortClassification(t *testing.T) {
 		QDOT8:     PortMul,
 	}
 	for op, want := range cases {
-		if got := PortOf(op); got != want {
+		if got := opPorts[op]; got != want {
 			t.Errorf("%v on port %d, want %d", op, got, want)
 		}
 	}

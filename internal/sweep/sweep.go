@@ -155,16 +155,11 @@ func SimulateCtx(ctx context.Context, mc machine.Config, points []machine.Worklo
 	})
 }
 
-// SimulateEach is Simulate plus a per-point observer: after all points
-// complete, each is invoked in strict input order on the calling
+// SimulateEachCtx is SimulateCtx plus a per-point observer: after all
+// points complete, each is invoked in strict input order on the calling
 // goroutine, so observers may aggregate without synchronization (the
 // experiments driver folds per-point cache and access statistics into
 // its run report this way). each may be nil.
-func SimulateEach(mc machine.Config, points []machine.Workload, workers int, each func(i int, r *machine.Result)) ([]*machine.Result, error) {
-	return SimulateEachCtx(context.Background(), mc, points, workers, each)
-}
-
-// SimulateEachCtx is SimulateEach bounded by a context.
 func SimulateEachCtx(ctx context.Context, mc machine.Config, points []machine.Workload, workers int, each func(i int, r *machine.Result)) ([]*machine.Result, error) {
 	res, err := SimulateCtx(ctx, mc, points, workers)
 	if err != nil {

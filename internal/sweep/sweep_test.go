@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -127,7 +128,7 @@ func TestSimulateEachOrdered(t *testing.T) {
 	}
 	var order []int
 	var coh uint64
-	res, err := SimulateEach(mc, points, 4, func(i int, r *machine.Result) {
+	res, err := SimulateEachCtx(context.Background(), mc, points, 4, func(i int, r *machine.Result) {
 		order = append(order, i)
 		coh += r.CoherenceEvents
 	})
@@ -146,7 +147,7 @@ func TestSimulateEachOrdered(t *testing.T) {
 		t.Error("no coherence events aggregated across the sweep")
 	}
 	// A nil callback is allowed.
-	if _, err := SimulateEach(mc, points[:1], 1, nil); err != nil {
+	if _, err := SimulateEachCtx(context.Background(), mc, points[:1], 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,7 +5,7 @@ package trace
 // accumulate while the simulator runs, exported by machine.Result and
 // the experiments' run reports.
 
-// String names the access kind for reports and expvar snapshots.
+// String names the access kind for reports.
 func (k Kind) String() string {
 	switch k {
 	case DatasetStream:
@@ -30,14 +30,6 @@ type KindStats struct {
 	Coherent uint64 `json:"coherent"`
 	// LatencyCycles sums the raw hierarchy latencies.
 	LatencyCycles uint64 `json:"latency_cycles"`
-}
-
-// MeanLatency returns the average raw latency per access in cycles.
-func (s KindStats) MeanLatency() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.LatencyCycles) / float64(s.Accesses)
 }
 
 func (s *KindStats) add(write bool, latency int, coherent bool) {
