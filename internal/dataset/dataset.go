@@ -13,6 +13,8 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
@@ -54,14 +56,39 @@ type DenseSet struct {
 	TrueW []float32
 }
 
+// stochastic reports whether the rows are rounded stochastically, drawing
+// one rounding word per value.
+func (c DenseConfig) stochastic() bool {
+	return c.Rounding == fixed.Unbiased && c.P != kernels.F32
+}
+
 // Len returns the number of examples.
 func (d *DenseSet) Len() int { return len(d.X) }
 
 // Dim returns the model dimension.
 func (d *DenseSet) Dim() int { return d.N }
 
-// GenDense samples a dense dataset from the logistic generative model.
+// minNumbersPerWorker is the fewest numbers GenDense hands one goroutine.
+// Smaller sets use fewer workers: below this a worker's start-up and stream
+// jumps are no longer small against the numbers it generates.
+const minNumbersPerWorker = 1 << 16
+
+// GenDense samples a dense dataset from the logistic generative model. The
+// rows are generated in contiguous blocks on up to GOMAXPROCS goroutines;
+// the output is bit-identical whatever the number of goroutines.
 func GenDense(cfg DenseConfig) (*DenseSet, error) {
+	workers := min(int64(runtime.GOMAXPROCS(0)), int64(cfg.N)*int64(cfg.M)/minNumbersPerWorker)
+	return genDense(cfg, int(workers))
+}
+
+// genDense is GenDense on min(workers, M) goroutines, at least one. The
+// sequential generator draws, for row i, N values and then one label (or
+// regression-noise) word from the row stream, and N rounding words from the
+// rounding stream when rows are stochastically rounded to a fixed-point
+// precision. The block starting at row r0 therefore begins with the row
+// stream jumped r0*(N+1) draws and the rounding stream jumped r0*N (or zero)
+// draws past where the sequential generator would have them at row 0.
+func genDense(cfg DenseConfig, workers int) (*DenseSet, error) {
 	if cfg.N <= 0 || cfg.M <= 0 {
 		return nil, fmt.Errorf("dataset: need positive N and M, got %d, %d", cfg.N, cfg.M)
 	}
@@ -80,19 +107,48 @@ func GenDense(cfg DenseConfig) (*DenseSet, error) {
 	for i := range d.TrueW {
 		d.TrueW[i] = uniform(g)
 	}
-	var rs fixed.RandSource
-	if cfg.Rounding == fixed.Unbiased {
-		rs = prng.NewXorshift32(uint32(cfg.Seed) | 1)
+	rs := prng.NewXorshift32(uint32(cfg.Seed) | 1)
+	var roundingDraws uint64 // rounding-stream draws per row
+	if cfg.stochastic() {
+		roundingDraws = uint64(cfg.N)
 	}
-	for i := 0; i < cfg.M; i++ {
+	workers = max(1, min(workers, cfg.M))
+	var wg sync.WaitGroup
+	for w := range workers {
+		r0, r1 := w*cfg.M/workers, (w+1)*cfg.M/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The streams are copied onto this goroutine's stack: heap
+			// copies of two workers' states could share a cache line.
+			gw, rw := *g, *rs
+			gw.Jump(uint64(r0) * uint64(cfg.N+1))
+			rw.Jump(uint64(r0) * roundingDraws)
+			d.genRows(cfg, margin, r0, r1, &gw, &rw)
+		}()
+	}
+	wg.Wait()
+	return d, nil
+}
+
+// genRows fills rows [r0, r1) of d, each into its own pre-sized slot.
+func (d *DenseSet) genRows(cfg DenseConfig, margin float64, r0, r1 int, g *prng.Xorshift128, rs *prng.Xorshift32) {
+	stochastic := cfg.stochastic()
+	for i := r0; i < r1; i++ {
 		row := make([]float32, cfg.N)
 		var dot float64
-		for j := range row {
-			row[j] = uniform(g)
-			dot += float64(row[j]) * float64(d.TrueW[j])
+		switch {
+		case !stochastic:
+			dot = drawRow(row, d.TrueW, g)
+			d.X[i] = quantizeRow(cfg.P, row, cfg.Rounding, rs) // draws nothing
+		case cfg.P == kernels.I16:
+			d.X[i] = kernels.NewVec(cfg.P, cfg.N)
+			dot = drawRounded(row, d.X[i].I16, d.TrueW, cfg.P.Fixed(), g, rs)
+		default:
+			d.X[i] = kernels.NewVec(cfg.P, cfg.N)
+			dot = drawRounded(row, d.X[i].I8, d.TrueW, cfg.P.Fixed(), g, rs)
 		}
 		d.Raw[i] = row
-		d.X[i] = quantizeRow(cfg.P, row, cfg.Rounding, rs)
 		if cfg.Regression {
 			d.Y[i] = float32(dot*margin) + 0.05*uniform(g)
 		} else {
@@ -104,7 +160,35 @@ func GenDense(cfg DenseConfig) (*DenseSet, error) {
 			}
 		}
 	}
-	return d, nil
+}
+
+// drawRow fills row with U[-1, 1) draws from g and returns its dot product
+// with w, summed in order.
+func drawRow(row, w []float32, g *prng.Xorshift128) float64 {
+	w = w[:len(row)]
+	var dot float64
+	for j := range row {
+		x := uniform(g)
+		row[j] = x
+		dot += float64(x) * float64(w[j])
+	}
+	return dot
+}
+
+// drawRounded is drawRow that also rounds each value stochastically into
+// dst at format f, with a word from rs: the same draws and results as
+// drawRow followed by quantizeRow, but in one pass, so that the two
+// generators' dependency chains overlap instead of running back to back.
+func drawRounded[T int8 | int16](row []float32, dst []T, w []float32, f fixed.Format, g *prng.Xorshift128, rs *prng.Xorshift32) float64 {
+	w, dst = w[:len(row)], dst[:len(row)]
+	var dot float64
+	for j := range row {
+		x := uniform(g)
+		row[j] = x
+		dot += float64(x) * float64(w[j])
+		dst[j] = T(f.QuantizeUnbiasedU(x, rs.Uint32()))
+	}
+	return dot
 }
 
 // SparseConfig configures a sparse logistic-regression dataset.
@@ -149,8 +233,10 @@ func (d *SparseSet) NNZ() int {
 	return t
 }
 
-// GenSparse samples a sparse dataset: each example draws round(density*N)
-// distinct coordinates uniformly and gives them U[-1,1] values.
+// GenSparse samples a sparse dataset: each example draws floor(density*N)
+// distinct coordinates (at least one) uniformly and gives them U[-1,1]
+// values. Coordinates are rejection-sampled, so an example's draws have no
+// fixed count and the set is generated on one goroutine.
 func GenSparse(cfg SparseConfig) (*SparseSet, error) {
 	if cfg.N <= 0 || cfg.M <= 0 {
 		return nil, fmt.Errorf("dataset: need positive N and M, got %d, %d", cfg.N, cfg.M)
@@ -184,18 +270,16 @@ func GenSparse(cfg SparseConfig) (*SparseSet, error) {
 	for i := range d.TrueW {
 		d.TrueW[i] = uniform(g)
 	}
-	var rs fixed.RandSource
-	if cfg.Rounding == fixed.Unbiased {
-		rs = prng.NewXorshift32(uint32(cfg.Seed) | 1)
-	}
-	seen := make(map[int32]bool, nnz)
+	rs := prng.NewXorshift32(uint32(cfg.Seed) | 1)
+	// seen[j] == i+1 marks coordinate j as drawn for example i: the same
+	// draws and rejections as a per-example set, with nothing to clear.
+	seen := make([]int, cfg.N)
 	for i := 0; i < cfg.M; i++ {
 		idx := make([]int32, 0, nnz)
-		clear(seen)
 		for len(idx) < nnz {
 			j := int32(g.Uint32() % uint32(cfg.N))
-			if !seen[j] {
-				seen[j] = true
+			if seen[j] != i+1 {
+				seen[j] = i + 1
 				idx = append(idx, j)
 			}
 		}
@@ -219,20 +303,37 @@ func GenSparse(cfg SparseConfig) (*SparseSet, error) {
 }
 
 // uniform returns a sample from U[-1, 1).
-func uniform(g prng.Source) float32 {
+func uniform(g *prng.Xorshift128) float32 {
 	return prng.Float32(g)*2 - 1
 }
 
-// quantizeRow stores row at precision p (F32 passes through).
-func quantizeRow(p kernels.Prec, row []float32, mode fixed.Rounding, rs fixed.RandSource) kernels.Vec {
+// quantizeRow stores row at precision p (F32 passes through). Unbiased
+// rounding draws one word from rs per value, in order.
+func quantizeRow(p kernels.Prec, row []float32, mode fixed.Rounding, rs *prng.Xorshift32) kernels.Vec {
 	v := kernels.NewVec(p, len(row))
-	if p == kernels.F32 {
+	switch p {
+	case kernels.F32:
 		copy(v.F32, row)
-		return v
-	}
-	f := p.Fixed()
-	for i, x := range row {
-		v.SetRaw(i, f.Quantize(x, mode, rs))
+	case kernels.I16:
+		quantizeInto(v.I16, row, p.Fixed(), mode, rs)
+	default:
+		quantizeInto(v.I8, row, p.Fixed(), mode, rs)
 	}
 	return v
+}
+
+// quantizeInto is fixed.Format.Quantize over a row, typed per storage width
+// so that neither the rounding nor the draw goes through an interface.
+func quantizeInto[T int8 | int16](dst []T, row []float32, f fixed.Format, mode fixed.Rounding, rs *prng.Xorshift32) {
+	if mode != fixed.Unbiased {
+		for i, x := range row {
+			dst[i] = T(f.QuantizeBiased(x))
+		}
+		return
+	}
+	for i, x := range row {
+		if x == x { // NaN draws nothing and stays zero, as in QuantizeUnbiased
+			dst[i] = T(f.QuantizeUnbiasedU(x, rs.Uint32()))
+		}
+	}
 }

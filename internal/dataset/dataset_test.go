@@ -8,6 +8,7 @@ import (
 
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
+	"buckwild/internal/prng"
 )
 
 func TestGenDenseBasics(t *testing.T) {
@@ -112,31 +113,65 @@ func TestGenDenseDeterministic(t *testing.T) {
 }
 
 func TestGenSparseBasics(t *testing.T) {
-	d, err := GenSparse(SparseConfig{N: 1000, M: 50, Density: 0.03, P: kernels.I8, IdxBits: 16, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 50 {
-		t.Fatal("wrong M")
-	}
-	wantNNZ := 30
-	for i := 0; i < d.Len(); i++ {
-		if len(d.Idx[i]) != wantNNZ {
-			t.Fatalf("example %d has %d nonzeros, want %d", i, len(d.Idx[i]), wantNNZ)
+	// The per-example count is floor(density*N): 0.001*65536 = 65.536 gives
+	// 65, which rounding would make 66.
+	for _, c := range []struct {
+		n, m    int
+		density float64
+		wantNNZ int
+	}{
+		{1000, 50, 0.03, 30},
+		{65536, 20, 0.001, 65},
+	} {
+		d, err := GenSparse(SparseConfig{N: c.n, M: c.m, Density: c.density, P: kernels.I8, IdxBits: 16, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := map[int32]bool{}
-		for _, j := range d.Idx[i] {
-			if j < 0 || int(j) >= d.N {
-				t.Fatalf("index %d out of range", j)
+		if d.Len() != c.m {
+			t.Fatal("wrong M")
+		}
+		for i := 0; i < d.Len(); i++ {
+			if len(d.Idx[i]) != c.wantNNZ {
+				t.Fatalf("N=%d: example %d has %d nonzeros, want %d", c.n, i, len(d.Idx[i]), c.wantNNZ)
 			}
-			if seen[j] {
-				t.Fatalf("duplicate index %d", j)
+			seen := map[int32]bool{}
+			for _, j := range d.Idx[i] {
+				if j < 0 || int(j) >= d.N {
+					t.Fatalf("index %d out of range", j)
+				}
+				if seen[j] {
+					t.Fatalf("duplicate index %d", j)
+				}
+				seen[j] = true
 			}
-			seen[j] = true
+		}
+		if d.NNZ() != c.m*c.wantNNZ {
+			t.Errorf("N=%d: NNZ = %d", c.n, d.NNZ())
 		}
 	}
-	if d.NNZ() != 50*wantNNZ {
-		t.Errorf("NNZ = %d", d.NNZ())
+}
+
+// quantizeRow is Format.Quantize applied value by value from the same
+// stream: the same results and the same draws, NaN drawing nothing.
+func TestQuantizeRowMatchesQuantize(t *testing.T) {
+	row := []float32{0.3, float32(math.NaN()), -0.7, float32(math.Inf(1)), float32(math.Inf(-1)), 5, -5, 1e-9, 0.015625}
+	g := prng.NewXorshift128(4)
+	for range 200 {
+		row = append(row, uniform(g)*3)
+	}
+	for _, p := range []kernels.Prec{kernels.I4, kernels.I8, kernels.I16} {
+		for _, mode := range []fixed.Rounding{fixed.Biased, fixed.Unbiased} {
+			rs, ref := prng.NewXorshift32(9), prng.NewXorshift32(9)
+			v := quantizeRow(p, row, mode, rs)
+			for i, x := range row {
+				if want := p.Fixed().Quantize(x, mode, ref); v.Raw(i) != want {
+					t.Fatalf("%v %v: value %d (%v) = %d, want %d", p, mode, i, x, v.Raw(i), want)
+				}
+			}
+			if rs.Uint32() != ref.Uint32() {
+				t.Errorf("%v %v: quantizeRow drew a different number of words", p, mode)
+			}
+		}
 	}
 }
 
@@ -347,5 +382,15 @@ func TestDeltaPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkGenDense generates a quarter of the benchmark's dense_large set
+// (D8, unbiased rounding) per iteration.
+func BenchmarkGenDense(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := GenDense(DenseConfig{N: 4096, M: 2048, P: kernels.I8, Rounding: fixed.Unbiased, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -63,10 +63,7 @@ func ReadLibSVM(r io.Reader, cfg LibSVMConfig) (*SparseSet, error) {
 	default:
 		return nil, fmt.Errorf("dataset: index precision must be 8, 16 or 32 bits")
 	}
-	var rs fixed.RandSource
-	if cfg.Rounding == fixed.Unbiased {
-		rs = prng.NewXorshift32(uint32(cfg.Seed) | 1)
-	}
+	rs := prng.NewXorshift32(uint32(cfg.Seed) | 1)
 
 	d := &SparseSet{IdxBits: cfg.IdxBits}
 	maxIdx := int32(-1)
@@ -143,24 +140,40 @@ func ReadLibSVM(r io.Reader, cfg LibSVMConfig) (*SparseSet, error) {
 }
 
 // WriteLibSVM writes a sparse dataset in LIBSVM format (1-based indices,
-// raw full-precision values).
+// raw full-precision values). Each line is the label as "%+g" and each
+// feature as " %d:%g" would print them, appended through strconv into one
+// reused buffer rather than formatted by fmt call by call.
 func WriteLibSVM(w io.Writer, d *SparseSet) error {
 	if d == nil || d.Len() == 0 {
 		return fmt.Errorf("dataset: nothing to write")
 	}
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i := 0; i < d.Len(); i++ {
-		if _, err := fmt.Fprintf(bw, "%+g", d.Y[i]); err != nil {
-			return err
-		}
+		line = appendSignedFloat(line[:0], d.Y[i])
 		for k, j := range d.Idx[i] {
-			if _, err := fmt.Fprintf(bw, " %d:%g", j+1, d.RawVal[i][k]); err != nil {
-				return err
-			}
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(j+1), 10)
+			line = append(line, ':')
+			line = strconv.AppendFloat(line, float64(d.RawVal[i][k]), 'g', -1, 32)
 		}
-		if _, err := fmt.Fprintln(bw); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendSignedFloat appends x as fmt's "%+g" prints a float32: the
+// shortest round-tripping form, with a '+' on anything strconv leaves
+// unsigned (NaN included, as fmt does).
+func appendSignedFloat(dst []byte, x float32) []byte {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, float64(x), 'g', -1, 32)
+	if dst[n] != '-' && dst[n] != '+' {
+		dst = append(dst[:n+1], dst[n:]...)
+		dst[n] = '+'
+	}
+	return dst
 }

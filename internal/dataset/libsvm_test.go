@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -181,4 +184,95 @@ func sortPair(idx []int32, vals []float32) {
 			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
 	}
+}
+
+// fmtLibSVM is the fmt formulation of the LIBSVM writer, the oracle
+// WriteLibSVM must match byte for byte.
+func fmtLibSVM(d *SparseSet) string {
+	var b strings.Builder
+	for i := range d.Idx {
+		fmt.Fprintf(&b, "%+g", d.Y[i])
+		for k, j := range d.Idx[i] {
+			fmt.Fprintf(&b, " %d:%g", j+1, d.RawVal[i][k])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func TestWriteLibSVMMatchesFmt(t *testing.T) {
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 2, -3, 100, 16777216, 1e20,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, 1.1754944e-38,
+		1e-7, -1e-7, 0.1, 3.4e38, -3.4e38, math.MaxFloat32,
+		float32(math.NaN()), math.Float32frombits(0xFFC00001),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 2000 {
+		vals = append(vals, math.Float32frombits(rng.Uint32()), rng.Float32()*2-1)
+	}
+	// Every value appears once as a label and once as a feature value;
+	// the indices cover int32's edges, including the j+1 wrap at the top.
+	idx := []int32{0, 1, 9, 99999, math.MaxInt32 - 1, math.MaxInt32}
+	d := &SparseSet{}
+	for i, v := range vals {
+		j := idx[i%len(idx)]
+		d.Y = append(d.Y, v)
+		d.Idx = append(d.Idx, []int32{j, j})
+		d.RawVal = append(d.RawVal, []float32{v, vals[(i+1)%len(vals)]})
+	}
+	var buf bytes.Buffer
+	if err := WriteLibSVM(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	got, want := strings.Split(buf.String(), "\n"), strings.Split(fmtLibSVM(d), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, fmt writes %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: %q, fmt writes %q", i+1, got[i], want[i])
+		}
+	}
+}
+
+// FuzzReadLibSVM holds the reader to one property: any input either fails
+// to parse, or parses to a set that WriteLibSVM writes and the reader reads
+// back to the same dimension, indices, raw and stored values, and labels,
+// bit for bit. The committed corpus (testdata/fuzz) is replayed by go test.
+func FuzzReadLibSVM(f *testing.F) {
+	f.Add(sampleLibSVM)
+	f.Fuzz(func(t *testing.T, in string) {
+		cfg := LibSVMConfig{P: kernels.I8, IdxBits: 16, Rounding: fixed.Unbiased, Seed: 3}
+		d, err := ReadLibSVM(strings.NewReader(in), cfg)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteLibSVM(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		written := buf.String()
+		cfg.NumFeatures = d.N
+		back, err := ReadLibSVM(&buf, cfg)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", written, err)
+		}
+		if back.N != d.N || back.Len() != d.Len() {
+			t.Fatalf("shape %dx%d, re-read %dx%d", d.Len(), d.N, back.Len(), back.N)
+		}
+		for i := range d.Idx {
+			if math.Float32bits(back.Y[i]) != math.Float32bits(d.Y[i]) || len(back.Idx[i]) != len(d.Idx[i]) {
+				t.Fatalf("example %d: label or length changed through %q", i, written)
+			}
+			for k, j := range d.Idx[i] {
+				if back.Idx[i][k] != j ||
+					math.Float32bits(back.RawVal[i][k]) != math.Float32bits(d.RawVal[i][k]) ||
+					back.Val[i].Raw(k) != d.Val[i].Raw(k) {
+					t.Fatalf("example %d, feature %d changed through %q", i, k, written)
+				}
+			}
+		}
+	})
 }

@@ -162,20 +162,33 @@ func (f Format) QuantizeBiased(x float32) int32 {
 // floor(x*scale + u) for u uniform on [0, 1), so E[result] = x*scale for
 // in-range x. NaN quantizes to zero.
 func (f Format) QuantizeUnbiased(x float32, rs RandSource) int32 {
-	if x != x { // NaN
+	if x != x { // NaN: no draw
 		return 0
 	}
-	scaled := float64(x) * float64(f.Scale())
-	// u in [0,1) with 24 bits of resolution, plenty for <=32-bit formats.
-	u := float64(rs.Uint32()>>8) * (1.0 / (1 << 24))
-	r := math.Floor(scaled + u)
-	if r > float64(f.MaxInt()) {
-		return f.MaxInt()
+	return f.QuantizeUnbiasedU(x, rs.Uint32())
+}
+
+// QuantizeUnbiasedU is QuantizeUnbiased with the random word supplied by the
+// caller, the pure core it wraps (as RoundRawU is for RoundRaw): loops that
+// own a concrete generator draw the word themselves and skip the interface
+// call. NaN still quantizes to zero, but here the caller has already drawn
+// for it; QuantizeUnbiased draws nothing for NaN.
+func (f Format) QuantizeUnbiasedU(x float32, word uint32) int32 {
+	// floor(x*scale + u), u = word's top 24 bits as a fraction in [0, 1):
+	// plenty of resolution for <=32-bit formats.
+	r := math.Floor(float64(x)*float64(f.Scale()) + float64(word>>8)*(1.0/(1<<24)))
+	// Convert first and overwrite on saturation (an out-of-range conversion
+	// is merely implementation-defined): this shape inlines, and keeps the
+	// caller's loop body short.
+	v := int32(r)
+	if hi := f.MaxInt(); r > float64(hi) {
+		v = hi
+	} else if r < float64(^hi) { // ^hi == MinInt
+		v = ^hi
+	} else if x != x { // NaN
+		v = 0
 	}
-	if r < float64(f.MinInt()) {
-		return f.MinInt()
-	}
-	return int32(r)
+	return v
 }
 
 // Quantize converts a real using the given rounding mode. For Unbiased

@@ -64,6 +64,39 @@ func TestQuantizeBiasedNaN(t *testing.T) {
 	}
 }
 
+// QuantizeUnbiasedU against the plain statement of stochastic rounding
+// (floor(x*scale + u), then clamp; NaN to zero), over arbitrary float32 bit
+// patterns (NaN, infinities and far out-of-range values included) and words.
+func TestQuantizeUnbiasedUMatchesReference(t *testing.T) {
+	ref := func(f Format, x float32, word uint32) int32 {
+		if x != x {
+			return 0
+		}
+		r := math.Floor(float64(x)*float64(f.Scale()) + float64(word>>8)/(1<<24))
+		if r > float64(f.MaxInt()) {
+			return f.MaxInt()
+		}
+		if r < float64(f.MinInt()) {
+			return f.MinInt()
+		}
+		return int32(r)
+	}
+	rs := prng.NewXorshift32(23)
+	xs := []float32{0, 1, -1, 1.99, -2, -2.01, 1e30, -1e30,
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for range 20000 {
+		xs = append(xs, math.Float32frombits(rs.Uint32()), prng.Float32(rs)*6-3)
+	}
+	for _, f := range []Format{Q4, Q8, Q16, Q32} {
+		for _, x := range xs {
+			w := rs.Uint32()
+			if got, want := f.QuantizeUnbiasedU(x, w), ref(f, x, w); got != want {
+				t.Fatalf("%v: QuantizeUnbiasedU(%v, %#x) = %d, want %d", f, x, w, got, want)
+			}
+		}
+	}
+}
+
 func TestQuantizeRoundTrip(t *testing.T) {
 	// Values exactly representable in the format must round-trip under
 	// both rounding modes.
