@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"buckwild"
 	"buckwild/internal/dmgc"
@@ -45,6 +46,14 @@ func main() {
 	}
 }
 
+// fatal prints err under the command's "dmgc: " log prefix once: errors
+// from internal/dmgc and from the buckwild facade carry their package's
+// own prefix, which would otherwise stutter.
+func fatal(err error) {
+	msg := strings.TrimPrefix(err.Error(), "dmgc: ")
+	log.Fatal(strings.TrimPrefix(msg, "buckwild: "))
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   dmgc classify <signature>                  explain a signature
@@ -61,7 +70,7 @@ func classify(args []string) {
 	}
 	sig, err := dmgc.Parse(args[0])
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("signature      %s\n", sig)
 	fmt.Printf("dataset        %d bits%s\n", sig.DatasetBits(), floatNote(sig.D))
@@ -107,16 +116,16 @@ func predict(args []string) {
 	n := fs.Int("n", 1<<20, "model size")
 	threads := fs.Int("threads", 18, "thread count")
 	if err := fs.Parse(args[1:]); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	sig, err := dmgc.Parse(sigText)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	pm := dmgc.DefaultPerfModel()
 	gnps, err := pm.Throughput(sig, *n, *threads)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("%s at n=%d, %d threads: %.3f GNPS (%s, p=%.3f)\n",
 		sig, *n, *threads, gnps, pm.Regime(*n), pm.P(*n))
@@ -139,16 +148,16 @@ func stat(args []string) {
 	lip := fs.Float64("L", 1, "smoothness")
 	m2 := fs.Float64("m2", 1, "gradient second moment")
 	if err := fs.Parse(args[1:]); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	sig, err := dmgc.Parse(sigText)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	prob := dmgc.StatProblem{N: *n, Mu: *mu, L: *lip, M2: *m2}
 	pred, err := dmgc.PredictStatistics(sig, prob, *eta, *threads)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	maxStep, _ := dmgc.MaxStableStep(prob, *threads)
 	fmt.Printf("%s, n=%d, eta=%g, %d threads:\n", sig, *n, *eta, *threads)
@@ -171,11 +180,11 @@ func simulate(args []string) {
 	n := fs.Int("n", 1<<20, "model size")
 	threads := fs.Int("threads", 18, "thread count")
 	if err := fs.Parse(args[1:]); err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	r, err := buckwild.SimulateThroughputOpts(sigText, *n, *threads, buckwild.SimOptions{})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("%s at n=%d, %d threads on the simulated Xeon:\n", sigText, *n, *threads)
 	fmt.Printf("  %.3f GNPS, bound by %s\n", r.GNPS, r.Bound)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-workers n] [-json path] [-report path] [-trace path] [-cpuprofile path] <id> [<id> ...]
+//	experiments [-quick] [-workers n] [-report path] [-trace path] [-cpuprofile path] <id> [<id> ...]
 //	experiments all
 //
 // where <id> is one of: table1 table2 table3 fig2 fig3 fig4a fig4b fig4c
@@ -11,9 +11,8 @@
 // fig7d fig7e fig7f newinsn numa ablations faulttol healthsweep.
 //
 // -quick shrinks sweep sizes for smoke runs. -workers bounds the sweep
-// worker pool (0 = all CPUs). -json writes per-experiment wall times and
-// headline GNPS to a file for trajectory tracking; -report writes a
-// JSON observability report with per-experiment simulator statistics
+// worker pool (0 = all CPUs). -report writes a JSON observability report
+// with per-experiment wall times, headline GNPS, simulator statistics
 // (steps, coherence events, access latencies) and training counters
 // (model writes, staleness histogram); -trace writes a Chrome
 // trace_event JSON timeline of the run (one span per experiment, per
@@ -27,13 +26,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"syscall"
@@ -60,45 +57,6 @@ func register(id, desc string, run func(quick bool) error) {
 // workers is the sweep pool size shared by every experiment (0 = all CPUs).
 var workers = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 
-// benchRecord is one experiment's entry in the -json trajectory file.
-type benchRecord struct {
-	ID string `json:"id"`
-	// WallSeconds is the experiment's wall-clock time.
-	WallSeconds float64 `json:"wall_seconds"`
-	// HeadlineGNPS is the best simulated throughput the experiment
-	// produced, when it runs the machine simulator at all; it tracks
-	// simulator-output drift across PRs alongside the timing.
-	HeadlineGNPS float64 `json:"headline_gnps,omitempty"`
-}
-
-// benchFile is the top-level -json document.
-type benchFile struct {
-	Date         string        `json:"date"`
-	GoVersion    string        `json:"go_version"`
-	NumCPU       int           `json:"num_cpu"`
-	Workers      int           `json:"workers"`
-	Quick        bool          `json:"quick"`
-	TotalSeconds float64       `json:"total_seconds"`
-	Experiments  []benchRecord `json:"experiments"`
-}
-
-// current points at the running experiment's bench record so simulateAll
-// can fold headline GNPS numbers into it.
-var current *benchRecord
-
-// recordGNPS folds simulated throughputs into the running experiment's
-// headline (keeping the maximum).
-func recordGNPS(rs []*machine.Result) {
-	if current == nil {
-		return
-	}
-	for _, r := range rs {
-		if r != nil && r.GNPS > current.HeadlineGNPS {
-			current.HeadlineGNPS = r.GNPS
-		}
-	}
-}
-
 // runCtx bounds every sweep: it is cancelled by SIGINT/SIGTERM, so ^C
 // stops an hours-long "all" run at the next simulation round instead of
 // requiring a kill.
@@ -106,21 +64,15 @@ var runCtx = context.Background()
 
 // simulateAll fans a slice of workload points over the sweep pool and
 // returns results in input order. Every experiment sweep goes through
-// here, so each also contributes its headline GNPS to the -json record
-// and its per-point machine statistics to the -report document, and
-// each is interruptible through runCtx.
+// here, so each also contributes its headline GNPS and per-point machine
+// statistics to the -report document, and each is interruptible through
+// runCtx.
 func simulateAll(mc machine.Config, points []machine.Workload) ([]*machine.Result, error) {
-	rs, err := sweep.SimulateEachCtx(runCtx, mc, points, *workers, reportSim)
-	if err != nil {
-		return nil, err
-	}
-	recordGNPS(rs)
-	return rs, nil
+	return sweep.SimulateEachCtx(runCtx, mc, points, *workers, reportSim)
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	jsonPath := flag.String("json", "", "write per-experiment wall time + headline GNPS to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the run to this file")
 	traceCap := flag.Int("trace-capacity", 4*obs.DefaultTraceCapacity, "trace ring capacity in spans (oldest dropped beyond it)")
@@ -146,7 +98,7 @@ func main() {
 	// the sweeps run, not after minutes of work. O_CREATE without O_TRUNC
 	// leaves any existing file intact until the run completes and
 	// rewrites it.
-	for name, path := range map[string]string{"json": *jsonPath, "report": *reportPath, "trace": *tracePath} {
+	for name, path := range map[string]string{"report": *reportPath, "trace": *tracePath} {
 		if path == "" {
 			continue
 		}
@@ -180,13 +132,6 @@ func main() {
 			ids = append(ids, e.id)
 		}
 	}
-	bench := benchFile{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Workers:   *workers,
-		Quick:     *quick,
-	}
 	total := time.Now()
 	for _, id := range ids {
 		e := lookup(id)
@@ -196,8 +141,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("==== %s: %s ====\n", e.id, e.desc)
-		bench.Experiments = append(bench.Experiments, benchRecord{ID: e.id})
-		current = &bench.Experiments[len(bench.Experiments)-1]
 		reportStart(e.id)
 		expSpan := tracer.Begin("experiment", e.id, 0)
 		start := time.Now()
@@ -211,17 +154,8 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		expSpan.End()
-		current.WallSeconds = elapsed.Seconds()
-		reportFinish(elapsed.Seconds(), current.HeadlineGNPS)
-		current = nil
+		reportFinish(elapsed.Seconds())
 		fmt.Printf("---- %s done in %v ----\n\n", e.id, elapsed.Round(time.Millisecond))
-	}
-	bench.TotalSeconds = time.Since(total).Seconds()
-	if *jsonPath != "" {
-		if err := writeBench(*jsonPath, bench); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	if err := reportWrite(time.Since(total).Seconds()); err != nil {
 		fmt.Fprintf(os.Stderr, "report: %v\n", err)
@@ -236,14 +170,6 @@ func main() {
 	}
 }
 
-func writeBench(path string, bench benchFile) error {
-	buf, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 func lookup(id string) *experiment {
 	for i := range experiments {
 		if experiments[i].id == id {
@@ -254,7 +180,7 @@ func lookup(id string) *experiment {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-workers n] [-json path] [-report path] [-trace path] [-cpuprofile path] <id> [<id> ...] | all")
+	fmt.Fprintln(os.Stderr, "usage: experiments [-quick] [-workers n] [-report path] [-trace path] [-cpuprofile path] <id> [<id> ...] | all")
 	fmt.Fprintln(os.Stderr, "experiments:")
 	sort.SliceStable(experiments, func(i, j int) bool { return experiments[i].id < experiments[j].id })
 	for _, e := range experiments {

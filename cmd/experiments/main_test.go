@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper must be registered exactly
@@ -41,5 +47,38 @@ func TestQuickSmokeTables(t *testing.T) {
 		if err := lookup(id).run(true); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
+	}
+}
+
+// TestReportRecordsSimulation drives the cheapest simulating experiment
+// through the -report path and checks the entry it writes: the headline
+// GNPS is folded in from the sweep's points by reportSim.
+func TestReportRecordsSimulation(t *testing.T) {
+	*reportPath = filepath.Join(t.TempDir(), "report.json")
+	defer func() { *reportPath, report = "", nil }()
+	reportInit(1, true)
+	reportStart("fig4b")
+	start := time.Now()
+	if err := lookup("fig4b").run(true); err != nil {
+		t.Fatal(err)
+	}
+	reportFinish(time.Since(start).Seconds())
+	if err := reportWrite(time.Since(start).Seconds()); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(*reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got runReport
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Experiments) != 1 {
+		t.Fatalf("report holds %d experiments, want 1:\n%s", len(got.Experiments), buf)
+	}
+	e := got.Experiments[0]
+	if e.ID != "fig4b" || !(e.WallSeconds > 0) || !(e.HeadlineGNPS > 0) || e.SimPoints <= 0 {
+		t.Errorf("fig4b entry = %+v", e)
 	}
 }

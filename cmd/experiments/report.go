@@ -22,8 +22,11 @@ var reportPath = flag.String("report", "", "write a JSON observability report (p
 
 // reportExperiment is one experiment's entry in the -report document.
 type reportExperiment struct {
-	ID           string  `json:"id"`
-	WallSeconds  float64 `json:"wall_seconds"`
+	ID          string  `json:"id"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// HeadlineGNPS is the best simulated throughput the experiment
+	// produced, when it runs the machine simulator at all; it tracks
+	// simulator-output drift across revisions alongside the timing.
 	HeadlineGNPS float64 `json:"headline_gnps,omitempty"`
 	// SimPoints and SimSteps total the experiment's simulator work:
 	// sweep points run and per-core steps measured.
@@ -98,13 +101,12 @@ func reportStart(id string) {
 	currentRpt = &report.Experiments[len(report.Experiments)-1]
 }
 
-// reportFinish closes the entry with its timing and headline.
-func reportFinish(wallSeconds, headlineGNPS float64) {
+// reportFinish closes the entry with its timing.
+func reportFinish(wallSeconds float64) {
 	if currentRpt == nil {
 		return
 	}
 	currentRpt.WallSeconds = wallSeconds
-	currentRpt.HeadlineGNPS = headlineGNPS
 	if currentRpt.Train != nil {
 		currentRpt.StalenessP50 = currentRpt.Train.Staleness.Quantile(0.5)
 		currentRpt.StalenessP99 = currentRpt.Train.Staleness.Quantile(0.99)
@@ -113,12 +115,14 @@ func reportFinish(wallSeconds, headlineGNPS float64) {
 }
 
 // reportSim folds one sweep point's machine statistics into the running
-// entry. sweep.SimulateEachCtx invokes it sequentially on the driver
-// goroutine after the sweep completes, so no locking is needed.
+// entry, keeping the largest GNPS as the headline. sweep.SimulateEachCtx
+// invokes it sequentially on the driver goroutine after the sweep
+// completes, so no locking is needed.
 func reportSim(_ int, r *machine.Result) {
 	if currentRpt == nil || r == nil {
 		return
 	}
+	currentRpt.HeadlineGNPS = max(currentRpt.HeadlineGNPS, r.GNPS)
 	currentRpt.SimPoints++
 	currentRpt.SimSteps += r.MeasuredSteps
 	currentRpt.CoherenceEvents += r.CoherenceEvents

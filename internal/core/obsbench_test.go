@@ -11,8 +11,8 @@ import (
 // BenchmarkObsOverhead is the observability overhead audit: the same
 // training run with each obs layer switched on individually, against a
 // nil-Observer baseline. The budget (DESIGN.md §15) is ≤5% on the
-// training hot path for any single layer at the default sampling rate;
-// CI runs this informationally, and the steps/s metric is the number to
+// training hot path for any single layer at the default sampling rate.
+// It is a local tool, not a CI step; the steps/s metric is the number to
 // compare across variants.
 //
 //	go test ./internal/core/ -run xxx -bench BenchmarkObsOverhead -benchtime 2s

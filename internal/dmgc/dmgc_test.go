@@ -209,8 +209,10 @@ func TestPerfModelThroughput(t *testing.T) {
 	if big18/small18 < 4 {
 		t.Errorf("bandwidth-bound should be much faster at 18 threads: %v vs %v", big18, small18)
 	}
-	if _, err := m.Throughput(sig, 100, 0); err == nil {
-		t.Error("zero threads should fail")
+	for _, c := range []struct{ n, threads int }{{100, 0}, {0, 1}, {-5, 18}} {
+		if _, err := m.Throughput(sig, c.n, c.threads); err == nil {
+			t.Errorf("n=%d threads=%d should fail", c.n, c.threads)
+		}
 	}
 	if _, err := m.Throughput(MustParse("D4M4"), 100, 1); err == nil {
 		t.Error("unknown base throughput should fail")

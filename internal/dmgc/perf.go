@@ -98,6 +98,9 @@ func (m *PerfModel) Throughput(sig Signature, modelSize, threads int) (float64, 
 	if threads < 1 {
 		return 0, fmt.Errorf("dmgc: thread count %d < 1", threads)
 	}
+	if modelSize < 1 {
+		return 0, fmt.Errorf("dmgc: model size %d < 1", modelSize)
+	}
 	t1, err := m.Base(sig)
 	if err != nil {
 		return 0, err

@@ -6,8 +6,8 @@ import (
 )
 
 // Microbenchmarks for the host-path kernels across precision, variant and
-// rounding kind. CI uploads the output as an informational artifact; they
-// gate nothing. The vector length matches fig2's simulated model size
+// rounding kind. They are a local tool for prototyping a kernel; no CI
+// step runs them. The vector length matches fig2's simulated model size
 // order of magnitude while staying L1-resident, so the numbers measure
 // arithmetic, not memory.
 const benchN = 4096

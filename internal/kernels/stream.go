@@ -343,23 +343,3 @@ func (k *Sparse) StepStream(nnz int) simd.Stream {
 	s.Add(k.AxpyStream(nnz))
 	return s
 }
-
-// DenseStepBytes returns the DRAM traffic of one dense SGD step: the
-// dataset vector is streamed from memory (read for the dot and still
-// resident in L1 for the AXPY, so charged once); the model is assumed
-// cache-resident (Section 3: "the model numbers are typically all stored in
-// the last-level cache").
-func DenseStepBytes(d Prec, n int) float64 {
-	return d.Bytes() * float64(n)
-}
-
-// SparseStepBytes returns the DRAM traffic of one sparse SGD step: nonzero
-// values plus their stored indices.
-func SparseStepBytes(d Prec, idxBits uint, nnz int) float64 {
-	return (d.Bytes() + float64(idxBits)/8) * float64(nnz)
-}
-
-// ModelBytes returns the in-cache footprint of the model.
-func ModelBytes(m Prec, n int) float64 {
-	return m.Bytes() * float64(n)
-}

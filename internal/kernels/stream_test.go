@@ -177,24 +177,6 @@ func TestStreamBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestDenseStepBytes(t *testing.T) {
-	if DenseStepBytes(I8, 1000) != 1000 {
-		t.Error("I8 step bytes")
-	}
-	if DenseStepBytes(F32, 1000) != 4000 {
-		t.Error("F32 step bytes")
-	}
-	if DenseStepBytes(I4, 1000) != 500 {
-		t.Error("I4 step bytes (packed)")
-	}
-	if SparseStepBytes(I8, 16, 100) != 300 {
-		t.Error("sparse step bytes: 1B value + 2B index per nnz")
-	}
-	if ModelBytes(I16, 10) != 20 {
-		t.Error("model bytes")
-	}
-}
-
 func TestStreamScaleAdd(t *testing.T) {
 	var s simd.Stream
 	s.Emit(simd.PADDD, 3)

@@ -6,7 +6,18 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"time"
 )
+
+// ReadHeaderTimeout bounds how long a connection may take to deliver one
+// request's header block, so a client that dribbles a header cannot hold
+// a connection (and its goroutine) forever. On a new connection the clock
+// starts at accept; on a keep-alive connection it starts when the next
+// request's first bytes arrive, so idle gaps do not count, and no body or
+// idle timeout is set: idle keep-alive connections stay open. Every HTTP
+// server in the tree (the debug endpoint here and the serving daemon)
+// reads it.
+const ReadHeaderTimeout = 5 * time.Second
 
 // WriteJSON marshals v with indentation and writes it to path, creating
 // or truncating the file. It is the shared exporter behind the commands'
@@ -54,7 +65,7 @@ func ServeDebug(addr string, metrics http.Handler, extra map[string]http.Handler
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux}}
+	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

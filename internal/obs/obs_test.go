@@ -1,12 +1,16 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -124,7 +128,9 @@ func TestWriteJSON(t *testing.T) {
 
 // TestServeDebug checks the debug mux: /metrics reaches the passed
 // handler, extra routes are mounted (nil ones skipped), pprof answers,
-// and nothing else is served.
+// and nothing else is served. A client that dribbles half a request
+// header is dropped once ReadHeaderTimeout passes, while a well-formed
+// /metrics GET sent in the meantime still answers 200.
 func TestServeDebug(t *testing.T) {
 	body := func(text string) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, text) })
@@ -160,5 +166,37 @@ func TestServeDebug(t *testing.T) {
 		if resp.StatusCode != c.code || (c.body != "" && string(got) != c.body) {
 			t.Errorf("GET %s = %d %q, want %d %q", c.path, resp.StatusCode, got, c.code, c.body)
 		}
+	}
+
+	slow, err := net.Dial("tcp", s.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := slow.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\nUser-Ag")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + s.Addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics beside the slow client = %d, want 200", resp.StatusCode)
+	}
+	if err := slow.SetReadDeadline(start.Add(ReadHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(slow) // returns at the server's close, or at our deadline
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("slow client still connected %v after its first byte (read %q)", time.Since(start), reply)
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Errorf("half a header was answered as a request: %q", reply)
+	}
+	if held := time.Since(start); held < ReadHeaderTimeout-time.Second {
+		t.Errorf("connection dropped after %v, before the %v header timeout", held, ReadHeaderTimeout)
 	}
 }

@@ -147,14 +147,6 @@ const (
 	traceTIDBatch   = 901
 )
 
-// readHeaderTimeout bounds how long a connection may take to deliver one
-// request's header block, so a client that dribbles a header cannot hold
-// a connection (and its goroutine) forever. On a new connection the clock
-// starts at accept; on a keep-alive connection it starts when the next
-// request's first bytes arrive, so idle gaps do not count, and no body or
-// idle timeout is set: idle keep-alive connections stay open.
-const readHeaderTimeout = 5 * time.Second
-
 // promoted is what one successful Promote installs: the model handle
 // plus its provenance. Immutable once stored.
 type promoted struct {
@@ -698,7 +690,7 @@ func (s *Server) Start() error {
 		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.listener = l
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	go func() {
 		err := s.httpSrv.Serve(l)
 		if err != nil && err != http.ErrServerClosed {

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"buckwild/internal/obs"
 )
 
 // linModel is a test Predictor: a linear model whose every weight is the
@@ -495,7 +497,7 @@ func TestStartAddrAndDrain(t *testing.T) {
 
 // TestSlowHeaderClientDisconnected dribbles half a request header at the
 // real listener and never finishes it: the server must close that
-// connection once readHeaderTimeout passes (net/http sends a bare 400 with
+// connection once obs.ReadHeaderTimeout passes (net/http sends a bare 400 with
 // Connection: close on the way out), while a well-formed /predict sent in
 // the meantime still answers 200.
 func TestSlowHeaderClientDisconnected(t *testing.T) {
@@ -527,7 +529,7 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 		t.Fatalf("well-formed request beside the slow client: code %d, resp %+v", code, pr)
 	}
 
-	if err := slow.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+	if err := slow.SetReadDeadline(start.Add(obs.ReadHeaderTimeout + 5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := io.ReadAll(slow) // returns at the server's close, or at our deadline
@@ -538,7 +540,7 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	if bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
 		t.Errorf("half a header was answered as a request: %q", reply)
 	}
-	if held := time.Since(start); held < readHeaderTimeout-time.Second {
-		t.Errorf("connection dropped after %v, before the %v header timeout", held, readHeaderTimeout)
+	if held := time.Since(start); held < obs.ReadHeaderTimeout-time.Second {
+		t.Errorf("connection dropped after %v, before the %v header timeout", held, obs.ReadHeaderTimeout)
 	}
 }
