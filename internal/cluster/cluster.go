@@ -252,10 +252,12 @@ type engine struct {
 	live *obs.ClusterMetrics
 	// st lays the run out on per-node trace tracks; nil when untraced.
 	st *simTrace
+	// dots holds a batch's inner products (accumGrad's scratch).
+	dots []float32
 }
 
 func newEngine(cfg *Config, ds *dataset.DenseSet) (*engine, error) {
-	e := &engine{cfg: cfg, ds: ds}
+	e := &engine{cfg: cfg, ds: ds, dots: make([]float32, cfg.BatchPerNode)}
 	e.meter.net = &cfg.Net
 	e.stats.Nodes = cfg.Nodes
 	e.stats.Protocol = cfg.Protocol.String()
@@ -291,27 +293,19 @@ func (e *engine) codec(node int) (*wireCodec, error) {
 }
 
 // accumGrad computes the mean full-precision gradient of examples
-// [lo, hi) at model w into g (overwritten).
+// [lo, hi) at model w into g (overwritten), through the same row helpers
+// as the synchronous engine; the mean scales by ·(1/B) here, by /B there.
 func (e *engine) accumGrad(w, g []float32, lo, hi int) {
-	for j := range g {
-		g[j] = 0
-	}
+	clear(g)
 	if hi <= lo {
 		return
 	}
 	inv := 1 / float32(hi-lo)
-	for i := lo; i < hi; i++ {
-		row := e.ds.Raw[i]
-		var dot float32
-		for j := range w {
-			dot += row[j] * w[j]
-		}
-		a := core.GradScale(e.cfg.Problem, dot, e.ds.Y[i], 1) * inv
-		if a == 0 {
-			continue
-		}
-		for j := range g {
-			g[j] += a * row[j]
+	rows, ys, dots := e.ds.Raw[lo:hi], e.ds.Y[lo:hi], e.dots[:hi-lo]
+	core.RowDots(dots, w, rows)
+	for i, row := range rows {
+		if a := core.GradScale(e.cfg.Problem, dots[i], ys[i], 1) * inv; a != 0 {
+			core.RowAxpy(a, row, g)
 		}
 	}
 }

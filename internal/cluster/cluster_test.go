@@ -2,9 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"buckwild/internal/core"
@@ -359,4 +364,110 @@ func TestSingleNodeDegenerates(t *testing.T) {
 	if lastLoss(res) >= res.TrainLoss[0]*0.8 {
 		t.Errorf("single-node run did not converge: %v", res.TrainLoss)
 	}
+}
+
+// clusterPins are FNV-64a digests of seeded runs: the bits of W and
+// TrainLoss, the JSON form of Result.Cluster (messages, every byte count,
+// SimSeconds and the per-node split) from a plain run, then the JSON form
+// of NumStats from the NumHealth rerun, which must reproduce the rest.
+// Keys are "<protocol>/C<bits>/ef=<bool>/a<alpha>". They were captured
+// before the gradient, wire and loss loops were rewritten, so they are
+// the elementwise loops' answers, bit for bit.
+var clusterPins = map[string]uint64{
+	"param-server/C4/ef=false/a0":    0x9e6fddfbc5f540a8,
+	"param-server/C4/ef=false/a0.1":  0x8645372cb70ed707,
+	"param-server/C4/ef=true/a0":     0x4910b6457435241c,
+	"param-server/C4/ef=true/a0.1":   0xcd28218b96980df4,
+	"param-server/C8/ef=false/a0":    0xb92f7bb853d395c2,
+	"param-server/C8/ef=false/a0.1":  0x9a1c20e447c062be,
+	"param-server/C8/ef=true/a0":     0xf38fc3d29ca30b91,
+	"param-server/C8/ef=true/a0.1":   0x334fde1529cbea6e,
+	"param-server/C16/ef=false/a0":   0x5a9a27dd57ec2a18,
+	"param-server/C16/ef=false/a0.1": 0x2f9beaa4b6b6520d,
+	"param-server/C16/ef=true/a0":    0xb94f68e7d6d215dd,
+	"param-server/C16/ef=true/a0.1":  0x528e6354fbae4419,
+	"param-server/C32/ef=false/a0":   0xc78bcf925e603710,
+	"param-server/C32/ef=false/a0.1": 0xef95cbc5704eb005,
+	"param-server/C32/ef=true/a0":    0xc78bcf925e603710,
+	"param-server/C32/ef=true/a0.1":  0xef95cbc5704eb005,
+	"all-reduce/C4/ef=false/a0":      0xcc12e6088d5491f9,
+	"all-reduce/C4/ef=false/a0.1":    0xa8c1acf044ce26c2,
+	"all-reduce/C4/ef=true/a0":       0x8cf91a64c0274df0,
+	"all-reduce/C4/ef=true/a0.1":     0xcc5ba0c81ef19bcc,
+	"all-reduce/C8/ef=false/a0":      0xdd0823be2b13031c,
+	"all-reduce/C8/ef=false/a0.1":    0x3e58fbbddb818194,
+	"all-reduce/C8/ef=true/a0":       0xb1f41ab306c149d4,
+	"all-reduce/C8/ef=true/a0.1":     0x57b25c1e262bcd9e,
+	"all-reduce/C16/ef=false/a0":     0xdf484243cc5671c,
+	"all-reduce/C16/ef=false/a0.1":   0x4e1f80f75a81868d,
+	"all-reduce/C16/ef=true/a0":      0xfaafe5efd83f3b8,
+	"all-reduce/C16/ef=true/a0.1":    0x9d929f8c0d3c8e74,
+	"all-reduce/C32/ef=false/a0":     0x84d2e6ab52d9f09d,
+	"all-reduce/C32/ef=false/a0.1":   0x3f4f778d8941cf13,
+	"all-reduce/C32/ef=true/a0":      0x84d2e6ab52d9f09d,
+	"all-reduce/C32/ef=true/a0.1":    0x3f4f778d8941cf13,
+}
+
+func TestClusterPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pins captured on amd64; other architectures may fuse float multiply-adds in the gradient path")
+	}
+	ds, err := dataset.GenDense(dataset.DenseConfig{N: 64, M: 2048, P: kernels.F32, Seed: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, proto := range []Protocol{ParamServer, AllReduce} {
+		for _, bits := range []uint{4, 8, 16, 32} {
+			for _, ef := range []bool{false, true} {
+				for _, alpha := range []float64{0, 0.1} {
+					rows++
+					cfg := Config{Nodes: 4, Protocol: proto, WireBits: bits, Quant: kernels.QXorshift,
+						ErrorFeedback: ef, StalenessAlpha: alpha, Epochs: 3}
+					name := fmt.Sprintf("%v/C%d/ef=%v/a%v", proto, bits, ef, alpha)
+					t.Run(name, func(t *testing.T) {
+						plain := clusterDigest(t, clusterRun(t, ds, cfg), false)
+						cfg.Observer = &obs.Observer{NumHealth: true}
+						health := clusterRun(t, ds, cfg)
+						if got := clusterDigest(t, health, false); got != plain {
+							t.Errorf("NumHealth changed the run: %#x vs %#x", got, plain)
+						}
+						if got, want := clusterDigest(t, health, true)^plain, clusterPins[name]; got != want {
+							t.Errorf("got %#x, want %#x", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+	if rows != len(clusterPins) {
+		t.Errorf("%d rows but %d pins", rows, len(clusterPins))
+	}
+}
+
+// clusterDigest hashes a run's W, TrainLoss and Cluster stats, or with num
+// set its NumStats alone.
+func clusterDigest(t *testing.T, res *core.Result, num bool) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	if num {
+		b, err := json.Marshal(res.NumStats)
+		if err != nil || res.NumStats == nil {
+			t.Fatalf("NumHealth run: NumStats %v, marshal error %v", res.NumStats, err)
+		}
+		h.Write(b)
+		return h.Sum64()
+	}
+	for _, v := range res.W {
+		binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+	}
+	for _, v := range res.TrainLoss {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+	}
+	b, err := json.Marshal(res.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(b)
+	return h.Sum64()
 }

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
+	"buckwild/internal/core"
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
 )
@@ -12,7 +12,8 @@ import (
 // precision. It is a thin framing layer over kernels.Quantizer — the
 // same rounding machinery the training kernels use for model writes —
 // so the cluster tier introduces no second rounding implementation (the
-// lockstep test in wire_test.go pins this).
+// lockstep test TestWireLockstepWithKernelsQuantizer in cluster_test.go
+// pins this).
 //
 // Wire format per gradient payload (DESIGN.md §11): one float32 scale
 // factor (4 bytes) followed by ceil(n*bits/8) bytes of raw fixed-point
@@ -86,17 +87,10 @@ func (c *wireCodec) transfer(g, residual []float32, errorFeedback bool, nc *fixe
 	if c.q == nil {
 		return c.payloadBytes(len(g))
 	}
-	if errorFeedback {
-		for j := range g {
-			g[j] += residual[j]
-		}
+	if !errorFeedback {
+		residual = nil
 	}
-	var maxAbs float32
-	for _, v := range g {
-		if a := float32(math.Abs(float64(v))); a > maxAbs {
-			maxAbs = a
-		}
-	}
+	maxAbs := core.FeedMaxAbs(g, residual)
 	if maxAbs == 0 {
 		return c.payloadBytes(len(g))
 	}

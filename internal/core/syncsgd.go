@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"buckwild/internal/dataset"
 	"buckwild/internal/fixed"
@@ -28,6 +29,9 @@ type SyncConfig struct {
 	// one quantized gradient per round.
 	Workers int
 	// BatchPerWorker is the examples each worker accumulates per round.
+	// A round takes Workers·BatchPerWorker consecutive examples, so each
+	// epoch drops the last m mod (Workers·BatchPerWorker) of the m
+	// examples.
 	BatchPerWorker int
 	// ErrorFeedback carries the quantization residual into the next
 	// round (Seide et al.'s essential trick).
@@ -98,47 +102,38 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 		nc = &fixed.NumCounts{}
 	}
 	perRound := cfg.Workers * cfg.BatchPerWorker
+	dots := make([]float32, perRound)
+	batch := float32(cfg.BatchPerWorker)
+	inv := cfg.StepSize / float32(cfg.Workers)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for start := 0; start+perRound <= ds.Len(); start += perRound {
 			if err := ctxErr(cfg.Ctx); err != nil {
 				return nil, err
 			}
-			// Local gradient accumulation.
-			for k := 0; k < cfg.Workers; k++ {
-				g := grads[k]
-				for j := range g {
-					g[j] = 0
-				}
-				for b := 0; b < cfg.BatchPerWorker; b++ {
-					i := start + k*cfg.BatchPerWorker + b
-					var dot float32
-					for j := 0; j < n; j++ {
-						dot += ds.Raw[i][j] * w[j]
-					}
-					a := GradScale(cfg.Problem, dot, ds.Y[i], 1) / float32(cfg.BatchPerWorker)
-					if a == 0 {
-						continue
-					}
-					for j := 0; j < n; j++ {
-						g[j] += a * ds.Raw[i][j]
+			// Local gradient accumulation. Every example of the round
+			// reads the same model, so the dots come first.
+			rows, ys := ds.Raw[start:start+perRound], ds.Y[start:start+perRound]
+			RowDots(dots, w, rows)
+			for k, g := range grads {
+				clear(g)
+				for i := k * cfg.BatchPerWorker; i < (k+1)*cfg.BatchPerWorker; i++ {
+					if a := GradScale(cfg.Problem, dots[i], ys[i], 1) / batch; a != 0 {
+						RowAxpy(a, rows[i], g)
 					}
 				}
 			}
 			// Quantized all-reduce: each worker communicates its
 			// (residual-corrected) gradient at CommBits; the
 			// aggregate is averaged and applied everywhere.
-			for j := range agg {
-				agg[j] = 0
-			}
-			for k := 0; k < cfg.Workers; k++ {
-				q := quantizeComm(grads[k], residuals[k], cfg.CommBits, cfg.ErrorFeedback, nc)
-				for j := range agg {
-					agg[j] += q[j]
+			for k, g := range grads {
+				q := quantizeComm(g, residuals[k], cfg.CommBits, cfg.ErrorFeedback, nc)
+				for j, v := range q[:len(agg)] {
+					agg[j] += v
 				}
 			}
-			inv := cfg.StepSize / float32(cfg.Workers)
-			for j := range w {
-				w[j] += inv * agg[j]
+			for j, v := range agg[:len(w)] {
+				w[j] += inv * v
+				agg[j] = 0
 			}
 			res.Steps++
 		}
@@ -153,6 +148,42 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 		res.NumStats = NumStats(nc, "comm-grid")
 	}
 	return res, nil
+}
+
+// RowDots sets dots[i] to the inner product of rows[i] with w, summed in
+// float32 in index order — the bits of a plain loop — four rows to a pass
+// over w, so four independent sums share each load of w. Rows are at
+// least as long as w.
+func RowDots(dots, w []float32, rows [][]float32) {
+	dots = dots[:len(rows)]
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		a, b, c, d := rows[i][:len(w)], rows[i+1][:len(w)], rows[i+2][:len(w)], rows[i+3][:len(w)]
+		var sa, sb, sc, sd float32
+		for j, v := range w {
+			sa += a[j] * v
+			sb += b[j] * v
+			sc += c[j] * v
+			sd += d[j] * v
+		}
+		dots[i], dots[i+1], dots[i+2], dots[i+3] = sa, sb, sc, sd
+	}
+	for ; i < len(rows); i++ {
+		x := rows[i][:len(w)]
+		var s float32
+		for j, v := range w {
+			s += x[j] * v
+		}
+		dots[i] = s
+	}
+}
+
+// RowAxpy adds a·x to g elementwise. x is at least as long as g.
+func RowAxpy(a float32, x, g []float32) {
+	x = x[:len(g)]
+	for j, v := range x {
+		g[j] += a * v
+	}
 }
 
 // quantizeComm quantizes a worker's gradient to bits, optionally carrying
@@ -172,80 +203,111 @@ func quantizeComm(g, residual []float32, bits uint, errorFeedback bool, nc *fixe
 	if bits >= 32 {
 		return g
 	}
-	// Residual correction.
-	if errorFeedback {
-		for j := range g {
-			g[j] += residual[j]
-		}
+	if !errorFeedback {
+		residual = nil
 	}
-	var scale float32
 	if bits == 1 {
-		var sum float64
-		for _, v := range g {
-			sum += math.Abs(float64(v))
+		if scale := float32(feedAbsSum(g, residual) / float64(len(g))); scale != 0 {
+			signComm(g, residual, scale)
 		}
-		scale = float32(sum / float64(len(g)))
-	} else {
-		for _, v := range g {
-			if a := float32(math.Abs(float64(v))); a > scale {
-				scale = a
-			}
-		}
+		return g
 	}
+	scale := FeedMaxAbs(g, residual)
 	if scale == 0 {
 		return g
 	}
-	if bits == 1 {
-		for j, v := range g {
-			q := scale
-			if v < 0 {
-				q = -scale
-			}
-			if errorFeedback {
-				residual[j] = v - q
-			}
-			g[j] = q
-		}
-		return g
-	}
 	levels := float32(int32(1)<<(bits-1)) - 1 // e.g. 127 for 8 bits
-	// Grid rounding proceeds one cache line of gradient at a time —
-	// 16 float32 values — mirroring the kernels' word-blocked layout: the
-	// loop-invariant scale/levels work is hoisted out of the element loop
-	// and each block is rounded, residual-corrected and health-counted as
-	// a unit. The per-element arithmetic is unchanged, so quantized values
-	// are bit-identical to the former elementwise loop.
-	const lineFloats = 16
-	for base := 0; base < len(g); base += lineFloats {
-		end := base + lineFloats
-		if end > len(g) {
-			end = len(g)
-		}
-		blk := g[base:end]
-		for o, v := range blk {
-			r := v / scale * levels
-			q := float32(math.Round(float64(r))) / levels * scale
-			if nc != nil {
-				if v != 0 && q == 0 {
-					nc.Underflows++
-				}
-				// Signed rounding error in grid steps: one quantum is
-				// scale/levels.
-				nc.BiasN++
-				nc.BiasSumQ += float64(q-v) * float64(levels) / float64(scale)
+	if residual != nil {
+		residual = residual[:len(g)]
+	}
+	for j, v := range g {
+		r := v / scale * levels
+		q := float32(math.Round(float64(r))) / levels * scale
+		if nc != nil {
+			if v != 0 && q == 0 {
+				nc.Underflows++
 			}
-			if errorFeedback {
-				residual[base+o] = v - q
-			}
-			blk[o] = q
+			// Signed rounding error in grid steps: one quantum is
+			// scale/levels.
+			nc.BiasN++
+			nc.BiasSumQ += float64(q-v) * float64(levels) / float64(scale)
 		}
+		if residual != nil {
+			residual[j] = v - q
+		}
+		g[j] = q
 	}
 	return g
 }
 
-// SyncLoss evaluates the configured problem's loss for external callers.
+// feedAbsSum adds the residual into g (when residual is non-nil) and
+// returns Σ|g[j]| in float64, summed in index order.
+func feedAbsSum(g, residual []float32) float64 {
+	var sum float64
+	if residual != nil {
+		residual = residual[:len(g)]
+	}
+	for j, v := range g {
+		if residual != nil {
+			v += residual[j]
+			g[j] = v
+		}
+		sum += math.Abs(float64(v))
+	}
+	return sum
+}
+
+// FeedMaxAbs adds the residual into g (when residual is non-nil) and
+// returns max|g[j]|; NaN coordinates never win. The sync engine's comm
+// grid and the cluster's wire codec both scale by it.
+func FeedMaxAbs(g, residual []float32) float32 {
+	var m float32
+	if residual != nil {
+		residual = residual[:len(g)]
+	}
+	for j, v := range g {
+		if residual != nil {
+			v += residual[j]
+			g[j] = v
+		}
+		if a := float32(math.Abs(float64(v))); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// signComm replaces each g[j] with +scale, or -scale where g[j] < 0, and
+// when residual is non-nil stores g[j] - q there. The sign is selected
+// without a branch: v < 0 holds exactly for the bit patterns from
+// 0x80000001 (the smallest negative subnormal) through 0xff800000 (-Inf),
+// so -0 and every NaN, whatever its sign bit, send +scale as the
+// comparison does.
+func signComm(g, residual []float32, scale float32) {
+	sb := math.Float32bits(scale)
+	if residual != nil {
+		residual = residual[:len(g)]
+	}
+	for j, v := range g {
+		q := math.Float32frombits(sb ^ negBit(v))
+		if residual != nil {
+			residual[j] = v - q
+		}
+		g[j] = q
+	}
+}
+
+// negBit is 1<<31 when v < 0 and 0 otherwise, computed without a branch.
+func negBit(v float32) uint32 {
+	x := uint64(math.Float32bits(v) - 0x80000001)
+	return uint32((x-0x7f800000)>>63) << 31
+}
+
+// SyncLoss evaluates the configured problem's loss for external callers,
+// on min(GOMAXPROCS, rows/1024) goroutines; metrics.Mean's value does not
+// depend on the count, bit for bit.
 func SyncLoss(p Problem, w []float32, ds *dataset.DenseSet) (float64, error) {
-	return metrics.Mean(p.loss(), w, ds.Raw, ds.Y, 1)
+	return metrics.Mean(p.loss(), w, ds.Raw, ds.Y, min(runtime.GOMAXPROCS(0), ds.Len()/1024))
 }
 
 // loss is the problem's per-example loss.

@@ -51,9 +51,10 @@ type BundleConfig struct {
 	// Prefix names the bundle files: <Prefix>-<reason>-<seq> + suffix
 	// (default "buckwild").
 	Prefix string
-	// Cooldown debounces triggers: a trigger within Cooldown of the last
-	// written bundle is counted, flight-logged, and dropped (default 1m;
-	// negative disables debouncing).
+	// Cooldown debounces triggers: a trigger within Cooldown of the end
+	// of the last bundle write, or while a write is in flight, is
+	// counted, flight-logged, and dropped (default 1m; negative disables
+	// debouncing).
 	Cooldown time.Duration
 	// MaxBundles bounds how many of this Bundler's bundles stay on disk;
 	// oldest are pruned after each write (default 8).
@@ -132,8 +133,11 @@ type section struct {
 type Bundler struct {
 	cfg BundleConfig
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// last is when the previous bundle write finished; writing is set
+	// while one is in flight.
 	last       time.Time
+	writing    bool
 	seq        uint64
 	suppressed uint64
 	sections   []section
@@ -168,9 +172,10 @@ func (b *Bundler) AddSection(name string, fn func() any) {
 	b.sections = append(b.sections, section{name: name, fn: fn})
 }
 
-// Trigger requests a bundle for an anomaly. Inside the cooldown window
-// of the previous bundle the trigger is counted and dropped (wrote is
-// false); otherwise a bundle is written and its path returned. Errors
+// Trigger requests a bundle for an anomaly. While a bundle is being
+// written, or inside the cooldown window after the previous write
+// finished, the trigger is counted and dropped (wrote is false);
+// otherwise a bundle is written and its path returned. Errors
 // are logged, flight-recorded and swallowed — an anomaly handler must
 // never die because evidence collection did. Nil-safe.
 func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
@@ -178,8 +183,7 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 		return "", false
 	}
 	b.mu.Lock()
-	now := time.Now()
-	if b.cfg.Cooldown > 0 && !b.last.IsZero() && now.Sub(b.last) < b.cfg.Cooldown {
+	if b.cfg.Cooldown > 0 && (b.writing || !b.last.IsZero() && time.Since(b.last) < b.cfg.Cooldown) {
 		b.suppressed++
 		n := b.suppressed
 		b.mu.Unlock()
@@ -187,7 +191,7 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 			map[string]string{"detail": detail, "suppressed": fmt.Sprint(n)})
 		return "", false
 	}
-	b.last = now
+	b.writing = true
 	b.seq++
 	seq := b.seq
 	supp := b.suppressed
@@ -201,6 +205,9 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 	name := fmt.Sprintf("%s-%s-%03d%s", b.cfg.Prefix, sanitizeReason(reason), seq, DebugBundleSuffix)
 	path = filepath.Join(b.cfg.Dir, name)
 	err := b.writeFile(path, reason, detail, seq, supp)
+	b.mu.Lock()
+	b.last, b.writing = time.Now(), false
+	b.mu.Unlock()
 	if err != nil {
 		if b.cfg.Logger != nil {
 			b.cfg.Logger.Warn("debug bundle write failed",

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -181,6 +182,53 @@ func TestBundleDebounce(t *testing.T) {
 	path, wrote := b.Trigger("stall", "third")
 	if !wrote {
 		t.Fatal("post-cooldown trigger suppressed")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	info, err := ReadBundle(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Manifest.Suppressed != 1 {
+		t.Errorf("manifest.Suppressed = %d, want 1", info.Manifest.Suppressed)
+	}
+}
+
+// TestBundleTriggerDuringWrite: a trigger that arrives while a bundle is
+// being written is suppressed, however short the cooldown, and counted in
+// the next bundle's manifest.
+func TestBundleTriggerDuringWrite(t *testing.T) {
+	dir := t.TempDir()
+	b, _ := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: time.Nanosecond})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	b.AddSection("stats/slow", func() any {
+		if calls.Add(1) == 1 { // only the first write stalls
+			close(entered)
+			<-release
+		}
+		return 1
+	})
+	first := make(chan bool)
+	go func() {
+		_, wrote := b.Trigger("stall", "first")
+		first <- wrote
+	}()
+	<-entered
+	if path, wrote := b.Trigger("stall", "during"); wrote {
+		t.Errorf("trigger during an in-flight write wrote %s", path)
+	}
+	close(release)
+	if !<-first {
+		t.Fatal("first trigger suppressed")
+	}
+	time.Sleep(time.Millisecond)
+	path, wrote := b.Trigger("stall", "after")
+	if !wrote {
+		t.Fatal("trigger after the write and its cooldown suppressed")
 	}
 	f, err := os.Open(path)
 	if err != nil {
