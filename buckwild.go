@@ -172,7 +172,7 @@ type (
 	// checkpoints, simulation phases) into a bounded in-memory ring and
 	// exports them as Chrome trace_event JSON (chrome://tracing,
 	// Perfetto). Create one with NewTracer and install it in a Config or
-	// SimOptions.
+	// ServeConfig.
 	Tracer = obs.Tracer
 	// Series records the windowed training time-series (per-window loss,
 	// throughput, gradient magnitude, mutex waits and a staleness
@@ -334,13 +334,11 @@ type Config struct {
 
 	// Hooks, when non-nil, receives per-epoch, sampled per-step and
 	// per-worker callbacks during training, and makes the engine fill
-	// Result.Stats. When unset the engine runs the bare algorithm — the
-	// only residual cost is one nil check per step.
+	// Result.Stats. Steps are sampled every obs.DefaultStepSample updates
+	// for both OnStep and the staleness histogram. When unset the engine
+	// runs the bare algorithm — the only residual cost is one nil check
+	// per step.
 	Hooks Hooks
-	// StepSample is the per-step sampling period for hooks and the
-	// staleness histogram; 0 means the default (see obs.DefaultStepSample),
-	// 1 samples every step.
-	StepSample int
 	// Tracer, when non-nil, records the run's coarse phases (the run,
 	// each epoch) as trace spans; export them with Tracer.WriteTrace.
 	// Nil traces nothing at no cost.
@@ -416,9 +414,6 @@ func (c Config) Validate() error {
 	if c.StepDecay < 0 {
 		return fmt.Errorf("buckwild: negative step decay %v", c.StepDecay)
 	}
-	if c.StepSample < 0 {
-		return fmt.Errorf("buckwild: negative step-sample period %d", c.StepSample)
-	}
 	return c.Cluster.Validate()
 }
 
@@ -469,7 +464,7 @@ type SparseDataset = dataset.SparseSet
 // it to the supervisor as is.
 func (c Config) observe() obs.Observer {
 	return obs.Observer{
-		Hooks: c.Hooks, StepSample: c.StepSample, Tracer: c.Tracer,
+		Hooks: c.Hooks, Tracer: c.Tracer,
 		Series: c.TimeSeries, NumHealth: c.NumHealth,
 	}
 }

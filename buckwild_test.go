@@ -1,6 +1,7 @@
 package buckwild
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -110,18 +111,18 @@ func TestRoundingOptions(t *testing.T) {
 }
 
 func TestSimulateThroughputFacade(t *testing.T) {
-	r8, err := SimulateThroughputOpts("D8M8", 1<<16, 1, SimOptions{})
+	r8, err := SimulateThroughput(context.Background(), "D8M8", 1<<16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := SimulateThroughputOpts("D32fM32f", 1<<16, 1, SimOptions{})
+	r32, err := SimulateThroughput(context.Background(), "D32fM32f", 1<<16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r8.GNPS <= r32.GNPS {
 		t.Errorf("8-bit (%v) should beat float (%v)", r8.GNPS, r32.GNPS)
 	}
-	if _, err := SimulateThroughputOpts("nope", 100, 1, SimOptions{}); err == nil {
+	if _, err := SimulateThroughput(context.Background(), "nope", 100, 1); err == nil {
 		t.Error("bad signature should fail")
 	}
 }
@@ -261,20 +262,16 @@ func TestTrainSyncFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := TrainSync(SyncConfig{
-		CommBits:       1,
-		Workers:        4,
-		BatchPerWorker: 4,
-		ErrorFeedback:  true,
-		Epochs:         4,
+		CommBits:      1,
+		Workers:       4,
+		ErrorFeedback: true,
+		Epochs:        4,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TrainLoss[len(res.TrainLoss)-1] >= res.TrainLoss[0]*0.9 {
 		t.Errorf("1-bit sync training did not converge: %v", res.TrainLoss)
-	}
-	if _, err := TrainSync(SyncConfig{Problem: "kmeans", CommBits: 8}, ds); err == nil {
-		t.Error("unknown problem should fail")
 	}
 	if _, err := TrainSync(SyncConfig{CommBits: 0}, ds); err == nil {
 		t.Error("zero CommBits should fail")
@@ -291,7 +288,6 @@ func TestConfigValidate(t *testing.T) {
 		{Epochs: -1},
 		{StepSize: -0.5},
 		{StepDecay: -1},
-		{StepSample: -3},
 	}
 	for i, cfg := range bad {
 		err := cfg.Validate()
@@ -366,61 +362,6 @@ func TestTypedProblemCompat(t *testing.T) {
 	if Problem("ridge").Valid() {
 		t.Error("ridge should be invalid")
 	}
-	// SyncConfig shares the typed problem.
-	if _, err := TrainSync(SyncConfig{Problem: "ridge"}, &DenseDataset{}); err == nil {
-		t.Error("bad sync problem accepted")
-	}
-}
-
-// TestSimOptionsZeroValueIdentity pins the zero-value contract documented
-// on SimOptions: the zero value is the same simulation as the defaults
-// spelled out.
-func TestSimOptionsZeroValueIdentity(t *testing.T) {
-	for sig, variant := range map[string]string{"D8M8": "handopt", "D4M4": "newinsn", "D8i16M8": "handopt"} {
-		base, err := SimulateThroughputOpts(sig, 1<<12, 4, SimOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := SimulateThroughputOpts(sig, 1<<12, 4, SimOptions{
-			Variant: variant, Rounding: UnbiasedShared, Density: 0.03, Prefetch: On, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.GNPS != opt.GNPS || base.CyclesPerRound != opt.CyclesPerRound {
-			t.Errorf("%s: zero SimOptions differ from the documented defaults: %v vs %v", sig, base.GNPS, opt.GNPS)
-		}
-	}
-}
-
-func TestSimOptionsVariants(t *testing.T) {
-	gen, err := SimulateThroughputOpts("D8M8", 1<<14, 1, SimOptions{Variant: "generic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := SimulateThroughputOpts("D8M8", 1<<14, 1, SimOptions{Variant: "handopt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hand.GNPS <= gen.GNPS {
-		t.Errorf("handopt (%.3f) should beat generic (%.3f)", hand.GNPS, gen.GNPS)
-	}
-	npf, err := SimulateThroughputOpts("D8M8", 1<<18, 1, SimOptions{Prefetch: Off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if npf.GNPS >= hand.GNPS*4 {
-		t.Errorf("prefetch-off result implausible: %.3f", npf.GNPS)
-	}
-	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Variant: "jit"}); err == nil {
-		t.Error("unknown variant accepted")
-	}
-	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Density: 2}); err == nil {
-		t.Error("bad density accepted")
-	}
-	if _, err := SimulateThroughputOpts("D8M8", 1<<12, 1, SimOptions{Rounding: UnbiasedHardware}); err != nil {
-		t.Errorf("hardware rounding: %v", err)
-	}
 }
 
 // facadeHooks counts callbacks through the re-exported aliases.
@@ -439,7 +380,7 @@ func TestFacadeObservability(t *testing.T) {
 	h := &facadeHooks{}
 	res, err := Train(Config{
 		Signature: "D8M8", Threads: 2, Epochs: 2, Seed: 3,
-		Hooks: h, StepSample: 1,
+		Hooks: h,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)

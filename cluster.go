@@ -55,7 +55,9 @@ type ClusterStats = obs.ClusterStats
 //
 // On the cluster, gradients cross the simulated interconnect quantized to
 // WireBits — the DMGC communication term extended across a network — and
-// every message's bytes are counted exactly into Result.Cluster.
+// every message's bytes are counted exactly into Result.Cluster. The
+// interconnect is a fixed 10 GbE-class fabric (50 µs latency, 1.25 GB/s
+// per NIC, 16-byte message headers) and each node computes at 1 GNPS.
 type ClusterConfig struct {
 	// Nodes is the simulated machine count; 0 and 1 both mean "no
 	// cluster" (single-machine training, today's behavior).
@@ -76,26 +78,11 @@ type ClusterConfig struct {
 	// parameter server: an update observed s model versions stale is
 	// applied with step/(1+alpha*s). Zero disables compensation.
 	StalenessAlpha float64
-	// LatencySec, BandwidthBps and HeaderBytes model the interconnect:
-	// every message costs Latency + bytes/Bandwidth simulated seconds and
-	// carries HeaderBytes of framing. Zero values select a 10 GbE-class
-	// default (50 µs, 1.25 GB/s, 16 bytes).
-	LatencySec   float64
-	BandwidthBps float64
-	HeaderBytes  int
-	// ComputeGNPS is the modeled per-node compute throughput in dataset
-	// numbers per second (default 1e9).
-	ComputeGNPS float64
 	// LiveMetrics, when non-nil, receives per-node update counts, wire
 	// bytes and staleness quantiles as the simulation runs, for scraping
 	// mid-run (it is an http.Handler and a serve PromWriter). Nil costs
 	// nothing.
 	LiveMetrics *ClusterMetrics
-	// TraceTIDBase offsets the cluster's trace track ids when a Tracer is
-	// installed, so several cluster runs can share one trace file without
-	// their per-node tracks colliding. Zero selects the default base
-	// (1000).
-	TraceTIDBase int
 }
 
 // enabled reports whether the config asks for multi-node training.
@@ -121,18 +108,6 @@ func (c ClusterConfig) Validate() error {
 	}
 	if c.StalenessAlpha < 0 {
 		return fmt.Errorf("buckwild: negative staleness compensation %v", c.StalenessAlpha)
-	}
-	if c.LatencySec < 0 {
-		return fmt.Errorf("buckwild: negative network latency %v", c.LatencySec)
-	}
-	if c.BandwidthBps < 0 {
-		return fmt.Errorf("buckwild: negative network bandwidth %v", c.BandwidthBps)
-	}
-	if c.HeaderBytes < 0 {
-		return fmt.Errorf("buckwild: negative header size %d", c.HeaderBytes)
-	}
-	if c.ComputeGNPS < 0 {
-		return fmt.Errorf("buckwild: negative compute throughput %v", c.ComputeGNPS)
 	}
 	return nil
 }
@@ -185,14 +160,7 @@ func (c Config) clusterConfig(cc core.Config) (cluster.Config, error) {
 		Epochs:         c.Epochs,
 		Seed:           c.Seed,
 		StalenessAlpha: c.Cluster.StalenessAlpha,
-		ComputeGNPS:    c.Cluster.ComputeGNPS,
-		Net: cluster.NetConfig{
-			LatencySec:  c.Cluster.LatencySec,
-			Bandwidth:   c.Cluster.BandwidthBps,
-			HeaderBytes: c.Cluster.HeaderBytes,
-		},
-		Ctx:          c.Context,
-		Observer:     cc.Observer,
-		TraceTIDBase: c.Cluster.TraceTIDBase,
+		Ctx:            c.Context,
+		Observer:       cc.Observer,
 	}, nil
 }

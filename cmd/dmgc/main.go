@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -182,7 +183,7 @@ func simulate(args []string) {
 	if err := fs.Parse(args[1:]); err != nil {
 		fatal(err)
 	}
-	r, err := buckwild.SimulateThroughputOpts(sigText, *n, *threads, buckwild.SimOptions{})
+	r, err := buckwild.SimulateThroughput(context.Background(), sigText, *n, *threads)
 	if err != nil {
 		fatal(err)
 	}

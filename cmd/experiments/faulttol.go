@@ -57,8 +57,8 @@ func runFaultTol(quick bool) error {
 		return err
 	}
 	rep, err := run.Train(runCtx, run.Config{
-		Dir: dir, Every: 1, Keep: 2,
-		MaxRetries: 3, Backoff: time.Millisecond, BackoffCap: 10 * time.Millisecond,
+		Dir: dir, Every: 1,
+		MaxRetries: 3, Backoff: time.Millisecond,
 		Faults: plan,
 		// The supervisor doesn't read the context tracer itself (its
 		// callers pass one explicitly), so thread -trace's through.

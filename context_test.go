@@ -61,7 +61,7 @@ func TestTrainSyncContextCancel(t *testing.T) {
 }
 
 func TestSimulateThroughputContextCancel(t *testing.T) {
-	_, err := SimulateThroughputOpts("D8M8", 1024, 2, SimOptions{Context: cancelledCtx()})
+	_, err := SimulateThroughput(cancelledCtx(), "D8M8", 1024, 2)
 	assertFacadeCancel(t, err, context.Canceled)
 }
 
@@ -74,10 +74,12 @@ func TestContextCancelMidRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	hooks := &cancelAfterSteps{n: 100, cancel: cancel}
+	// OnStep sees every obs.DefaultStepSample-th update, so the second
+	// sampled step is update 128, in the second epoch.
+	hooks := &cancelAfterSteps{n: 2, cancel: cancel}
 	_, err = Train(Config{
 		Signature: "D8M8", Epochs: 1000, Context: ctx,
-		Hooks: hooks, StepSample: 1,
+		Hooks: hooks,
 	}, ds)
 	assertFacadeCancel(t, err, context.Canceled)
 }

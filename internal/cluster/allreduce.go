@@ -103,7 +103,7 @@ func (e *engine) runAllReduce() (*core.Result, error) {
 					end = nd.hi
 				}
 				e.accumGrad(w, nd.g, lo, end)
-				dt := cfg.computeSeconds(end-lo, n)
+				dt := computeSeconds(end-lo, n)
 				computeSec += dt
 				e.perNode[ki].ComputeSeconds += dt
 				curCompute[ki] = dt

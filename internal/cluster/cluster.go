@@ -62,8 +62,8 @@ func (p Protocol) String() string {
 }
 
 // DefaultComputeGNPS is the modeled per-node compute throughput (dataset
-// numbers per second) when Config.ComputeGNPS is zero — a 1 GNPS node,
-// the order of the paper's single-thread full-precision baseline.
+// numbers per second) — a 1 GNPS node, the order of the paper's
+// single-thread full-precision baseline.
 const DefaultComputeGNPS = 1e9
 
 // Config configures a simulated cluster training run.
@@ -95,11 +95,6 @@ type Config struct {
 	// observed s model updates stale is applied with eta/(1+alpha*s).
 	// Zero disables compensation.
 	StalenessAlpha float64
-	// ComputeGNPS is the modeled per-node compute throughput in dataset
-	// numbers per second (zero selects DefaultComputeGNPS).
-	ComputeGNPS float64
-	// Net models the interconnect.
-	Net NetConfig
 	// Ctx, when non-nil, bounds the run: it is checked between simulated
 	// events/rounds, and cancellation returns context.Cause(Ctx).
 	Ctx context.Context
@@ -150,18 +145,12 @@ func (c *Config) fill() error {
 	if c.StalenessAlpha < 0 {
 		return fmt.Errorf("cluster: negative staleness compensation %v", c.StalenessAlpha)
 	}
-	if c.ComputeGNPS < 0 {
-		return fmt.Errorf("cluster: negative compute throughput %v", c.ComputeGNPS)
-	}
-	if c.ComputeGNPS == 0 {
-		c.ComputeGNPS = DefaultComputeGNPS
-	}
-	return c.Net.fill()
+	return nil
 }
 
 // computeSeconds models a node processing examples of dimension dim.
-func (c *Config) computeSeconds(examples, dim int) float64 {
-	return float64(examples) * float64(dim) / c.ComputeGNPS
+func computeSeconds(examples, dim int) float64 {
+	return float64(examples) * float64(dim) / DefaultComputeGNPS
 }
 
 // etaAt replays the per-epoch decay schedule.
@@ -258,7 +247,6 @@ type engine struct {
 
 func newEngine(cfg *Config, ds *dataset.DenseSet) (*engine, error) {
 	e := &engine{cfg: cfg, ds: ds, dots: make([]float32, cfg.BatchPerNode)}
-	e.meter.net = &cfg.Net
 	e.stats.Nodes = cfg.Nodes
 	e.stats.Protocol = cfg.Protocol.String()
 	e.stats.WireBits = cfg.WireBits
@@ -314,7 +302,7 @@ func (e *engine) accumGrad(w, g []float32, lo, hi int) {
 // simulated transfer seconds) to node k, in the per-node snapshot and
 // the live Prometheus collector.
 func (e *engine) nodeSent(k, payload int, dt float64) {
-	bytes := uint64(e.cfg.Net.HeaderBytes + payload)
+	bytes := uint64(DefaultHeaderBytes + payload)
 	e.perNode[k].WireBytes += bytes
 	e.perNode[k].CommSeconds += dt
 	e.live.AddWireBytes(k, bytes)

@@ -330,10 +330,6 @@ func TestValidation(t *testing.T) {
 		{Nodes: 2, WireBits: 32, StepSize: 0.1, StalenessAlpha: -1},
 		{Nodes: 2, WireBits: 32, StepSize: 0.1, BatchPerNode: -1},
 		{Nodes: 2, WireBits: 32, StepSize: 0.1, StepDecay: 2},
-		{Nodes: 2, WireBits: 32, StepSize: 0.1, ComputeGNPS: -1},
-		{Nodes: 2, WireBits: 32, StepSize: 0.1, Net: NetConfig{LatencySec: -1}},
-		{Nodes: 2, WireBits: 32, StepSize: 0.1, Net: NetConfig{Bandwidth: -1}},
-		{Nodes: 2, WireBits: 32, StepSize: 0.1, Net: NetConfig{HeaderBytes: -1}},
 	}
 	for i, cfg := range bad {
 		cfg.Problem = core.Logistic

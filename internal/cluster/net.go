@@ -1,61 +1,24 @@
 package cluster
 
-import (
-	"fmt"
+import "buckwild/internal/obs"
 
-	"buckwild/internal/obs"
-)
-
-// Interconnect defaults: a 10 GbE-class fabric (50 µs one-way latency,
+// The interconnect: a 10 GbE-class fabric (50 µs one-way latency,
 // 1.25 GB/s per-NIC bandwidth) and a 16-byte message header carrying
 // source node, message kind, round number and payload length — the wire
-// format contract documented in DESIGN.md §11.
+// format contract documented in DESIGN.md §11. Every message costs
+// Latency + bytes/Bandwidth simulated seconds, where bytes is the exact
+// framed size (header + payload); nodes send serially through one NIC
+// but distinct nodes transfer in parallel.
 const (
 	DefaultLatencySec  = 50e-6
 	DefaultBandwidth   = 1.25e9 // bytes per second per NIC
 	DefaultHeaderBytes = 16
 )
 
-// NetConfig models the cluster interconnect. Every message costs
-// Latency + bytes/Bandwidth simulated seconds, where bytes is the exact
-// framed size (header + payload); nodes send serially through one NIC
-// but distinct nodes transfer in parallel. Zero values select the
-// defaults above.
-type NetConfig struct {
-	// LatencySec is the one-way per-message latency in seconds.
-	LatencySec float64
-	// Bandwidth is the per-NIC bandwidth in bytes per second.
-	Bandwidth float64
-	// HeaderBytes is the fixed framing overhead per message.
-	HeaderBytes int
-}
-
-func (n *NetConfig) fill() error {
-	if n.LatencySec == 0 {
-		n.LatencySec = DefaultLatencySec
-	}
-	if n.Bandwidth == 0 {
-		n.Bandwidth = DefaultBandwidth
-	}
-	if n.HeaderBytes == 0 {
-		n.HeaderBytes = DefaultHeaderBytes
-	}
-	if n.LatencySec < 0 {
-		return fmt.Errorf("cluster: negative network latency %v", n.LatencySec)
-	}
-	if n.Bandwidth < 0 {
-		return fmt.Errorf("cluster: negative network bandwidth %v", n.Bandwidth)
-	}
-	if n.HeaderBytes < 0 {
-		return fmt.Errorf("cluster: negative header size %d", n.HeaderBytes)
-	}
-	return nil
-}
-
 // sendSeconds is the simulated transfer time of one framed message of
 // payload bytes.
-func (n *NetConfig) sendSeconds(payload int) float64 {
-	return n.LatencySec + float64(n.HeaderBytes+payload)/n.Bandwidth
+func sendSeconds(payload int) float64 {
+	return DefaultLatencySec + float64(DefaultHeaderBytes+payload)/DefaultBandwidth
 }
 
 // wireMeter accumulates the exact byte accounting of a run. Every
@@ -63,7 +26,6 @@ func (n *NetConfig) sendSeconds(payload int) float64 {
 // ClusterStats invariant WireBytes == HeaderBytes + GradBytes + ModelBytes
 // holds by construction.
 type wireMeter struct {
-	net        *NetConfig
 	messages   uint64
 	headerB    uint64
 	gradB      uint64
@@ -76,26 +38,26 @@ type wireMeter struct {
 // request) and returns its transfer time.
 func (m *wireMeter) countControl() float64 {
 	m.messages++
-	m.headerB += uint64(m.net.HeaderBytes)
-	return m.net.sendSeconds(0)
+	m.headerB += DefaultHeaderBytes
+	return sendSeconds(0)
 }
 
 // countGrad records a gradient-carrying message of payload bytes.
 func (m *wireMeter) countGrad(payload int) float64 {
 	m.messages++
 	m.gradPushes++
-	m.headerB += uint64(m.net.HeaderBytes)
+	m.headerB += DefaultHeaderBytes
 	m.gradB += uint64(payload)
-	return m.net.sendSeconds(payload)
+	return sendSeconds(payload)
 }
 
 // countModel records a model-carrying message of payload bytes.
 func (m *wireMeter) countModel(payload int) float64 {
 	m.messages++
 	m.modelPulls++
-	m.headerB += uint64(m.net.HeaderBytes)
+	m.headerB += DefaultHeaderBytes
 	m.modelB += uint64(payload)
-	return m.net.sendSeconds(payload)
+	return sendSeconds(payload)
 }
 
 // fillStats writes the meter's totals into a ClusterStats snapshot.

@@ -135,7 +135,7 @@ func (e *engine) runParamServer() (*core.Result, error) {
 				st.span("serve-pull", st.serverTID(), ev.t, ev.t+dt,
 					map[string]string{"node": fmt.Sprint(ev.node)})
 				st.span("model-xfer", st.commTID(ev.node), ev.t, ev.t+dt,
-					map[string]string{"bytes": fmt.Sprint(cfg.Net.HeaderBytes + modelPayload)})
+					map[string]string{"bytes": fmt.Sprint(DefaultHeaderBytes + modelPayload)})
 				st.flowPair("model", st.serverTID(), ev.t, st.commTID(ev.node), ev.t+dt)
 			}
 			schedule(ev.t+dt, evModel, ev.node)
@@ -146,7 +146,7 @@ func (e *engine) runParamServer() (*core.Result, error) {
 				end = nd.hi
 			}
 			e.accumGrad(nd.w, nd.g, nd.next, end)
-			dt := cfg.computeSeconds(end-nd.next, n)
+			dt := computeSeconds(end-nd.next, n)
 			computeSec += dt
 			e.perNode[ev.node].ComputeSeconds += dt
 			batch := end - nd.next
@@ -169,7 +169,7 @@ func (e *engine) runParamServer() (*core.Result, error) {
 					"wire_bits": fmt.Sprint(cfg.WireBits), "payload_bytes": fmt.Sprint(payload),
 				})
 				st.span("push", st.commTID(ev.node), ev.t+dt, ev.t+dt+ct,
-					map[string]string{"bytes": fmt.Sprint(cfg.Net.HeaderBytes + payload)})
+					map[string]string{"bytes": fmt.Sprint(DefaultHeaderBytes + payload)})
 				st.flowPair("grad", st.commTID(ev.node), ev.t+dt, st.serverTID(), ev.t+dt+ct)
 			}
 			schedule(ev.t+dt+ct, evPush, ev.node)
@@ -201,7 +201,7 @@ func (e *engine) runParamServer() (*core.Result, error) {
 				replyEnd = ev.t + dt
 				if st := e.st; st != nil {
 					st.span("model-xfer", st.commTID(ev.node), ev.t, replyEnd,
-						map[string]string{"bytes": fmt.Sprint(cfg.Net.HeaderBytes + modelPayload)})
+						map[string]string{"bytes": fmt.Sprint(DefaultHeaderBytes + modelPayload)})
 					st.flowPair("model", st.serverTID(), ev.t, st.commTID(ev.node), replyEnd)
 				}
 				schedule(replyEnd, evModel, ev.node)

@@ -30,10 +30,6 @@ type DenseConfig struct {
 	// Rounding selects how the dataset is quantized (Section 3: the
 	// dataset is quantized once, up front).
 	Rounding fixed.Rounding
-	// Margin scales the true model so that |<x, w*>| has a useful
-	// spread; labels are Bernoulli(sigmoid(margin-scaled dot)). Zero
-	// selects a default of 8/sqrt(N).
-	Margin float64
 	// Regression switches label generation to y = <x, w*> + noise,
 	// for linear-regression workloads.
 	Regression bool
@@ -93,10 +89,9 @@ func genDense(cfg DenseConfig, workers int) (*DenseSet, error) {
 		return nil, fmt.Errorf("dataset: need positive N and M, got %d, %d", cfg.N, cfg.M)
 	}
 	g := prng.NewXorshift128(cfg.Seed ^ 0xDA7A5E7)
-	margin := cfg.Margin
-	if margin == 0 {
-		margin = 8 / math.Sqrt(float64(cfg.N))
-	}
+	// The margin scales the true model so that |<x, w*>| has a useful
+	// spread; labels are Bernoulli(sigmoid(margin-scaled dot)).
+	margin := 8 / math.Sqrt(float64(cfg.N))
 	d := &DenseSet{
 		N:     cfg.N,
 		X:     make([]kernels.Vec, cfg.M),
@@ -201,7 +196,6 @@ type SparseConfig struct {
 	// IdxBits is the stored index precision (8, 16 or 32).
 	IdxBits  uint
 	Rounding fixed.Rounding
-	Margin   float64
 	Seed     uint64
 }
 
@@ -254,10 +248,7 @@ func GenSparse(cfg SparseConfig) (*SparseSet, error) {
 		nnz = 1
 	}
 	g := prng.NewXorshift128(cfg.Seed ^ 0x5BA25E)
-	margin := cfg.Margin
-	if margin == 0 {
-		margin = 8 / math.Sqrt(cfg.Density*float64(cfg.N))
-	}
+	margin := 8 / math.Sqrt(cfg.Density*float64(cfg.N))
 	d := &SparseSet{
 		N:       cfg.N,
 		IdxBits: cfg.IdxBits,

@@ -27,9 +27,7 @@ type DigitsConfig struct {
 	W, H    int
 	Classes int
 	Train   int // number of samples to generate
-	// Noise is the pixel noise amplitude (default 0.25).
-	Noise float64
-	Seed  uint64
+	Seed    uint64
 }
 
 // GenDigits generates a synthetic digit dataset.
@@ -37,10 +35,7 @@ func GenDigits(cfg DigitsConfig) (*Digits, error) {
 	if cfg.W <= 0 || cfg.H <= 0 || cfg.Classes <= 0 || cfg.Train <= 0 {
 		return nil, fmt.Errorf("dataset: GenDigits: all dimensions must be positive")
 	}
-	noise := cfg.Noise
-	if noise == 0 {
-		noise = 0.25
-	}
+	noise := 0.25 // pixel noise amplitude
 	g := prng.NewXorshift128(cfg.Seed ^ 0xD161757)
 	protos := make([][]float32, cfg.Classes)
 	for c := range protos {

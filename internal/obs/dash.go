@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -31,9 +30,6 @@ type DashConfig struct {
 	Serve   func() *ServeStats
 	// Interval is the SSE push cadence (default 1s).
 	Interval time.Duration
-	// Logger, when non-nil, gets a Debug line per SSE client connect and
-	// disconnect.
-	Logger *slog.Logger
 }
 
 // Dash serves the live dashboard page and its SSE event feed.
@@ -108,9 +104,6 @@ func (d *Dash) Events(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
-	if d.cfg.Logger != nil {
-		d.cfg.Logger.Debug("dash client connected", slog.String("remote", r.RemoteAddr))
-	}
 	send := func() bool {
 		data, err := json.Marshal(d.snapshot())
 		if err != nil {
@@ -130,9 +123,6 @@ func (d *Dash) Events(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
-			if d.cfg.Logger != nil {
-				d.cfg.Logger.Debug("dash client gone", slog.String("remote", r.RemoteAddr))
-			}
 			return
 		case <-tick.C:
 			if !send() {

@@ -13,11 +13,16 @@ import (
 // request's header block, so a client that dribbles a header cannot hold
 // a connection (and its goroutine) forever. On a new connection the clock
 // starts at accept; on a keep-alive connection it starts when the next
-// request's first bytes arrive, so idle gaps do not count, and no body or
-// idle timeout is set: idle keep-alive connections stay open. Every HTTP
-// server in the tree (the debug endpoint here and the serving daemon)
-// reads it.
+// request's first bytes arrive, so idle gaps do not count. No body
+// timeout is set. Every HTTP server in the tree (the debug endpoint here
+// and the serving daemon) reads it and IdleTimeout.
 const ReadHeaderTimeout = 5 * time.Second
+
+// IdleTimeout closes a keep-alive connection that has carried no request
+// for this long, so idle clients cannot pin connections forever. It stays
+// above net/http's client IdleConnTimeout (90 s): a Go client closes an
+// idle connection first, so a request never races a server-side close.
+const IdleTimeout = 2 * time.Minute
 
 // WriteJSON marshals v with indentation and writes it to path, creating
 // or truncating the file. It is the shared exporter behind the commands'
@@ -65,7 +70,9 @@ func ServeDebug(addr string, metrics http.Handler, extra map[string]http.Handler
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}}
+	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{
+		Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout,
+	}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

@@ -200,3 +200,20 @@ func TestServeDebug(t *testing.T) {
 		t.Errorf("connection dropped after %v, before the %v header timeout", held, ReadHeaderTimeout)
 	}
 }
+
+// TestServeDebugTimeouts checks the debug endpoint carries both
+// connection timeouts, and that the idle one outlasts the Go client's own
+// idle-connection timeout.
+func TestServeDebugTimeouts(t *testing.T) {
+	s, err := ServeDebug("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Skipf("cannot listen: %v", err)
+	}
+	defer s.Close()
+	if s.srv.ReadHeaderTimeout != ReadHeaderTimeout || s.srv.IdleTimeout != IdleTimeout {
+		t.Errorf("timeouts: read-header %v, idle %v", s.srv.ReadHeaderTimeout, s.srv.IdleTimeout)
+	}
+	if client := http.DefaultTransport.(*http.Transport).IdleConnTimeout; IdleTimeout <= client {
+		t.Errorf("IdleTimeout %v does not outlast the client's %v", IdleTimeout, client)
+	}
+}

@@ -17,12 +17,7 @@
 package run
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -112,15 +107,10 @@ func (ck *Checkpoint) Weights() ([]float32, error) {
 	}
 }
 
-// Checkpoint files are framed as
-//
-//	magic[4] | version[1] | crc32[4] | payloadLen[8] | payload
-//
-// with the CRC (IEEE, big-endian) covering the gob-encoded payload. The
-// first magic byte 0xBF can never begin a gob stream, so the frame is
-// unambiguous. The CRC is what makes the corrupt-write fault injectable
-// and torn writes detectable: LoadLatest verifies it and falls back to
-// the previous checkpoint on mismatch.
+// Checkpoint files use the shared frame (see EncodeFrame) under their own
+// magic. The CRC is what makes the corrupt-write fault injectable and
+// torn writes detectable: LoadLatest verifies it and falls back to the
+// previous checkpoint on mismatch.
 var ckptMagic = [4]byte{0xBF, 'B', 'K', 'P'}
 
 const (
@@ -144,34 +134,23 @@ func WriteCheckpoint(dir string, ck *Checkpoint) (string, int64, error) {
 }
 
 // writeCheckpoint is WriteCheckpoint plus the corrupt-write fault: when
-// corrupt is set, one payload byte is flipped after the CRC is computed,
-// producing exactly the torn-write artifact the loader must survive.
+// corrupt is set, one payload byte is flipped after framing, producing
+// exactly the torn-write artifact the loader must survive.
 func writeCheckpoint(dir string, ck *Checkpoint, corrupt bool) (string, int64, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
+	frame, err := EncodeFrame(ckptMagic, ckptVersion, ck)
+	if err != nil {
 		return "", 0, fmt.Errorf("run: encoding checkpoint: %w", err)
 	}
-	p := payload.Bytes()
-	sum := crc32.ChecksumIEEE(p)
-	if corrupt && len(p) > 0 {
+	if p := frame[frameHeader:]; corrupt && len(p) > 0 {
 		p[len(p)/2] ^= 0xFF
 	}
-
-	var frame bytes.Buffer
-	frame.Write(ckptMagic[:])
-	frame.WriteByte(ckptVersion)
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:4], sum)
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(len(p)))
-	frame.Write(hdr[:])
-	frame.Write(p)
 
 	tmp, err := os.CreateTemp(dir, ".tmp-"+ckptPrefix+"*")
 	if err != nil {
 		return "", 0, fmt.Errorf("run: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(frame.Bytes()); err != nil {
+	if _, err := tmp.Write(frame); err != nil {
 		tmp.Close()
 		return "", 0, fmt.Errorf("run: writing checkpoint: %w", err)
 	}
@@ -186,7 +165,7 @@ func writeCheckpoint(dir string, ck *Checkpoint, corrupt bool) (string, int64, e
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", 0, fmt.Errorf("run: publishing checkpoint: %w", err)
 	}
-	return path, int64(frame.Len()), nil
+	return path, int64(len(frame)), nil
 }
 
 // ReadCheckpoint reads and validates one checkpoint file.
@@ -196,32 +175,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("run: %w", err)
 	}
 	defer f.Close()
-	var head [17]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return nil, fmt.Errorf("run: %s: truncated checkpoint header", path)
-	}
-	if !bytes.Equal(head[:4], ckptMagic[:]) {
-		return nil, fmt.Errorf("run: %s: not a checkpoint file", path)
-	}
-	if head[4] != ckptVersion {
-		return nil, fmt.Errorf("run: %s: unsupported checkpoint version %d", path, head[4])
-	}
-	sum := binary.BigEndian.Uint32(head[5:9])
-	n := binary.BigEndian.Uint64(head[9:17])
-	const maxPayload = 1 << 32
-	if n > maxPayload {
-		return nil, fmt.Errorf("run: %s: implausible checkpoint payload size %d", path, n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(f, p); err != nil {
-		return nil, fmt.Errorf("run: %s: truncated checkpoint payload", path)
-	}
-	if got := crc32.ChecksumIEEE(p); got != sum {
-		return nil, fmt.Errorf("run: %s: checkpoint CRC mismatch (stored %08x, computed %08x)", path, sum, got)
-	}
 	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("run: %s: decoding checkpoint: %w", path, err)
+	if err := DecodeFrame(f, ckptMagic, ckptVersion, "checkpoint", &ck); err != nil {
+		return nil, fmt.Errorf("run: %s: %w", path, err)
 	}
 	return &ck, nil
 }
@@ -264,18 +220,14 @@ func LoadLatest(dir string) (ck *Checkpoint, path string, skipped int, err error
 	return nil, "", skipped, nil
 }
 
-// pruneCheckpoints removes all but the newest keep checkpoint files. The
-// supervisor always keeps at least two, so a checkpoint corrupted on
-// disk still leaves a fallback.
-func pruneCheckpoints(dir string, keep int) {
-	if keep < 1 {
-		keep = 1
-	}
+// pruneCheckpoints removes all but the newest keepCheckpoints files, so a
+// checkpoint corrupted on disk still leaves a fallback.
+func pruneCheckpoints(dir string) {
 	names, err := listCheckpoints(dir)
-	if err != nil || len(names) <= keep {
+	if err != nil || len(names) <= keepCheckpoints {
 		return
 	}
-	for _, name := range names[:len(names)-keep] {
+	for _, name := range names[:len(names)-keepCheckpoints] {
 		os.Remove(name)
 	}
 }

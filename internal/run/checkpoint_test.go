@@ -1,6 +1,8 @@
 package run
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -138,7 +140,7 @@ func TestPruneCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pruneCheckpoints(dir, 2)
+	pruneCheckpoints(dir)
 	names, err := listCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -146,5 +148,30 @@ func TestPruneCheckpoints(t *testing.T) {
 	want := []string{ckptPath(dir, 4), ckptPath(dir, 5)}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("after prune: %v, want %v", names, want)
+	}
+}
+
+// TestCheckpointFramePinned pins the exact bytes of a checkpoint file, and
+// of one written under the corrupt-write fault, from fixed inputs: the
+// frame layout, the gob payload and the flipped byte's position.
+func TestCheckpointFramePinned(t *testing.T) {
+	for _, tc := range []struct {
+		corrupt bool
+		want    string
+	}{
+		{false, "628fbaa5c46f5dd2e40841d58016f15d22ce2b18958ee01e40d766b36a41a43d"},
+		{true, "415c93509402b325174e753349f4e645ee9fb701a674a8f632140bf24c332be9"},
+	} {
+		path, _, err := writeCheckpoint(t.TempDir(), mkCkpt(4), tc.corrupt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("corrupt=%v: checkpoint digest %s, want %s", tc.corrupt, got, tc.want)
+		}
 	}
 }

@@ -3,12 +3,9 @@ package run
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-
-	"buckwild/internal/prng"
 )
 
 // Fault-injection errors. They surface as the cause of the attempt's
@@ -164,29 +161,6 @@ func ParsePlan(spec string) (*Plan, error) {
 		}
 	}
 	return &p, nil
-}
-
-// GeneratePlan derives a pseudo-random schedule of n faults from a seed:
-// crash and corrupt faults spread over maxStep model updates and the
-// first few checkpoint writes. The same seed always produces the same
-// schedule — "chaos testing" whose chaos is replayable in CI. Stalls are
-// excluded because their detection is a wall-clock mechanism; inject
-// them explicitly when the watchdog is configured.
-func GeneratePlan(seed uint64, n int, maxStep uint64) *Plan {
-	if n <= 0 || maxStep == 0 {
-		return nil
-	}
-	rng := prng.NewXorshift64(seed | 1)
-	var p Plan
-	for i := 0; i < n; i++ {
-		if rng.Uint64()%4 == 0 {
-			p.Faults = append(p.Faults, Fault{Kind: FaultCorrupt, Checkpoint: int(rng.Uint64()%4) + 1})
-		} else {
-			p.Faults = append(p.Faults, Fault{Kind: FaultCrash, Step: rng.Uint64()%maxStep + 1})
-		}
-	}
-	sort.Slice(p.Faults, func(i, j int) bool { return p.Faults[i].Step < p.Faults[j].Step })
-	return &p
 }
 
 // injector arms a plan for one supervised run: it tracks which faults

@@ -49,23 +49,6 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
-func TestGeneratePlanDeterministic(t *testing.T) {
-	a := GeneratePlan(123, 4, 1000)
-	b := GeneratePlan(123, 4, 1000)
-	if a.String() != b.String() {
-		t.Fatalf("same seed, different plans: %q vs %q", a, b)
-	}
-	if len(a.Faults) != 4 {
-		t.Fatalf("want 4 faults, got %v", a)
-	}
-	if c := GeneratePlan(124, 4, 1000); c.String() == a.String() {
-		t.Fatalf("different seeds produced identical plan %q", c)
-	}
-	if GeneratePlan(1, 0, 1000) != nil || GeneratePlan(1, 3, 0) != nil {
-		t.Fatal("degenerate GeneratePlan arguments should yield nil")
-	}
-}
-
 func TestInjectorFiresOnce(t *testing.T) {
 	p, err := ParsePlan("crash@step=3,corrupt@ckpt=2")
 	if err != nil {

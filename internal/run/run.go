@@ -13,6 +13,16 @@ import (
 	"buckwild/internal/obs"
 )
 
+// The supervisor's fixed policy. It keeps the two newest checkpoints, so
+// a corrupted newest one still leaves a fallback. The retry backoff
+// doubles up to backoffCap. After degradeAfter consecutive stall failures
+// a run restarts with one worker fewer, never below one.
+const (
+	keepCheckpoints = 2
+	backoffCap      = 5 * time.Second
+	degradeAfter    = 2
+)
+
 // Config configures the supervisor around one training job. Zero values
 // select conservative defaults; only Dir is required.
 type Config struct {
@@ -24,28 +34,19 @@ type Config struct {
 	// Every is the checkpoint period in epochs (default 1). The final
 	// epoch is always checkpointed.
 	Every int
-	// Keep is how many checkpoint files to retain (default 2, so a
-	// corrupted newest checkpoint still leaves a fallback).
-	Keep int
 	// MaxRetries bounds how many times a failed attempt is retried
 	// (default 3). Only crashes and detected stalls are retried;
 	// configuration and I/O errors fail immediately.
 	MaxRetries int
 	// Backoff is the delay before the first retry (default 50ms); it
-	// doubles per consecutive failure, capped at BackoffCap (default 5s).
-	Backoff    time.Duration
-	BackoffCap time.Duration
+	// doubles per consecutive failure, capped at 5s.
+	Backoff time.Duration
 	// StallTimeout arms the watchdog: if no run progress (steps, epochs,
 	// checkpoints) is observed for this long, the attempt is cancelled
 	// with ErrStallDetected and retried. Zero disables the watchdog
 	// unless the fault plan injects stalls, in which case it defaults to
 	// 500ms. Choose a value comfortably above one epoch's duration.
 	StallTimeout time.Duration
-	// DegradeAfter is how many consecutive stall failures trigger
-	// graceful degradation — restarting with one worker fewer (default
-	// 2). MinThreads floors the degradation (default 1).
-	DegradeAfter int
-	MinThreads   int
 	// Faults is the deterministic fault-injection schedule; nil injects
 	// nothing.
 	Faults *Plan
@@ -90,9 +91,6 @@ func (c *Config) fill() error {
 	if c.Every < 1 {
 		c.Every = 1
 	}
-	if c.Keep < 1 {
-		c.Keep = 2
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
 	}
@@ -102,17 +100,8 @@ func (c *Config) fill() error {
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 5 * time.Second
-	}
 	if c.StallTimeout <= 0 && c.Faults.hasStalls() {
 		c.StallTimeout = 500 * time.Millisecond
-	}
-	if c.DegradeAfter < 1 {
-		c.DegradeAfter = 2
-	}
-	if c.MinThreads < 1 {
-		c.MinThreads = 1
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -155,9 +144,6 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 	threads := tc.Threads
 	if threads < 1 {
 		threads = 1
-	}
-	if cfg.MinThreads > threads {
-		cfg.MinThreads = threads
 	}
 
 	inj := newInjector(cfg.Faults)
@@ -254,7 +240,7 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 			cfg.Flight.Record("run", "checkpoint", "checkpoint saved", map[string]string{
 				"epoch": fmt.Sprint(st.Epoch), "bytes": fmt.Sprint(n), "path": path,
 			})
-			pruneCheckpoints(cfg.Dir, cfg.Keep)
+			pruneCheckpoints(cfg.Dir)
 			if lifecycle != nil {
 				lifecycle.OnCheckpoint(obs.CheckpointInfo{Epoch: st.Epoch, Path: path, Bytes: n})
 			}
@@ -303,7 +289,7 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 			stats.StallsDetected++
 			stalls++
 			cfg.Bundle.Trigger("stall", fmt.Sprintf("attempt %d: %v", attempt, err))
-			if stalls >= cfg.DegradeAfter && threads > cfg.MinThreads {
+			if stalls >= degradeAfter && threads > 1 {
 				threads--
 				stalls = 0
 				stats.Degradations++
@@ -358,8 +344,8 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 		backoffSpan := tracer.Begin("run", "backoff", 0)
 		cfg.Sleep(backoff)
 		backoffSpan.EndArgs(map[string]string{"backoff": backoff.String()})
-		if backoff *= 2; backoff > cfg.BackoffCap {
-			backoff = cfg.BackoffCap
+		if backoff *= 2; backoff > backoffCap {
+			backoff = backoffCap
 		}
 	}
 }

@@ -146,15 +146,19 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	}
 }
 
-// TestStallDegrade hangs a worker, expects the watchdog to cancel the
-// attempt, and the supervisor to degrade to fewer workers and finish.
+// TestStallDegrade hangs a worker in two successive attempts, expects the
+// watchdog to cancel each, and the supervisor to degrade to one worker
+// fewer after the second and finish.
 func TestStallDegrade(t *testing.T) {
 	ds := testDense(t)
 	tc := testTrainConfig(3)
 	tc.Sharing = core.Locked
 	tc.Threads = 2
 
-	plan, err := ParsePlan("stall@step=60")
+	// Both stalls land mid-epoch 0, before any checkpoint: each attempt
+	// restarts from scratch and counts its steps from 1, so the second
+	// stall fires in the second attempt.
+	plan, err := ParsePlan("stall@step=60,stall@step=60")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +166,17 @@ func TestStallDegrade(t *testing.T) {
 		Dir:          t.TempDir(),
 		Faults:       plan,
 		StallTimeout: 200 * time.Millisecond,
-		DegradeAfter: 1,
 		Sleep:        noSleep,
 	}, tc, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := rep.Stats
-	if st.InjectedStalls != 1 || st.StallsDetected != 1 {
-		t.Fatalf("stats: %+v, want 1 injected and 1 detected stall", st)
+	if st.InjectedStalls != 2 || st.StallsDetected != 2 {
+		t.Fatalf("stats: %+v, want 2 injected and 2 detected stalls", st)
 	}
-	if st.Degradations != 1 || st.FinalThreads != 1 {
-		t.Fatalf("stats: %+v, want degradation to 1 worker", st)
+	if st.Attempts != 3 || st.Degradations != 1 || st.FinalThreads != 1 {
+		t.Fatalf("stats: %+v, want degradation to 1 worker after the second stall", st)
 	}
 	if rep.Result == nil || len(rep.Result.TrainLoss) != 4 {
 		t.Fatalf("degraded run did not finish: %+v", rep.Result)
@@ -274,7 +277,7 @@ func TestSupervisedMatchesBare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Keep: 8, Sleep: noSleep}, testTrainConfig(epochs), ds)
+	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Sleep: noSleep}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

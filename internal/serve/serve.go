@@ -59,7 +59,7 @@ type PromWriter interface {
 	WriteProm(w io.Writer) error
 }
 
-// Config configures a Server. The zero value is usable: Fill supplies
+// Config configures a Server. The zero value is usable: New fills in
 // localhost defaults sized for a single-machine daemon.
 type Config struct {
 	// Addr is the listen address ("127.0.0.1:8372" by default; use
@@ -76,8 +76,6 @@ type Config struct {
 	BatchWait time.Duration
 	// DrainTimeout bounds the graceful drain on SIGTERM (10s).
 	DrainTimeout time.Duration
-	// Metrics receives the serving counters (allocated if nil).
-	Metrics *obs.ServeMetrics
 	// Extra prom writers are appended to /metrics after the serving
 	// counters (the training side's LiveMetrics goes here).
 	Extra []PromWriter
@@ -105,8 +103,8 @@ type Config struct {
 	Dash *obs.Dash
 }
 
-// Fill applies defaults to unset fields and validates the rest.
-func (c *Config) Fill() error {
+// fill applies defaults to unset fields and validates the rest.
+func (c *Config) fill() error {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:8372"
 	}
@@ -133,9 +131,6 @@ func (c *Config) Fill() error {
 	}
 	if c.SlowRequest < 0 {
 		return fmt.Errorf("serve: SlowRequest %v is negative", c.SlowRequest)
-	}
-	if c.Metrics == nil {
-		c.Metrics = &obs.ServeMetrics{}
 	}
 	return nil
 }
@@ -186,7 +181,8 @@ func (j *job) examples() int {
 // Start (or mount Handler on a listener of your own), feed it models
 // with Promote, and stop it with Drain.
 type Server struct {
-	cfg Config
+	cfg     Config
+	metrics *obs.ServeMetrics
 
 	cur      atomic.Pointer[promoted]
 	promoSeq atomic.Uint64
@@ -215,11 +211,12 @@ type Server struct {
 // ready for Handler/Promote but not yet listening (call Start for
 // that).
 func New(cfg Config) (*Server, error) {
-	if err := cfg.Fill(); err != nil {
+	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:       cfg,
+		metrics:   &obs.ServeMetrics{},
 		queue:     make(chan *job, cfg.QueueDepth),
 		stopBatch: make(chan struct{}),
 		batchDone: make(chan struct{}),
@@ -234,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Metrics returns the serving counter set.
-func (s *Server) Metrics() *obs.ServeMetrics { return s.cfg.Metrics }
+func (s *Server) Metrics() *obs.ServeMetrics { return s.metrics }
 
 // logInfo and logWarn nil-check the configured logger: nil means silent.
 func (s *Server) logInfo(msg string, args ...any) {
@@ -261,20 +258,20 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 		return 0, fmt.Errorf("serve: refusing to promote an empty model")
 	}
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
-		s.cfg.Metrics.PromotionRefused()
+		s.metrics.PromotionRefused()
 		s.cfg.Flight.Record("serve", "promotion-refused",
 			fmt.Sprintf("non-finite loss %v at epoch %d", loss, epoch), nil)
 		return 0, fmt.Errorf("serve: refusing to promote a model with loss %v", loss)
 	}
 	if r := s.refuse.Load(); r != nil {
-		s.cfg.Metrics.PromotionRefused()
+		s.metrics.PromotionRefused()
 		s.cfg.Flight.Record("serve", "promotion-refused", *r,
 			map[string]string{"epoch": fmt.Sprint(epoch)})
 		return 0, fmt.Errorf("serve: promotion refused: %s", *r)
 	}
 	seq := s.promoSeq.Add(1)
 	s.cur.Store(&promoted{p: p, epoch: epoch, loss: loss, seq: seq})
-	s.cfg.Metrics.Promoted(epoch, math.Float64bits(loss))
+	s.metrics.Promoted(epoch, math.Float64bits(loss))
 	if t := s.cfg.Tracer; t != nil {
 		t.Instant("serve", "promote", traceTIDBatch, map[string]string{
 			"epoch": fmt.Sprint(epoch), "seq": fmt.Sprint(seq),
@@ -423,7 +420,7 @@ func (s *Server) serveBatch(batch []*job) {
 		}
 		close(j.done)
 	}
-	s.cfg.Metrics.Batch(total)
+	s.metrics.Batch(total)
 	if tr != nil {
 		args := map[string]string{"jobs": fmt.Sprint(len(batch)), "examples": fmt.Sprint(total)}
 		for k, v := range modelArgs {
@@ -497,7 +494,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		s.cfg.Metrics.Unavailable()
+		s.metrics.Unavailable()
 		writeJSON(w, http.StatusServiceUnavailable, predictResponse{Error: "serve: draining"})
 		span.EndArgs(map[string]string{"status": "503"})
 		return
@@ -505,12 +502,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	s.mu.RUnlock()
 	defer s.inflight.Done()
-	s.cfg.Metrics.InFlight(1)
-	defer s.cfg.Metrics.InFlight(-1)
+	s.metrics.InFlight(1)
+	defer s.metrics.InFlight(-1)
 
 	pm := s.cur.Load()
 	if pm == nil {
-		s.cfg.Metrics.Unavailable()
+		s.metrics.Unavailable()
 		writeJSON(w, http.StatusServiceUnavailable, predictResponse{Error: "serve: no model promoted yet"})
 		span.EndArgs(map[string]string{"status": "503"})
 		return
@@ -523,7 +520,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			status, msg = http.StatusRequestEntityTooLarge, "serve: request body over 16 MiB"
 		}
-		s.cfg.Metrics.BadRequest()
+		s.metrics.BadRequest()
 		writeJSON(w, status, predictResponse{Error: msg})
 		span.EndArgs(map[string]string{"status": fmt.Sprint(status)})
 		return
@@ -537,7 +534,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case req.Indices != nil || req.Values != nil:
 		j.idx, j.vals = req.Indices, req.Values
 	default:
-		s.cfg.Metrics.BadRequest()
+		s.metrics.BadRequest()
 		writeJSON(w, http.StatusBadRequest, predictResponse{Error: "serve: request needs x, indices+values, or batch"})
 		span.EndArgs(map[string]string{"status": "400"})
 		return
@@ -549,7 +546,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.queue <- j:
 	default:
-		s.cfg.Metrics.Rejected()
+		s.metrics.Rejected()
 		writeJSON(w, http.StatusTooManyRequests, predictResponse{Error: "serve: queue full"})
 		span.EndArgs(map[string]string{"status": "429"})
 		return
@@ -564,7 +561,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.err != nil {
-		s.cfg.Metrics.BadRequest()
+		s.metrics.BadRequest()
 		writeJSON(w, http.StatusBadRequest, predictResponse{Error: j.err.Error(), ModelEpoch: j.epoch, Promotion: j.seq})
 		span.EndArgs(map[string]string{"status": "400"})
 		s.noteSlow(time.Since(start), "400", j)
@@ -578,7 +575,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 	elapsed := time.Since(start)
-	s.cfg.Metrics.Request(j.examples(), uint64(elapsed.Microseconds()))
+	s.metrics.Request(j.examples(), uint64(elapsed.Microseconds()))
 	if s.cfg.Tracer != nil {
 		span.EndArgs(map[string]string{
 			"status": "200", "examples": fmt.Sprint(j.examples()),
@@ -617,7 +614,7 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, dim int) (p
 	if ok {
 		return req, nil
 	}
-	s.cfg.Metrics.DecodeFallback()
+	s.metrics.DecodeFallback()
 	req = predictRequest{}
 	err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req)
 	return req, err
@@ -669,7 +666,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.cfg.Metrics.WriteProm(w); err != nil {
+	if err := s.metrics.WriteProm(w); err != nil {
 		return
 	}
 	for _, e := range s.cfg.Extra {
@@ -690,7 +687,11 @@ func (s *Server) Start() error {
 		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.listener = l
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
+	s.httpSrv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: obs.ReadHeaderTimeout,
+		IdleTimeout:       obs.IdleTimeout,
+	}
 	go func() {
 		err := s.httpSrv.Serve(l)
 		if err != nil && err != http.ErrServerClosed {
@@ -727,7 +728,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	if !already {
-		s.cfg.Metrics.SetDraining(true)
+		s.metrics.SetDraining(true)
 		s.cfg.Flight.Record("serve", "drain", "drain started", nil)
 		s.logInfo("draining", slog.String("note", "in-flight requests will complete"))
 	}

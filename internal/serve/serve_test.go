@@ -467,7 +467,7 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	var c Config
-	if err := c.Fill(); err != nil {
+	if err := c.fill(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
 	}
 	if c.Addr == "" || c.MaxBatch == 0 || c.QueueDepth == 0 || c.DrainTimeout == 0 {
@@ -485,6 +485,9 @@ func TestStartAddrAndDrain(t *testing.T) {
 	}
 	if _, err := s.Promote(newLin(2, 2), 1, 0.5); err != nil {
 		t.Fatal(err)
+	}
+	if s.httpSrv.ReadHeaderTimeout != obs.ReadHeaderTimeout || s.httpSrv.IdleTimeout != obs.IdleTimeout {
+		t.Errorf("timeouts: read-header %v, idle %v", s.httpSrv.ReadHeaderTimeout, s.httpSrv.IdleTimeout)
 	}
 	code, pr := post(t, "http://"+s.Addr(), `{"x":[1,1]}`)
 	if code != 200 || pr.Margin == nil || *pr.Margin != 4 {

@@ -2,7 +2,9 @@ package buckwild
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -71,13 +73,15 @@ func TestLoadModelTruncatedAndBadVersion(t *testing.T) {
 	}
 }
 
+// TestSaveModelSignatureTyped round-trips a parsed signature's canonical
+// text through the model file.
 func TestSaveModelSignatureTyped(t *testing.T) {
 	sig, err := ParseSignature("D8i16M8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveModelSignature(&buf, sig, []float32{1, 2}); err != nil {
+	if err := SaveModel(&buf, sig.String(), []float32{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadModel(&buf)
@@ -100,5 +104,18 @@ func TestLoadModelFileNamesPath(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Fatalf("error lacks facade prefix: %v", err)
+	}
+}
+
+// TestModelFramePinned pins the exact bytes SaveModel writes for fixed
+// inputs: the v2 frame and its gob payload.
+func TestModelFramePinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, "D8M8", []float32{0.5, -0.25, 1.5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "82270b4f830e07beee48229ea4817ceea6545a3e453d6b5345f4bc5a8858fdb3"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("model digest %s, want %s", got, want)
 	}
 }

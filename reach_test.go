@@ -1,11 +1,15 @@
 package buckwild
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,3 +85,115 @@ func TestInternalPackagesReached(t *testing.T) {
 		t.Errorf("internal packages no command or benchmark reaches: %s", strings.Join(unreached, ", "))
 	}
 }
+
+// TestFacadeOptionsSet enforces the option rule: every exported field of
+// the facade's config structs is set — keyed in a composite literal or
+// assigned — by the non-test code of a command under cmd/ or of the
+// benchmark harness. Examples and tests do not count, and Context is
+// exempt because cancellation is a safety property. A field nothing sets
+// becomes the constant its callers already get, or comes back with the
+// command or benchmark row that varies it.
+func TestFacadeOptionsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	parseDir := func(dir string) []*ast.File {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		return files
+	}
+	// Only the facade's own types matter: every other import is left
+	// unresolved, and the checker carries on past the errors that causes.
+	var facade *types.Package
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if path == "buckwild" && facade != nil {
+				return facade, nil
+			}
+			return nil, fmt.Errorf("not loaded: %s", path)
+		}),
+		Error: func(error) {},
+	}
+	facade, _ = conf.Check("buckwild", fset, parseDir("."), nil)
+
+	owner := map[*types.Var]string{}
+	for _, name := range []string{"Config", "ClusterConfig", "RunConfig", "ServeConfig", "SyncConfig"} {
+		obj := facade.Scope().Lookup(name)
+		if obj == nil {
+			t.Fatalf("facade has no type %s", name)
+		}
+		st := obj.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && f.Name() != "Context" {
+				owner[f] = name + "." + f.Name()
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	for _, root := range []string{"cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			files := parseDir(dir)
+			if len(files) == 0 {
+				return nil
+			}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+			conf.Check(dir, fset, files, info)
+			for _, f := range files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok {
+								set[v] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+								if v, ok := info.Selections[sel].Obj().(*types.Var); ok {
+									set[v] = true
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var unset []string
+	for f, name := range owner {
+		if !set[f] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("facade options no command or benchmark sets: %s", strings.Join(unset, ", "))
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -1,6 +1,7 @@
 package buckwild
 
 import (
+	"fmt"
 	"time"
 
 	"buckwild/internal/obs"
@@ -14,7 +15,7 @@ import (
 // Fault-tolerance re-exports.
 type (
 	// FaultPlan is a deterministic fault-injection schedule; build one
-	// with ParseFaultPlan or GenerateFaultPlan.
+	// with ParseFaultPlan.
 	FaultPlan = run.Plan
 	// Fault is one scheduled fault inside a FaultPlan.
 	Fault = run.Fault
@@ -53,13 +54,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	return p, wrapErr(err)
 }
 
-// GenerateFaultPlan derives a pseudo-random schedule of n crash and
-// corrupt faults over maxStep model updates from a seed; the same seed
-// always yields the same schedule.
-func GenerateFaultPlan(seed uint64, n int, maxStep uint64) *FaultPlan {
-	return run.GeneratePlan(seed, n, maxStep)
-}
-
 // RunConfig configures the supervisor around a training run. Zero
 // values select conservative defaults; only CheckpointDir is required.
 type RunConfig struct {
@@ -68,23 +62,19 @@ type RunConfig struct {
 	// the newest valid one.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in epochs (default 1);
-	// the final epoch is always checkpointed. KeepCheckpoints is how
-	// many files to retain (default 2).
+	// the final epoch is always checkpointed, and the two newest files
+	// are kept.
 	CheckpointEvery int
-	KeepCheckpoints int
 	// MaxRetries bounds the retries after crashes or stalls (default 3;
 	// negative disables retrying).
 	MaxRetries int
 	// Backoff is the first retry delay (default 50ms), doubling per
-	// consecutive failure up to BackoffCap (default 5s).
-	Backoff    time.Duration
-	BackoffCap time.Duration
+	// consecutive failure up to 5s.
+	Backoff time.Duration
 	// StallTimeout arms the stall watchdog; zero disables it unless the
-	// fault plan injects stalls. DegradeAfter consecutive stall failures
-	// degrade the run to one worker fewer, never below MinThreads.
+	// fault plan injects stalls. Two consecutive stall failures degrade
+	// the run to one worker fewer, never below one.
 	StallTimeout time.Duration
-	DegradeAfter int
-	MinThreads   int
 	// Faults is the deterministic fault-injection schedule; nil injects
 	// nothing.
 	Faults *FaultPlan
@@ -107,13 +97,9 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 	return run.Config{
 		Dir:          rc.CheckpointDir,
 		Every:        rc.CheckpointEvery,
-		Keep:         rc.KeepCheckpoints,
 		MaxRetries:   rc.MaxRetries,
 		Backoff:      rc.Backoff,
-		BackoffCap:   rc.BackoffCap,
 		StallTimeout: rc.StallTimeout,
-		DegradeAfter: rc.DegradeAfter,
-		MinThreads:   rc.MinThreads,
 		Faults:       rc.Faults,
 		Observer:     cfg.observe(),
 		Logger:       obs.Component(cfg.Logger, "run"),
@@ -140,6 +126,9 @@ func RunSparse(cfg Config, rc RunConfig, ds *SparseDataset) (*RunReport, error) 
 }
 
 func (rc RunConfig) run(cfg Config, ds Dataset) (*RunReport, error) {
+	if cfg.Cluster.enabled() {
+		return nil, fmt.Errorf("buckwild: supervised runs do not support cluster training (Cluster.Nodes = %d)", cfg.Cluster.Nodes)
+	}
 	cc, err := cfg.lower(ds)
 	if err != nil {
 		return nil, err

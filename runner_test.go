@@ -94,15 +94,26 @@ func TestRunDenseGivesUp(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Fatalf("error lacks facade prefix: %v", err)
 	}
-}
-
-func TestGenerateFaultPlanFacade(t *testing.T) {
-	a := GenerateFaultPlan(9, 3, 500)
-	b := GenerateFaultPlan(9, 3, 500)
-	if a.String() != b.String() || len(a.Faults) != 3 {
-		t.Fatalf("plans %q vs %q", a, b)
-	}
 	if _, err := ParseFaultPlan("explode@step=1"); err == nil || !strings.HasPrefix(err.Error(), "buckwild:") {
 		t.Fatalf("bad spec error: %v", err)
+	}
+}
+
+// TestRunRejectsCluster checks that a supervised run refuses a cluster
+// configuration instead of silently training on one machine.
+func TestRunRejectsCluster(t *testing.T) {
+	ds, err := GenerateDense("", 16, 120, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Epochs: 1, Cluster: ClusterConfig{Nodes: 4}}
+	rep, err := RunDense(cfg, RunConfig{CheckpointDir: t.TempDir()}, ds)
+	if err == nil || !strings.HasPrefix(err.Error(), "buckwild:") || !strings.Contains(err.Error(), "cluster") {
+		t.Fatalf("supervised cluster run: report %+v, error %v", rep, err)
+	}
+	// One node is no cluster, and trains.
+	cfg.Cluster.Nodes = 1
+	if _, err := RunDense(cfg, RunConfig{CheckpointDir: t.TempDir()}, ds); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -49,8 +49,6 @@ type ServeConfig struct {
 	BatchWait time.Duration
 	// DrainTimeout bounds the graceful drain on shutdown (default 10s).
 	DrainTimeout time.Duration
-	// Metrics receives the serving counters (allocated if nil).
-	Metrics *ServeMetrics
 	// Extra prom writers are appended to /metrics after the serving
 	// counters — install the training side's LiveMetrics here so one
 	// scrape covers both halves of the daemon.
@@ -77,12 +75,6 @@ type ServeConfig struct {
 	Dash *Dash
 }
 
-// Validate checks the configuration without building a server.
-func (sc ServeConfig) Validate() error {
-	c := sc.internal()
-	return wrapErr(c.Fill())
-}
-
 func (sc ServeConfig) internal() serve.Config {
 	return serve.Config{
 		Addr:         sc.Addr,
@@ -90,7 +82,6 @@ func (sc ServeConfig) internal() serve.Config {
 		QueueDepth:   sc.QueueDepth,
 		BatchWait:    sc.BatchWait,
 		DrainTimeout: sc.DrainTimeout,
-		Metrics:      sc.Metrics,
 		Extra:        sc.Extra,
 		Tracer:       sc.Tracer,
 		Logger:       obs.Component(sc.Logger, "serve"),

@@ -10,55 +10,39 @@ import (
 // SyncConfig configures synchronous data-parallel SGD with quantized
 // inter-worker communication — the explicit C term of the DMGC model. With
 // CommBits=1 and ErrorFeedback it reproduces 1-bit SGD (Table 1's C1s).
+// The objective is logistic regression, each worker contributes one
+// example per round and the step size is 0.1.
 type SyncConfig struct {
-	// Problem selects the objective; the zero value is Logistic.
-	Problem Problem
 	// CommBits is the communication precision (1..32).
 	CommBits uint
-	// Workers and BatchPerWorker shape the data-parallel rounds.
-	Workers        int
-	BatchPerWorker int
+	// Workers is the number of data-parallel workers per round.
+	Workers int
 	// ErrorFeedback carries the quantization residual forward.
 	ErrorFeedback bool
-	StepSize      float32
 	Epochs        int
 	Seed          uint64
 	// Context, when non-nil, bounds the run: it is checked before every
 	// communication round, and cancellation returns the context's cause
 	// with the "buckwild:" prefix.
 	Context context.Context
-	// NumHealth collects communication-quantizer numerical health
-	// (underflowed coordinates and grid rounding bias) on
-	// Result.NumStats.
-	NumHealth bool
 }
 
 // TrainSync runs the synchronous quantized-communication engine on a dense
 // dataset (which should be stored at full precision; this engine isolates
 // the C term).
 func TrainSync(cfg SyncConfig, ds *DenseDataset) (*Result, error) {
-	prob, err := cfg.Problem.core()
-	if err != nil {
-		return nil, err
-	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("buckwild: empty dataset")
 	}
-	step := cfg.StepSize
-	if step == 0 {
-		step = 0.1
-	}
 	res, err := core.TrainSyncDense(core.SyncConfig{
-		Problem:          prob,
-		CommBits:         cfg.CommBits,
-		Workers:          cfg.Workers,
-		BatchPerWorker:   cfg.BatchPerWorker,
-		ErrorFeedback:    cfg.ErrorFeedback,
-		StepSize:         step,
-		Epochs:           cfg.Epochs,
-		Seed:             cfg.Seed,
-		Ctx:              cfg.Context,
-		CollectNumHealth: cfg.NumHealth,
+		Problem:       core.Logistic,
+		CommBits:      cfg.CommBits,
+		Workers:       cfg.Workers,
+		ErrorFeedback: cfg.ErrorFeedback,
+		StepSize:      0.1,
+		Epochs:        cfg.Epochs,
+		Seed:          cfg.Seed,
+		Ctx:           cfg.Context,
 	}, ds)
 	return res, wrapErr(err)
 }
