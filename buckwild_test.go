@@ -3,6 +3,8 @@ package buckwild
 import (
 	"context"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,6 +75,69 @@ func TestTrainSparseFacade(t *testing.T) {
 	if res.TrainLoss[len(res.TrainLoss)-1] >= res.TrainLoss[0]*0.95 {
 		t.Errorf("sparse training did not converge: %v", res.TrainLoss)
 	}
+}
+
+// TestTrainSparseProblems: the sparse engine trains all three problems
+// -problem offers, generated or loaded from a LIBSVM file, and reports each
+// problem's own loss: hinge and squared start at 1 and 1/2 from the zero
+// model, and fall.
+func TestTrainSparseProblems(t *testing.T) {
+	gen, err := GenerateSparse("D8i16M8", 512, 1000, 0.03, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/train.libsvm"
+	var text strings.Builder
+	for i, ix := range gen.Idx {
+		label := "-1"
+		if gen.Y[i] > 0 {
+			label = "+1"
+		}
+		text.WriteString(label)
+		for _, k := range sortedOrder(ix) {
+			text.WriteString(" " + strconv.Itoa(int(ix[k])+1) + ":" + strconv.FormatFloat(float64(gen.RawVal[i][k]), 'g', -1, 32))
+		}
+		text.WriteByte('\n')
+	}
+	if err := osWriteFile(path, text.String()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadLibSVM(path, "D8i16M8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		problem Problem
+		start   float64
+	}{{SVM, 1}, {Linear, 0.5}} {
+		for name, ds := range map[string]*SparseDataset{"generated": gen, "loaded": loaded} {
+			res, err := Train(Config{
+				Signature: "D8i16M8",
+				Problem:   c.problem,
+				Threads:   2,
+				Epochs:    4,
+				StepSize:  0.05,
+				Seed:      4,
+			}, ds)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.problem, name, err)
+			}
+			first, last := res.TrainLoss[0], res.TrainLoss[len(res.TrainLoss)-1]
+			if first != c.start || !(last < first) {
+				t.Errorf("%s, %s: loss %v, want from %v and falling", c.problem, name, res.TrainLoss, c.start)
+			}
+		}
+	}
+}
+
+// sortedOrder returns the positions of ix in ascending index order.
+func sortedOrder(ix []int32) []int {
+	ord := make([]int, len(ix))
+	for k := range ord {
+		ord[k] = k
+	}
+	sort.Slice(ord, func(a, b int) bool { return ix[ord[a]] < ix[ord[b]] })
+	return ord
 }
 
 func TestFacadeValidation(t *testing.T) {

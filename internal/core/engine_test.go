@@ -12,6 +12,7 @@ import (
 
 	"buckwild/internal/dataset"
 	"buckwild/internal/kernels"
+	"buckwild/internal/metrics"
 	"buckwild/internal/obs"
 )
 
@@ -322,5 +323,48 @@ func TestLossFanOutMatchesSerial(t *testing.T) {
 	}
 	if got := (&Config{Threads: 8, Sharing: Sequential}).workers(); got != 1 {
 		t.Errorf("Sequential run evaluates the loss on %d goroutines, want 1", got)
+	}
+}
+
+// TestLossFanOutSparse: the sparse kind evaluates every problem's loss,
+// the same bits on any number of goroutines, and its logistic loss keeps
+// the bits of the serial loop it once was.
+func TestLossFanOutSparse(t *testing.T) {
+	ds := sparseData(t, 300, 61, kernels.I8, 16, 5)
+	k, err := kindOf(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float32, ds.N)
+	for j := range w {
+		w[j] = float32(j%7-3) / 8
+	}
+	var serial float64
+	for i, ix := range ds.Idx {
+		var d float64
+		for kk, j := range ix {
+			d += float64(w[j]) * float64(ds.RawVal[i][kk])
+		}
+		serial += metrics.Logistic(d, float64(ds.Y[i]))
+	}
+	serial /= float64(ds.Len())
+	for _, p := range []Problem{Logistic, Linear, SVM} {
+		want, err := k.loss(p, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == Logistic && math.Float64bits(want) != math.Float64bits(serial) {
+			t.Errorf("logistic loss %v, serial loop %v", want, serial)
+		}
+		for _, threads := range []int{2, 3, 7, 64} {
+			cfg := Config{Threads: threads, Sharing: Locked}
+			got, err := k.loss(p, w, cfg.workers())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v threads=%d: loss %v, one goroutine %v", p, threads, got, want)
+			}
+		}
 	}
 }

@@ -50,7 +50,7 @@ func kindOf(ds Dataset) (*kind, error) {
 			name: "dense", len: d.Len(), stored: d.X[0].P, y: d.Y, rows: d.X,
 			numbers: float64(d.Len()) * float64(d.N),
 			loss: func(p Problem, w []float32, workers int) (float64, error) {
-				return metrics.Mean(p.loss(), w, d.Raw, d.Y, workers)
+				return metrics.Mean(p.loss(), w, metrics.Dense(d.Raw), d.Y, workers)
 			},
 			newKernel: func(cfg *Config, q *kernels.Quantizer, nc *fixed.NumCounts) (kernel, error) {
 				k, err := kernels.NewDense(cfg.D, cfg.M, cfg.Variant, q)
@@ -68,11 +68,8 @@ func kindOf(ds Dataset) (*kind, error) {
 		return &kind{
 			name: "sparse", len: d.Len(), stored: d.Val[0].P, y: d.Y,
 			numbers: float64(d.NNZ()),
-			loss: func(p Problem, w []float32, _ int) (float64, error) {
-				if p != Logistic {
-					return 0, fmt.Errorf("core: sparse training currently evaluates logistic loss only, got %v", p)
-				}
-				return metrics.SparseLogisticLoss(w, d.Idx, d.RawVal, d.Y)
+			loss: func(p Problem, w []float32, workers int) (float64, error) {
+				return metrics.Mean(p.loss(), w, metrics.Sparse{Idx: d.Idx, Val: d.RawVal}, d.Y, workers)
 			},
 			newKernel: func(cfg *Config, q *kernels.Quantizer, nc *fixed.NumCounts) (kernel, error) {
 				k, err := kernels.NewSparse(cfg.D, cfg.M, cfg.Variant, q, d.IdxBits)

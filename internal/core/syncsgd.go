@@ -307,7 +307,7 @@ func negBit(v float32) uint32 {
 // on min(GOMAXPROCS, rows/1024) goroutines; metrics.Mean's value does not
 // depend on the count, bit for bit.
 func SyncLoss(p Problem, w []float32, ds *dataset.DenseSet) (float64, error) {
-	return metrics.Mean(p.loss(), w, ds.Raw, ds.Y, min(runtime.GOMAXPROCS(0), ds.Len()/1024))
+	return metrics.Mean(p.loss(), w, metrics.Dense(ds.Raw), ds.Y, min(runtime.GOMAXPROCS(0), ds.Len()/1024))
 }
 
 // loss is the problem's per-example loss.

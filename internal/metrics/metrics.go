@@ -39,30 +39,93 @@ func misclassified(dot, y float64) float64 {
 	return 0
 }
 
-// Mean returns the average of loss over a dense dataset. Example ranges are
-// evaluated on workers goroutines (one, on the caller's, for workers <= 1),
-// four rows to a pass over w; each example's inner product is still summed
-// in index order and the per-example terms are added in example order, so
-// the result does not depend on workers, bit for bit.
-func Mean(loss Loss, w []float32, xs [][]float32, ys []float32, workers int) (float64, error) {
-	n := len(xs)
+// rows is an example set as Mean reads it: Dense or Sparse.
+type rows interface {
+	// len returns the number of examples.
+	len() int
+	// check reports a shape error against a model of dimension n.
+	check(n int) error
+	// dots writes w.x into dst[i] for each example i in [lo, hi), every
+	// inner product summed in index order.
+	dots(w []float32, dst []float64, lo, hi int)
+}
+
+// Dense is a dense example set: one row per example, as long as the model.
+type Dense [][]float32
+
+func (xs Dense) len() int { return len(xs) }
+
+func (xs Dense) check(n int) error {
+	for i, x := range xs {
+		if len(x) != n {
+			return fmt.Errorf("metrics: model dim %d, example %d dim %d", n, i, len(x))
+		}
+	}
+	return nil
+}
+
+// dots takes four rows to a pass over w; a ragged last pass repeats the
+// range's last row.
+func (xs Dense) dots(w []float32, dst []float64, lo, hi int) {
+	for i := lo; i < hi; i += 4 {
+		r := [4]int{i, min(i+1, hi-1), min(i+2, hi-1), min(i+3, hi-1)}
+		d := dot4(w, xs[r[0]], xs[r[1]], xs[r[2]], xs[r[3]])
+		for k, j := range r {
+			dst[j] = d[k]
+		}
+	}
+}
+
+// Sparse is a coordinate-form example set: example i holds the values
+// Val[i] at the 0-based coordinates Idx[i].
+type Sparse struct {
+	Idx [][]int32
+	Val [][]float32
+}
+
+func (s Sparse) len() int { return len(s.Idx) }
+
+func (s Sparse) check(int) error {
+	if len(s.Val) != len(s.Idx) {
+		return fmt.Errorf("metrics: %d index rows, %d value rows", len(s.Idx), len(s.Val))
+	}
+	for i, ix := range s.Idx {
+		if len(ix) != len(s.Val[i]) {
+			return fmt.Errorf("metrics: example %d has %d indices, %d values", i, len(ix), len(s.Val[i]))
+		}
+	}
+	return nil
+}
+
+func (s Sparse) dots(w []float32, dst []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		vals := s.Val[i]
+		var d float64
+		for k, j := range s.Idx[i] {
+			d += float64(w[j]) * float64(vals[k])
+		}
+		dst[i] = d
+	}
+}
+
+// Mean returns the average of loss over a dataset. Example ranges are
+// evaluated on workers goroutines (one, on the caller's, for workers <= 1);
+// each example's inner product is still summed in index order and the
+// per-example terms are added in example order, so the result does not
+// depend on workers, bit for bit.
+func Mean[R rows](loss Loss, w []float32, xs R, ys []float32, workers int) (float64, error) {
+	n := xs.len()
 	if n == 0 || n != len(ys) {
 		return 0, fmt.Errorf("metrics: dataset has %d examples, %d labels", n, len(ys))
 	}
-	for i, x := range xs {
-		if len(x) != len(w) {
-			return 0, fmt.Errorf("metrics: model dim %d, example %d dim %d", len(w), i, len(x))
-		}
+	if err := xs.check(len(w)); err != nil {
+		return 0, err
 	}
 	terms := make([]float64, n)
 	eval := func(lo, hi int) {
-		for i := lo; i < hi; i += 4 {
-			// A ragged last pass repeats the range's last row.
-			r := [4]int{i, min(i+1, hi-1), min(i+2, hi-1), min(i+3, hi-1)}
-			d := dot4(w, xs[r[0]], xs[r[1]], xs[r[2]], xs[r[3]])
-			for k, j := range r {
-				terms[j] = loss(d[k], float64(ys[j]))
-			}
+		xs.dots(w, terms, lo, hi)
+		for i := lo; i < hi; i++ {
+			terms[i] = loss(terms[i], float64(ys[i]))
 		}
 	}
 	if workers <= 1 {
@@ -103,39 +166,23 @@ func dot4(w, a, b, c, d []float32) [4]float64 {
 // LogisticLoss returns the average logistic loss (log(1+exp(-y w.x)))
 // over the dataset.
 func LogisticLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Logistic, w, xs, ys, 1)
-}
-
-// SparseLogisticLoss is LogisticLoss for coordinate-form examples.
-func SparseLogisticLoss(w []float32, idx [][]int32, vals [][]float32, ys []float32) (float64, error) {
-	if len(idx) != len(vals) || len(idx) != len(ys) || len(idx) == 0 {
-		return 0, fmt.Errorf("metrics: mismatched sparse dataset shapes")
-	}
-	var total float64
-	for i := range idx {
-		var d float64
-		for k, j := range idx[i] {
-			d += float64(w[j]) * float64(vals[i][k])
-		}
-		total += logistic(float64(ys[i]) * d)
-	}
-	return total / float64(len(idx)), nil
+	return Mean(Logistic, w, Dense(xs), ys, 1)
 }
 
 // HingeLoss returns the average hinge loss max(0, 1 - y w.x).
 func HingeLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Hinge, w, xs, ys, 1)
+	return Mean(Hinge, w, Dense(xs), ys, 1)
 }
 
 // SquaredLoss returns the average squared error (w.x - y)^2 / 2.
 func SquaredLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Squared, w, xs, ys, 1)
+	return Mean(Squared, w, Dense(xs), ys, 1)
 }
 
 // BinaryError returns the fraction of examples misclassified by
 // sign(w.x).
 func BinaryError(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(misclassified, w, xs, ys, 1)
+	return Mean(misclassified, w, Dense(xs), ys, 1)
 }
 
 // logistic returns log(1 + exp(-m)) computed stably.

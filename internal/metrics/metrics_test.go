@@ -38,22 +38,45 @@ func TestLogisticLossStability(t *testing.T) {
 	}
 }
 
+// TestSparseLogisticLossMatchesDense: Mean over coordinate-form rows
+// equals Mean over the same rows written densely, for every loss and
+// worker count, and keeps the bits of the serial sparse logistic loop the
+// sparse engine's loss once was.
 func TestSparseLogisticLossMatchesDense(t *testing.T) {
-	w := []float32{0.5, -0.25, 0.75, 0}
-	xs := [][]float32{{1, 0, 2, 0}, {0, 3, 0, 0}}
-	ys := []float32{1, -1}
-	dense, err := LogisticLoss(w, xs, ys)
-	if err != nil {
-		t.Fatal(err)
+	w, xs, ys := lossData(61, 37)
+	sp := Sparse{Idx: make([][]int32, len(xs)), Val: make([][]float32, len(xs))}
+	var serial float64
+	for i, x := range xs {
+		var d float64
+		for j, v := range x {
+			if (i+j)%3 == 0 { // a third of the coordinates are zero
+				x[j] = 0
+				continue
+			}
+			sp.Idx[i] = append(sp.Idx[i], int32(j))
+			sp.Val[i] = append(sp.Val[i], v)
+			d += float64(w[j]) * float64(v)
+		}
+		serial += logistic(float64(ys[i]) * d)
 	}
-	idx := [][]int32{{0, 2}, {1}}
-	vals := [][]float32{{1, 2}, {3}}
-	sparse, err := SparseLogisticLoss(w, idx, vals, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dense-sparse) > 1e-12 {
-		t.Errorf("dense %v vs sparse %v", dense, sparse)
+	serial /= float64(len(xs))
+	for name, loss := range map[string]Loss{"logistic": Logistic, "hinge": Hinge, "squared": Squared} {
+		for _, workers := range []int{1, 2, 3, 7} {
+			dense, err := Mean(loss, w, Dense(xs), ys, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse, err := Mean(loss, w, sp, ys, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(dense-sparse) > 1e-12 {
+				t.Errorf("%s, %d workers: dense %v vs sparse %v", name, workers, dense, sparse)
+			}
+			if name == "logistic" && math.Float64bits(sparse) != math.Float64bits(serial) {
+				t.Errorf("%d workers: sparse logistic %v, serial loop %v", workers, sparse, serial)
+			}
+		}
 	}
 }
 
@@ -107,8 +130,11 @@ func TestShapeErrors(t *testing.T) {
 	if _, err := LogisticLoss(w2, xs2, ys2[:2]); err == nil {
 		t.Error("label count mismatch should fail")
 	}
-	if _, err := SparseLogisticLoss(w2, [][]int32{{0}}, nil, nil); err == nil {
+	if _, err := Mean(Logistic, w2, Sparse{Idx: [][]int32{{0}}}, ys2[:1], 1); err == nil {
 		t.Error("sparse mismatch should fail")
+	}
+	if _, err := Mean(Logistic, w2, Sparse{Idx: [][]int32{{0}}, Val: [][]float32{{1, 2}}}, ys2[:1], 1); err == nil {
+		t.Error("sparse row length mismatch should fail")
 	}
 	// A short row anywhere, not only the first, is a shape error — for
 	// every dense loss, and never an index panic inside the dot.
@@ -176,7 +202,7 @@ func TestMeanMatchesSerialLoop(t *testing.T) {
 		for name, loss := range losses {
 			want := serialMean(loss, w, xs, ys)
 			for _, workers := range []int{1, 2, 3, 7} {
-				got, err := Mean(loss, w, xs, ys, workers)
+				got, err := Mean(loss, w, Dense(xs), ys, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,7 +221,7 @@ func TestMeanAllocations(t *testing.T) {
 	allocs := func(m, workers int) float64 {
 		w, xs, ys := lossData(m, 16)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Mean(Logistic, w, xs, ys, workers); err != nil {
+			if _, err := Mean(Logistic, w, Dense(xs), ys, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -215,7 +241,7 @@ func BenchmarkLogisticLoss(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/workers%d", shape[0], shape[1], workers), func(b *testing.B) {
 				b.SetBytes(int64(shape[0]) * int64(shape[1]) * 4)
 				for i := 0; i < b.N; i++ {
-					if _, err := Mean(Logistic, w, xs, ys, workers); err != nil {
+					if _, err := Mean(Logistic, w, Dense(xs), ys, workers); err != nil {
 						b.Fatal(err)
 					}
 				}
