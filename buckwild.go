@@ -212,24 +212,29 @@ type (
 	// lock-free buffer of recent structured events (promotions, retries,
 	// faults, watchdog trips, slow requests, epoch completions) dumped as
 	// JSON when a run dies or on demand. Create one with
-	// NewFlightRecorder and install it in Config.Flight or
-	// ServeConfig.Flight. A nil *FlightRecorder records nothing at no
-	// cost.
+	// NewFlightRecorder and install it in Config.Flight and a Surface's
+	// Flight. A nil *FlightRecorder records nothing at no cost.
 	FlightRecorder = obs.FlightRecorder
 	// FlightEvent and FlightSnapshot are the recorder's exportable forms.
 	FlightEvent    = obs.FlightEvent
 	FlightSnapshot = obs.FlightSnapshot
 	// ClusterMetrics keeps live, scrape-ready per-node counters of a
 	// running cluster simulation; install one in
-	// Config.Cluster.LiveMetrics and add it to a /metrics exposition (it
-	// is an http.Handler and a PromWriter).
+	// Config.Cluster.LiveMetrics and in a Surface's Cluster.
 	ClusterMetrics = obs.ClusterMetrics
+	// Surface holds one process's sensors once — flight ring, tracer,
+	// series, profiler, live training, cluster and serving counters,
+	// resolved flags and bundler — and mounts /metrics, /debug/flight,
+	// /debug/dash and /debug/bundle over them. Install it in
+	// ServeConfig.Surface.
+	Surface = obs.Surface
 	// Bundler writes anomaly-triggered debug bundles: one tar.gz with the
 	// flight ring, trace window, series, pprof profiles, stats and
 	// resolved config, written when the health watchdog trips, the stall
 	// watchdog fires, retries are exhausted or a serve request crosses
-	// the slow threshold. Create one with NewBundler and install it in
-	// Config.Bundle or ServeConfig.Bundle. A nil *Bundler is inert.
+	// the slow threshold. Create one over a Surface with NewBundler and
+	// install it in Config.Bundle and the Surface's Bundle. A nil
+	// *Bundler is inert.
 	Bundler = obs.Bundler
 	// BundleConfig configures a Bundler; BundleManifest and BundleInfo
 	// are the bundle's self-description and parsed form (ReadBundle).
@@ -241,12 +246,6 @@ type (
 	// Create one with NewProfiler. A nil *Profiler is inert.
 	Profiler      = obs.Profiler
 	ProfileConfig = obs.ProfileConfig
-	// Dash is the dependency-free live HTML dashboard (/debug/dash plus
-	// an SSE feed); DashConfig wires its data sources. Create one with
-	// NewDash and install it in ServeConfig.Dash, or mount it on any mux
-	// with Dash.Register.
-	Dash       = obs.Dash
-	DashConfig = obs.DashConfig
 )
 
 // ErrDivergence matches (via errors.Is) the error a run returns after a
@@ -270,11 +269,12 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return obs.NewFlightRecorder(capacity)
 }
 
-// NewBundler returns a debug-bundle writer putting its tar.gz bundles in
-// cfg.Dir (created if missing). Wire its triggers by installing it in
-// Config.Bundle, ServeConfig.Bundle or a HealthWatchdog's Bundle field.
-func NewBundler(cfg BundleConfig) (*Bundler, error) {
-	b, err := obs.NewBundler(cfg)
+// NewBundler returns a debug-bundle writer putting tar.gz bundles of
+// src's sensors in cfg.Dir (created if missing). Wire its triggers by
+// installing it in Config.Bundle, src.Bundle (which the serving daemon
+// triggers on slow requests) or a HealthWatchdog's Bundle field.
+func NewBundler(cfg BundleConfig, src *Surface) (*Bundler, error) {
+	b, err := obs.NewBundler(cfg, src)
 	return b, wrapErr(err)
 }
 
@@ -285,9 +285,6 @@ func NewProfiler(cfg ProfileConfig) (*Profiler, error) {
 	p, err := obs.NewProfiler(cfg)
 	return p, wrapErr(err)
 }
-
-// NewDash returns the live dashboard handler over the given sources.
-func NewDash(cfg DashConfig) *Dash { return obs.NewDash(cfg) }
 
 // ReadBundle parses a debug bundle stream (as written by a Bundler) into
 // its manifest, flight and series sections and raw entries.

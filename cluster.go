@@ -80,8 +80,7 @@ type ClusterConfig struct {
 	StalenessAlpha float64
 	// LiveMetrics, when non-nil, receives per-node update counts, wire
 	// bytes and staleness quantiles as the simulation runs, for scraping
-	// mid-run (it is an http.Handler and a serve PromWriter). Nil costs
-	// nothing.
+	// mid-run (put it in a Surface's Cluster). Nil costs nothing.
 	LiveMetrics *ClusterMetrics
 }
 

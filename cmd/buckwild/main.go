@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -136,10 +135,26 @@ func watchSIGQUIT(rec *buckwild.FlightRecorder) {
 // resolvedFlags snapshots every flag's effective value — the "resolved
 // config" section of a debug bundle. The flag string forms round-trip
 // the whole CLI configuration without marshaling facade types.
-func resolvedFlags() any {
+func resolvedFlags(fs *flag.FlagSet) map[string]string {
 	m := make(map[string]string)
-	flag.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
+	fs.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
 	return m
+}
+
+// newSurface completes both commands' debug surface over the sensors in
+// sf: it records fs's resolved flags and, unless bundleDir is empty,
+// attaches a bundler writing bundles of the surface there, named after
+// prefix ("" = the default).
+func newSurface(sf *buckwild.Surface, fs *flag.FlagSet, bundleDir, prefix string, logger *slog.Logger) *buckwild.Surface {
+	sf.Flags = resolvedFlags(fs)
+	if bundleDir != "" {
+		b, err := buckwild.NewBundler(buckwild.BundleConfig{Dir: bundleDir, Prefix: prefix, Logger: logger}, sf)
+		if err != nil {
+			fatal(err)
+		}
+		sf.Bundle = b
+	}
+	return sf
 }
 
 // traceSummary implements the trace-summary subcommand: a per-phase
@@ -359,22 +374,16 @@ func main() {
 		profiler.Start()
 		defer profiler.Stop()
 	}
-	var bundler *buckwild.Bundler
-	if *bundleDir != "" {
-		var err error
-		bundler, err = buckwild.NewBundler(buckwild.BundleConfig{
-			Dir: *bundleDir, Flight: rec, Tracer: cfg.Tracer,
-			Series: cfg.TimeSeries, Profiler: profiler, Logger: logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		bundler.AddSection("config", resolvedFlags)
-		if clusterLive != nil {
-			bundler.AddSection("stats/cluster", func() any { return clusterLive.Snapshot() })
-		}
-		cfg.Bundle = bundler
+	var live *obs.LiveMetrics
+	if *httpAddr != "" {
+		live = &obs.LiveMetrics{}
+		cfg.Hooks = live
 	}
+	surface := newSurface(&buckwild.Surface{
+		Flight: rec, Tracer: cfg.Tracer, Series: cfg.TimeSeries,
+		Profiler: profiler, Live: live, Cluster: clusterLive,
+	}, flag.CommandLine, *bundleDir, "", logger)
+	cfg.Bundle = surface.Bundle
 
 	supervised := *ckptDir != ""
 	if *nodes >= 2 && supervised {
@@ -425,23 +434,8 @@ func main() {
 		return rep.Result, nil
 	}
 
-	var live *obs.LiveMetrics
 	if *httpAddr != "" {
-		live = &obs.LiveMetrics{Series: cfg.TimeSeries, Cluster: clusterLive}
-		cfg.Hooks = live
-		dash := buckwild.NewDash(buckwild.DashConfig{
-			Series:  cfg.TimeSeries,
-			Cluster: clusterLive.Snapshot,
-		})
-		extra := map[string]http.Handler{
-			"/debug/flight":      rec,
-			"/debug/dash":        dash,
-			"/debug/dash/events": http.HandlerFunc(dash.Events),
-		}
-		if bundler != nil {
-			extra["/debug/bundle"] = bundler
-		}
-		srv, err := obs.ServeDebug(*httpAddr, live, extra)
+		srv, err := obs.ServeDebug(*httpAddr, surface)
 		if err != nil {
 			fatal(err)
 		}
@@ -452,7 +446,7 @@ func main() {
 		// The watchdog wraps whatever hooks are already installed (live
 		// metrics included) so it adds detection without hiding them, and
 		// triggers a debug bundle the moment it trips.
-		cfg.Hooks = &buckwild.HealthWatchdog{Cancel: healthCancel, Bundle: bundler, Next: cfg.Hooks}
+		cfg.Hooks = &buckwild.HealthWatchdog{Cancel: healthCancel, Bundle: surface.Bundle, Next: cfg.Hooks}
 	}
 	if (*stats || *report != "") && cfg.Hooks == nil {
 		// Result.Stats is wanted but no live consumer is installed; the

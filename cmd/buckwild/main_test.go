@@ -1,14 +1,22 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"buckwild/internal/obs"
 )
 
 // runMainEnv marks a re-executed test binary that should act as the
@@ -81,5 +89,186 @@ func TestFlagErrors(t *testing.T) {
 		if code == 0 || !strings.Contains(stderr, c.want) {
 			t.Errorf("%v: exit %d, stderr %q, want non-zero with %q", c.args, code, stderr, c.want)
 		}
+	}
+}
+
+// startCmd starts the command with args in dir and returns it with the
+// first http://host:port address it prints on stdout.
+func startCmd(t *testing.T, dir string, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	addr := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		found := false
+		for sc.Scan() {
+			if m := addrRE.FindStringSubmatch(sc.Text()); m != nil && !found {
+				found = true
+				addr <- m[1]
+			}
+		}
+		if !found {
+			close(addr)
+		}
+	}()
+	select {
+	case a, ok := <-addr:
+		if !ok {
+			t.Fatalf("command exited without printing an address; stderr:\n%s", stderr.String())
+		}
+		return cmd, a, &stderr
+	case <-time.After(60 * time.Second):
+		t.Fatalf("no address printed; stderr:\n%s", stderr.String())
+	}
+	return nil, "", nil
+}
+
+var addrRE = regexp.MustCompile(`http://([0-9.]+:[0-9]+)`)
+
+// waitExit waits for cmd and returns its exit code.
+func waitExit(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) int {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { cmd.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("command did not exit; stderr:\n%s", stderr.String())
+	}
+	return cmd.ProcessState.ExitCode()
+}
+
+// checkDebugRoutes checks every debug route one surface mounts, and
+// whether pprof answers on the same port.
+func checkDebugRoutes(t *testing.T, base string, pprof bool) {
+	t.Helper()
+	for _, c := range []struct{ path, ctype string }{
+		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
+		{"/debug/flight", "application/json"},
+		{"/debug/dash", "text/html; charset=utf-8"},
+		{"/debug/bundle", "application/gzip"},
+	} {
+		resp, err := http.Get(base + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != c.ctype {
+			t.Errorf("GET %s = %d %q, want 200 %q", c.path, resp.StatusCode, resp.Header.Get("Content-Type"), c.ctype)
+			continue
+		}
+		switch c.path {
+		case "/metrics":
+			if !strings.Contains(string(body), "buckwild_epochs_completed") {
+				t.Errorf("/metrics lacks the training gauges:\n%s", body)
+			}
+		case "/debug/bundle":
+			if _, err := obs.ReadBundle(bytes.NewReader(body)); err != nil {
+				t.Errorf("/debug/bundle: %v", err)
+			}
+		}
+	}
+
+	resp, err := http.Get(base + "/debug/dash/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Errorf("GET /debug/dash/events = %d %q", resp.StatusCode, ct)
+	}
+	r := bufio.NewReader(resp.Body)
+	ev, err := r.ReadString('\n')
+	if err == nil && ev == "event: snapshot\n" {
+		var data string
+		if data, err = r.ReadString('\n'); err == nil && !json.Valid([]byte(strings.TrimPrefix(data, "data: "))) {
+			t.Errorf("first SSE data line is not JSON: %q", data)
+		}
+	} else {
+		t.Errorf("first SSE line %q (%v)", ev, err)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Get(base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if want := map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[pprof]; resp.StatusCode != want {
+		t.Errorf("GET /debug/pprof/ = %d, want %d", resp.StatusCode, want)
+	}
+}
+
+// TestHTTPDebugRoutes runs a live training run with -http and checks
+// its debug routes, pprof included. An injected stall holds the run open
+// until SIGINT, which exits 130.
+func TestHTTPDebugRoutes(t *testing.T) {
+	dir := t.TempDir()
+	cmd, addr, stderr := startCmd(t, dir, "-n", "64", "-m", "200", "-epochs", "4",
+		"-http", "127.0.0.1:0", "-checkpoint-dir", "ckpt", "-fault", "stall@step=300", "-stall-timeout", "1h")
+	checkDebugRoutes(t, "http://"+addr, true)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if code := waitExit(t, cmd, stderr); code != 130 {
+		t.Errorf("exit %d after SIGINT, want 130; stderr:\n%s", code, stderr.String())
+	}
+}
+
+// TestServeRoutes runs buckwild serve: /healthz answers once the first
+// checkpoint is promoted, every debug route answers on the serving port
+// but pprof does not, and SIGTERM drains to exit 0.
+func TestServeRoutes(t *testing.T) {
+	dir := t.TempDir()
+	cmd, addr, stderr := startCmd(t, dir, "serve", "-addr", "127.0.0.1:0",
+		"-n", "64", "-m", "200", "-epochs", "1", "-rounds", "1", "-checkpoint-dir", "ckpt", "-log-level", "warn")
+	base := "http://" + addr
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct {
+			Status string `json:"status"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("/healthz: %v, content type %q", err, resp.Header.Get("Content-Type"))
+		}
+		if resp.StatusCode == http.StatusOK && h.Status == "ok" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz still %d %q; stderr:\n%s", resp.StatusCode, h.Status, stderr.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	checkDebugRoutes(t, base, false)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := waitExit(t, cmd, stderr); code != 0 {
+		t.Errorf("exit %d after SIGTERM, want 0; stderr:\n%s", code, stderr.String())
 	}
 }

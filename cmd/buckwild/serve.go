@@ -34,25 +34,16 @@ import (
 )
 
 // promotionGate chains the health watchdog's divergence signal into the
-// serving tier (never promote a diverged model) while forwarding every
-// observability callback to the live metrics.
+// serving tier (never promote a diverged model); every other callback
+// goes to the embedded live metrics.
 type promotionGate struct {
-	srv  *buckwild.ModelServer
-	next *obs.LiveMetrics
+	*obs.LiveMetrics
+	srv *buckwild.ModelServer
 }
-
-func (g *promotionGate) OnStep(si buckwild.StepInfo)     { g.next.OnStep(si) }
-func (g *promotionGate) OnEpoch(ei buckwild.EpochInfo)   { g.next.OnEpoch(ei) }
-func (g *promotionGate) OnWorker(wi buckwild.WorkerInfo) { g.next.OnWorker(wi) }
-func (g *promotionGate) OnHealth(hi buckwild.HealthInfo) { g.next.OnHealth(hi) }
-func (g *promotionGate) OnCheckpoint(ci buckwild.CheckpointInfo) {
-	g.next.OnCheckpoint(ci)
-}
-func (g *promotionGate) OnRetry(ri buckwild.RetryInfo) { g.next.OnRetry(ri) }
 
 func (g *promotionGate) OnDivergence(di buckwild.DivergenceInfo) {
 	g.srv.RefusePromotions(fmt.Sprintf("health watchdog: %s at epoch %d", di.Reason, di.Epoch))
-	g.next.OnDivergence(di)
+	g.LiveMetrics.OnDivergence(di)
 }
 
 // serveCmd implements the serve subcommand.
@@ -137,54 +128,19 @@ func serveCmd(args []string) {
 	// cumulative epochs, so the dashboard's charts and a bundle's series
 	// section span every round.
 	series := buckwild.NewSeries(0)
-
-	// srv is declared before the dashboard and bundler so their snapshot
-	// closures can capture it; it is set a few lines down, before any
-	// request (or trigger) can fire them.
-	var srv *buckwild.ModelServer
-	serveStats := func() *buckwild.ServeStats {
-		if srv == nil {
-			return nil
-		}
-		return srv.Metrics().Snapshot()
-	}
-	dash := buckwild.NewDash(buckwild.DashConfig{Series: series, Serve: serveStats})
-	var bundler *buckwild.Bundler
-	if *bundleDir != "" {
-		var err error
-		bundler, err = buckwild.NewBundler(buckwild.BundleConfig{
-			Dir: *bundleDir, Prefix: "buckwild-serve",
-			Flight: rec, Series: series, Profiler: profiler, Logger: logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		bundler.AddSection("stats/serve", func() any {
-			if s := serveStats(); s != nil {
-				return s
-			}
-			return nil
-		})
-		bundler.AddSection("config", func() any {
-			m := make(map[string]string)
-			fs.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
-			return m
-		})
-	}
-
-	live := &obs.LiveMetrics{Series: series}
+	live := &obs.LiveMetrics{}
+	surface := newSurface(&buckwild.Surface{
+		Flight: rec, Series: series, Profiler: profiler, Live: live,
+	}, fs, *bundleDir, "buckwild-serve", logger)
 	srv, err := buckwild.NewModelServer(buckwild.ServeConfig{
 		Addr:         *addr,
 		MaxBatch:     *maxBatch,
 		QueueDepth:   *queueDepth,
 		BatchWait:    *batchWait,
 		DrainTimeout: *drainTO,
-		Extra:        []buckwild.PromWriter{live},
 		Logger:       logger,
-		Flight:       rec,
 		SlowRequest:  *slowReq,
-		Bundle:       bundler,
-		Dash:         dash,
+		Surface:      surface,
 	})
 	if err != nil {
 		fatal(err)
@@ -230,7 +186,7 @@ func serveCmd(args []string) {
 				return
 			}
 			roundCtx, cancelCause := context.WithCancelCause(ctx)
-			gate := &promotionGate{srv: srv, next: live}
+			gate := &promotionGate{LiveMetrics: live, srv: srv}
 			cfg := buckwild.Config{
 				Signature:  *sig,
 				Problem:    buckwild.Problem(*problem),
@@ -241,11 +197,11 @@ func serveCmd(args []string) {
 				Epochs:     (r + 1) * *epochs,
 				Seed:       *seed,
 				NumHealth:  true,
-				Hooks:      &buckwild.HealthWatchdog{Cancel: cancelCause, Bundle: bundler, Next: gate},
+				Hooks:      &buckwild.HealthWatchdog{Cancel: cancelCause, Bundle: surface.Bundle, Next: gate},
 				Logger:     logger,
 				Flight:     rec,
 				TimeSeries: series,
-				Bundle:     bundler,
+				Bundle:     surface.Bundle,
 				Context:    roundCtx,
 			}
 			rc := buckwild.RunConfig{

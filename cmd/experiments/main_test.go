@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f",
 		"fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f",
 		"newinsn", "numa", "ablations", "faulttol", "healthsweep",
-		"cluster", "servload",
+		"cluster",
 	}
 	seen := map[string]int{}
 	for _, e := range experiments {

@@ -57,10 +57,6 @@ type reportExperiment struct {
 	// experiment's cluster runs (exact wire bytes, simulated seconds,
 	// update staleness); absent when no cluster run happened.
 	Cluster *obs.ClusterStats `json:"cluster,omitempty"`
-	// Serve totals the serving-tier counters of the experiment's daemon
-	// runs (requests, latency histogram, batch sizes, admission
-	// rejections, promotions); absent when no serving happened.
-	Serve *obs.ServeStats `json:"serve,omitempty"`
 }
 
 // runReport is the top-level -report document.
@@ -177,23 +173,6 @@ func reportCluster(stats ...*obs.ClusterStats) {
 			currentRpt.Cluster = &obs.ClusterStats{}
 		}
 		currentRpt.Cluster.Merge(s)
-	}
-}
-
-// reportServe merges serving-tier snapshots (nil entries are skipped)
-// into the running entry.
-func reportServe(stats ...*obs.ServeStats) {
-	if currentRpt == nil {
-		return
-	}
-	for _, s := range stats {
-		if s == nil {
-			continue
-		}
-		if currentRpt.Serve == nil {
-			currentRpt.Serve = &obs.ServeStats{}
-		}
-		currentRpt.Serve.Merge(s)
 	}
 }
 

@@ -170,7 +170,7 @@ func TestClusterPerNodeStatsAndLiveMetrics(t *testing.T) {
 	// The live counters saw the same totals, and scrape as labeled
 	// Prometheus series.
 	var buf bytes.Buffer
-	if err := live.WriteProm(&buf); err != nil {
+	if err := (&obs.Surface{Cluster: live}).WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -43,8 +43,8 @@ const (
 	DefaultMaxBundles = 8
 )
 
-// BundleConfig configures a Bundler. Every source is optional; absent
-// sources simply produce no section in the bundle.
+// BundleConfig configures a Bundler. What a bundle holds comes from the
+// Surface the Bundler reads (see NewBundler).
 type BundleConfig struct {
 	// Dir is where bundles are written (default "."), created if missing.
 	Dir string
@@ -59,13 +59,6 @@ type BundleConfig struct {
 	// MaxBundles bounds how many of this Bundler's bundles stay on disk;
 	// oldest are pruned after each write (default 8).
 	MaxBundles int
-
-	// Flight, Tracer, Series and Profiler are the live obs sources
-	// snapshotted into the bundle. All may be nil.
-	Flight   *FlightRecorder
-	Tracer   *Tracer
-	Series   *Series
-	Profiler *Profiler
 
 	// Logger, when non-nil, gets one Info line per bundle written and a
 	// Warn on write failure.
@@ -122,16 +115,11 @@ type BundleManifest struct {
 	Profiles []ProfileFile `json:"profiles,omitempty"`
 }
 
-// section is one caller-registered JSON payload (stats, config).
-type section struct {
-	name string // archive path without the .json suffix, e.g. "stats/run"
-	fn   func() any
-}
-
 // Bundler writes anomaly-triggered debug bundles. All methods are safe
 // for concurrent use and safe on a nil receiver (no-ops).
 type Bundler struct {
 	cfg BundleConfig
+	src *Surface
 
 	mu sync.Mutex
 	// last is when the previous bundle write finished; writing is set
@@ -140,36 +128,21 @@ type Bundler struct {
 	writing    bool
 	seq        uint64
 	suppressed uint64
-	sections   []section
 }
 
-// NewBundler returns a Bundler writing into cfg.Dir, creating it if
-// missing.
-func NewBundler(cfg BundleConfig) (*Bundler, error) {
+// NewBundler returns a Bundler writing bundles of src's sensors into
+// cfg.Dir, creating it if missing; it records its triggers in
+// src.Flight. A nil src bundles only the process's profiles. The caller
+// usually stores the result in src.Bundle.
+func NewBundler(cfg BundleConfig, src *Surface) (*Bundler, error) {
 	cfg.fill()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: bundler: %w", err)
 	}
-	return &Bundler{cfg: cfg}, nil
-}
-
-// AddSection registers a JSON section: at bundle time fn's result is
-// marshaled into <name>.json inside the archive (name may contain
-// slashes, e.g. "stats/run"). fn runs under the bundle write and should
-// return a snapshot, not a live struct. Nil-safe; a nil fn no-ops.
-func (b *Bundler) AddSection(name string, fn func() any) {
-	if b == nil || fn == nil || name == "" {
-		return
+	if src == nil {
+		src = &Surface{}
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.sections {
-		if b.sections[i].name == name {
-			b.sections[i].fn = fn
-			return
-		}
-	}
-	b.sections = append(b.sections, section{name: name, fn: fn})
+	return &Bundler{cfg: cfg, src: src}, nil
 }
 
 // Trigger requests a bundle for an anomaly. While a bundle is being
@@ -187,7 +160,7 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 		b.suppressed++
 		n := b.suppressed
 		b.mu.Unlock()
-		b.cfg.Flight.Record("bundle", "suppressed", reason,
+		b.src.Flight.Record("bundle", "suppressed", reason,
 			map[string]string{"detail": detail, "suppressed": fmt.Sprint(n)})
 		return "", false
 	}
@@ -200,7 +173,7 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 
 	// Record the trigger before snapshotting the flight ring so the
 	// bundle's own flight.json shows what tripped it.
-	b.cfg.Flight.Record("bundle", "trigger", reason, map[string]string{"detail": detail})
+	b.src.Flight.Record("bundle", "trigger", reason, map[string]string{"detail": detail})
 
 	name := fmt.Sprintf("%s-%s-%03d%s", b.cfg.Prefix, sanitizeReason(reason), seq, DebugBundleSuffix)
 	path = filepath.Join(b.cfg.Dir, name)
@@ -213,14 +186,14 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 			b.cfg.Logger.Warn("debug bundle write failed",
 				slog.String("reason", reason), slog.String("error", err.Error()))
 		}
-		b.cfg.Flight.Record("bundle", "error", err.Error(), nil)
+		b.src.Flight.Record("bundle", "error", err.Error(), nil)
 		return "", false
 	}
 	if b.cfg.Logger != nil {
 		b.cfg.Logger.Info("debug bundle written",
 			slog.String("reason", reason), slog.String("path", path))
 	}
-	b.cfg.Flight.Record("bundle", "written", path, map[string]string{"reason": reason})
+	b.src.Flight.Record("bundle", "written", path, map[string]string{"reason": reason})
 	b.prune()
 	return path, true
 }
@@ -279,35 +252,37 @@ func (b *Bundler) WriteTo(w io.Writer, reason, detail string, seq, suppressed ui
 		blobs = append(blobs, blob{name, data})
 	}
 
-	if b.cfg.Flight != nil {
+	addJSON := func(name string, v any) {
+		data, err := json.MarshalIndent(v, "", "  ")
+		add(name, data, err)
+	}
+
+	src := b.src
+	if src.Flight != nil {
 		var buf bytes.Buffer
-		err := b.cfg.Flight.WriteJSON(&buf)
+		err := src.Flight.WriteJSON(&buf)
 		add("flight.json", buf.Bytes(), err)
 	}
-	if b.cfg.Tracer != nil {
+	if src.Tracer != nil {
 		var buf bytes.Buffer
 		gz := gzip.NewWriter(&buf)
-		err := b.cfg.Tracer.WriteTrace(gz)
+		err := src.Tracer.WriteTrace(gz)
 		if cerr := gz.Close(); err == nil {
 			err = cerr
 		}
 		add("trace.json.gz", buf.Bytes(), err)
 	}
-	if b.cfg.Series != nil {
-		data, err := json.MarshalIndent(b.cfg.Series.Snapshot(), "", "  ")
-		add("series.json", data, err)
+	if sn := src.Series.Snapshot(); sn != nil {
+		addJSON("series.json", sn)
 	}
-
-	b.mu.Lock()
-	sections := append([]section(nil), b.sections...)
-	b.mu.Unlock()
-	for _, s := range sections {
-		v := s.fn()
-		if v == nil {
-			continue
-		}
-		data, err := json.MarshalIndent(v, "", "  ")
-		add(s.name+".json", data, err)
+	if st := src.Serve.Snapshot(); st != nil {
+		addJSON("stats/serve.json", st)
+	}
+	if src.Flags != nil {
+		addJSON("config.json", src.Flags)
+	}
+	if st := src.Cluster.Snapshot(); st != nil {
+		addJSON("stats/cluster.json", st)
 	}
 
 	// Current pprof profiles: the instantaneous kinds captured inline
@@ -334,7 +309,7 @@ func (b *Bundler) WriteTo(w io.Writer, reason, detail string, seq, suppressed ui
 			blobs = append(blobs, blob{"profiles/goroutines.txt", buf.Bytes()})
 		}
 	}
-	if cpu := b.cfg.Profiler.Newest("cpu"); cpu.Path != "" {
+	if cpu := src.Profiler.Newest("cpu"); cpu.Path != "" {
 		if data, err := os.ReadFile(cpu.Path); err == nil {
 			name := "profiles/cpu.pprof"
 			blobs = append(blobs, blob{name, data})
@@ -410,11 +385,11 @@ func (b *Bundler) prune() {
 	}
 }
 
-// ServeHTTP writes an on-demand bundle as the response body, so
+// serveHTTP writes an on-demand bundle as the response body, so
 // GET /debug/bundle downloads the full evidentiary record of a live
 // process. On-demand bundles bypass the debounce and do not count
-// against it.
-func (b *Bundler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// against it. A nil Bundler answers 404.
+func (b *Bundler) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		http.Error(w, "bundling not enabled", http.StatusNotFound)
 		return
@@ -440,9 +415,17 @@ type BundleInfo struct {
 	Entries []BundleEntry
 }
 
+// maxBundleJSON caps the bytes a bundle's JSON entries may declare
+// between them. It is far above anything Bundler writes (a full flight
+// ring is a few hundred KiB) and bounds what ReadBundle buffers from a
+// hostile file.
+const maxBundleJSON = 64 << 20
+
 // ReadBundle parses a debug bundle stream (tar.gz as written by
-// Bundler.WriteTo). Unknown entries are inventoried but not decoded, so
-// newer bundles stay readable by older readers.
+// Bundler.WriteTo). Only JSON entries are read into memory; every other
+// entry (profiles, the gzipped trace) is inventoried from its tar header
+// and skipped, and unknown JSON entries are kept raw, so newer bundles
+// stay readable by older readers.
 func ReadBundle(r io.Reader) (*BundleInfo, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
@@ -452,6 +435,7 @@ func ReadBundle(r io.Reader) (*BundleInfo, error) {
 	tr := tar.NewReader(gz)
 	info := &BundleInfo{Sections: make(map[string]json.RawMessage)}
 	sawManifest := false
+	var jsonBytes int64
 	for {
 		hdr, err := tr.Next()
 		if errors.Is(err, io.EOF) {
@@ -459,6 +443,14 @@ func ReadBundle(r io.Reader) (*BundleInfo, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("obs: bundle is truncated or corrupt: %w", err)
+		}
+		if !strings.HasSuffix(hdr.Name, ".json") {
+			info.Entries = append(info.Entries, BundleEntry{Name: hdr.Name, Bytes: hdr.Size})
+			continue
+		}
+		if jsonBytes += hdr.Size; hdr.Size > maxBundleJSON || jsonBytes > maxBundleJSON {
+			return nil, fmt.Errorf("obs: bundle entry %s: %d bytes takes the JSON entries past the %d-byte limit",
+				hdr.Name, hdr.Size, maxBundleJSON)
 		}
 		data, err := io.ReadAll(tr)
 		if err != nil {
@@ -481,7 +473,7 @@ func ReadBundle(r io.Reader) (*BundleInfo, error) {
 			if err := json.Unmarshal(data, &snap); err == nil {
 				info.Series = &snap
 			}
-		case strings.HasSuffix(hdr.Name, ".json"):
+		default:
 			info.Sections[strings.TrimSuffix(hdr.Name, ".json")] = json.RawMessage(data)
 		}
 	}

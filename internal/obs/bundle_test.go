@@ -11,31 +11,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// populatedBundler builds a Bundler over live flight/tracer/series
-// sources with some recorded content, plus a stats and config section.
-func populatedBundler(t *testing.T, cfg BundleConfig) (*Bundler, *FlightRecorder) {
+// populatedBundler builds a Bundler over a surface of live flight,
+// tracer, series and serving sensors with some recorded content, plus
+// resolved flags.
+func populatedBundler(t *testing.T, cfg BundleConfig) (*Bundler, *Surface) {
 	t.Helper()
-	rec := NewFlightRecorder(0)
-	rec.Record("run", "epoch", "epoch 0 done", map[string]string{"loss": "0.5"})
-	rec.Record("run", "retry", "retrying", nil)
-	tr := NewTracer(0)
-	tr.Begin("core", "epoch", 0).End()
-	se := NewSeries(0)
-	se.EpochTick(0, 0.5, 100, 0)
-	se.EpochTick(1, 0.4, 200, 0)
-	cfg.Flight, cfg.Tracer, cfg.Series = rec, tr, se
-	b, err := NewBundler(cfg)
+	sf := &Surface{
+		Flight: NewFlightRecorder(0), Tracer: NewTracer(0), Series: NewSeries(0),
+		Serve: &ServeMetrics{}, Flags: map[string]string{"sig": "D8M8", "threads": "4"},
+	}
+	sf.Flight.Record("run", "epoch", "epoch 0 done", map[string]string{"loss": "0.5"})
+	sf.Flight.Record("run", "retry", "retrying", nil)
+	sf.Tracer.Begin("core", "epoch", 0).End()
+	sf.Series.EpochTick(0, 0.5, 100, 0)
+	sf.Series.EpochTick(1, 0.4, 200, 0)
+	sf.Serve.Request(1, 42)
+	b, err := NewBundler(cfg, sf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.AddSection("stats/run", func() any { return &RunStats{Steps: 42} })
-	b.AddSection("config", func() any { return map[string]string{"sig": "D8M8", "threads": "4"} })
-	return b, rec
+	sf.Bundle = b
+	return b, sf
 }
 
 func TestBundleRoundTrip(t *testing.T) {
@@ -95,8 +95,9 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Errorf("final series window = %+v, want loss 0.4", win)
 	}
 
-	if _, ok := info.Sections["stats/run"]; !ok {
-		t.Error("bundle lacks stats/run section")
+	var serveSec ServeStats
+	if err := json.Unmarshal(info.Sections["stats/serve"], &serveSec); err != nil || serveSec.Requests != 1 {
+		t.Errorf("stats/serve section = %+v (%v)", serveSec, err)
 	}
 	var cfgSec map[string]string
 	if err := json.Unmarshal(info.Sections["config"], &cfgSec); err != nil || cfgSec["sig"] != "D8M8" {
@@ -154,7 +155,7 @@ func TestBundleTraceSummarizable(t *testing.T) {
 
 func TestBundleDebounce(t *testing.T) {
 	dir := t.TempDir()
-	b, rec := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: 50 * time.Millisecond})
+	b, sf := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: 50 * time.Millisecond})
 
 	if _, wrote := b.Trigger("stall", "first"); !wrote {
 		t.Fatal("first trigger suppressed")
@@ -168,7 +169,7 @@ func TestBundleDebounce(t *testing.T) {
 		t.Fatalf("two trips within cooldown produced %d bundles, want 1", len(files))
 	}
 	var suppressed bool
-	for _, ev := range rec.Snapshot().Events {
+	for _, ev := range sf.Flight.Snapshot().Events {
 		if ev.Component == "bundle" && ev.Kind == "suppressed" {
 			suppressed = true
 		}
@@ -199,29 +200,31 @@ func TestBundleDebounce(t *testing.T) {
 
 // TestBundleTriggerDuringWrite: a trigger that arrives while a bundle is
 // being written is suppressed, however short the cooldown, and counted in
-// the next bundle's manifest.
+// the next bundle's manifest. Holding the profiler's lock stalls the
+// first write where it looks up the newest CPU profile.
 func TestBundleTriggerDuringWrite(t *testing.T) {
 	dir := t.TempDir()
-	b, _ := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: time.Nanosecond})
-	entered, release := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int32
-	b.AddSection("stats/slow", func() any {
-		if calls.Add(1) == 1 { // only the first write stalls
-			close(entered)
-			<-release
-		}
-		return 1
-	})
+	b, sf := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: time.Nanosecond})
+	prof, err := NewProfiler(ProfileConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.Profiler = prof
+	prof.mu.Lock()
 	first := make(chan bool)
 	go func() {
 		_, wrote := b.Trigger("stall", "first")
 		first <- wrote
 	}()
-	<-entered
+	for writing := false; !writing; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		writing = b.writing
+		b.mu.Unlock()
+	}
 	if path, wrote := b.Trigger("stall", "during"); wrote {
 		t.Errorf("trigger during an in-flight write wrote %s", path)
 	}
-	close(release)
+	prof.mu.Unlock()
 	if !<-first {
 		t.Fatal("first trigger suppressed")
 	}
@@ -272,7 +275,6 @@ func TestNilBundlerIsInert(t *testing.T) {
 	if path, wrote := b.Trigger("stall", "x"); wrote || path != "" {
 		t.Error("nil bundler wrote a bundle")
 	}
-	b.AddSection("x", func() any { return nil })
 }
 
 func TestReadBundleRejectsGarbage(t *testing.T) {
@@ -347,4 +349,88 @@ func TestWatchdogTripWritesBundle(t *testing.T) {
 		t.Errorf("manifest = %q/%q, want divergence at epoch 2",
 			info.Manifest.Reason, info.Manifest.Detail)
 	}
+}
+
+// hostileBundle is a gzipped tar holding a manifest and one JSON entry
+// whose header declares size bytes: with fill that many zero bytes
+// follow, otherwise the stream ends right after the header.
+func hostileBundle(t testing.TB, name string, size int64, fill bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	tw := tar.NewWriter(gz)
+	if err := tw.WriteHeader(&tar.Header{Name: "manifest.json", Mode: 0o644, Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write([]byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: size}); err != nil {
+		t.Fatal(err)
+	}
+	if fill {
+		zeros := make([]byte, 1<<20)
+		for n := int64(0); n < size; n += int64(len(zeros)) {
+			if _, err := tw.Write(zeros[:min(size-n, int64(len(zeros)))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadBundleRejectsOversizedEntry: a JSON entry whose header declares
+// more than the reader's cap is refused before any of it is read, whether
+// its bytes are missing or really there (a gzip bomb: 65 MiB of zeros is
+// about 64 KiB on the wire), and a non-JSON entry is inventoried from its
+// header without being buffered.
+func TestReadBundleRejectsOversizedEntry(t *testing.T) {
+	for name, in := range map[string][]byte{
+		"flight.json": hostileBundle(t, "flight.json", 1<<40, false),
+		"series.json": hostileBundle(t, "series.json", maxBundleJSON+1<<20, true),
+	} {
+		_, err := ReadBundle(bytes.NewReader(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "obs: bundle entry "+name) || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("oversized %s: err = %v, want the size limit", name, err)
+		}
+	}
+
+	b, _ := populatedBundler(t, BundleConfig{Dir: t.TempDir()})
+	var buf bytes.Buffer
+	if err := b.WriteTo(&buf, "on-demand", "", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	info, err := ReadBundle(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{}
+	for _, e := range info.Manifest.Files {
+		sizes[e.Name] = e.Bytes
+	}
+	for _, e := range info.Entries {
+		if e.Name != "manifest.json" && e.Bytes != sizes[e.Name] {
+			t.Errorf("entry %s inventoried at %d bytes, manifest says %d", e.Name, e.Bytes, sizes[e.Name])
+		}
+	}
+}
+
+// FuzzReadBundle: on any input ReadBundle returns an error or a parsed
+// bundle, never both or neither, and never panics. The committed corpus
+// (testdata/fuzz/FuzzReadBundle) holds a real WriteTo bundle, a truncated
+// one, a non-gzip input, a bundle without a manifest and one whose JSON
+// entry declares 1 TiB.
+func FuzzReadBundle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, err := ReadBundle(bytes.NewReader(data))
+		if (err == nil) != (info != nil) {
+			t.Fatalf("ReadBundle = %v, %v", info, err)
+		}
+	})
 }

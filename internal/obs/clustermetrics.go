@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"io"
-	"net/http"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ClusterMetrics keeps live, scrape-ready per-node counters of a running
 // cluster simulation: updates landed, wire bytes sent and the staleness
@@ -70,19 +66,18 @@ func (m *ClusterMetrics) AddWireBytes(i int, bytes uint64) {
 	}
 }
 
-// WriteProm renders the per-node counters in the Prometheus text format
-// with a node label per sample. Staleness is exported as per-node p50/p99
-// gauges (labelled histograms would need a label-aware writer; the
-// quantiles are what the staleness-compensation knob is tuned against).
-func (m *ClusterMetrics) WriteProm(w io.Writer) error {
+// writeProm renders the per-node counters with a node label per sample.
+// Staleness is exported as per-node p50/p99 gauges (labelled histograms
+// would need a label-aware writer; the quantiles are what the
+// staleness-compensation knob is tuned against).
+func (m *ClusterMetrics) writeProm(pw *promWriter) {
 	if m == nil {
-		return nil
+		return
 	}
 	p := m.nodes.Load()
 	if p == nil || len(*p) == 0 {
-		return nil
+		return
 	}
-	pw := newPromWriter(w)
 	pw.header("buckwild_cluster_node_updates_total", "counter", "Model updates landed per simulated node.")
 	for i := range *p {
 		pw.printf("buckwild_cluster_node_updates_total{node=\"%d\"} %d\n", i, (*p)[i].updates.Load())
@@ -99,12 +94,12 @@ func (m *ClusterMetrics) WriteProm(w io.Writer) error {
 	for i := range *p {
 		pw.printf("buckwild_cluster_node_staleness_p99{node=\"%d\"} %s\n", i, promFloat((*p)[i].staleness.Snapshot().Quantile(0.99)))
 	}
-	return pw.err
 }
 
 // Snapshot assembles a live ClusterStats view of the current run — the
 // per-node counters plus a merged staleness histogram — for consumers
-// that want the struct form mid-run (the /debug/dash feed). Totals the
+// that want the struct form mid-run (the dashboard feed, a bundle's
+// stats/cluster section). Totals the
 // wire meter only knows at the end (sim seconds, byte breakdown) stay
 // zero. Nil and pre-Reset receivers return nil.
 func (m *ClusterMetrics) Snapshot() *ClusterStats {
@@ -132,10 +127,4 @@ func (m *ClusterMetrics) Snapshot() *ClusterStats {
 		stats.Staleness.Merge(hist)
 	}
 	return stats
-}
-
-// ServeHTTP implements http.Handler, serving the Prometheus text format.
-func (m *ClusterMetrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.WriteProm(w)
 }

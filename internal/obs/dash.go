@@ -4,46 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 )
 
 // This file holds the live HTML dashboard: a dependency-free page at
 // /debug/dash that renders the training loss and throughput series, the
 // staleness histogram, per-node cluster stats and serve latency
-// quantiles from a Server-Sent-Events feed at /debug/dash/events. The
-// page is one self-contained HTML string — no build step, no external
-// assets — so it works from a laptop pointed at a daemon in a netns
-// with no egress. A nil *Dash is fully inert (its handlers 404).
+// quantiles from a Server-Sent-Events feed at /debug/dash/events, built
+// from a Surface's sensors. The page is one self-contained HTML string —
+// no build step, no external assets — so it works from a laptop pointed
+// at a daemon in a netns with no egress.
 
-// DefaultDashInterval is the SSE push cadence.
-const DefaultDashInterval = time.Second
-
-// DashConfig wires the dashboard's data sources. Every source is
-// optional; sections with no source stay hidden on the page.
-type DashConfig struct {
-	// Series feeds the loss/throughput charts and staleness histogram.
-	Series *Series
-	// Cluster and Serve are snapshot callbacks (may be nil, may return
-	// nil) feeding the per-node table and latency quantiles.
-	Cluster func() *ClusterStats
-	Serve   func() *ServeStats
-	// Interval is the SSE push cadence (default 1s).
-	Interval time.Duration
-}
-
-// Dash serves the live dashboard page and its SSE event feed.
-type Dash struct {
-	cfg DashConfig
-}
-
-// NewDash returns a dashboard over the given sources.
-func NewDash(cfg DashConfig) *Dash {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultDashInterval
-	}
-	return &Dash{cfg: cfg}
-}
+// dashInterval is the SSE push cadence.
+const dashInterval = time.Second
 
 // dashSnapshot is one SSE event payload.
 type dashSnapshot struct {
@@ -53,49 +26,10 @@ type dashSnapshot struct {
 	Serve   *ServeStats     `json:"serve,omitempty"`
 }
 
-func (d *Dash) snapshot() dashSnapshot {
-	s := dashSnapshot{Time: time.Now()}
-	if d.cfg.Series != nil {
-		s.Series = d.cfg.Series.Snapshot()
-	}
-	if d.cfg.Cluster != nil {
-		s.Cluster = d.cfg.Cluster()
-	}
-	if d.cfg.Serve != nil {
-		s.Serve = d.cfg.Serve()
-	}
-	return s
-}
-
-// Register mounts the page at prefix and the feed at prefix+"/events".
-// Nil-safe: a nil Dash mounts nothing.
-func (d *Dash) Register(mux *http.ServeMux, prefix string) {
-	if d == nil || mux == nil {
-		return
-	}
-	prefix = strings.TrimSuffix(prefix, "/")
-	mux.Handle(prefix, d)
-	mux.HandleFunc(prefix+"/events", d.Events)
-}
-
-// ServeHTTP serves the dashboard page. A nil Dash responds 404.
-func (d *Dash) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	if d == nil {
-		http.Error(w, "dashboard not enabled", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, dashHTML)
-}
-
-// Events is the SSE feed: one "snapshot" event immediately on connect,
-// then one per Interval until the client goes away. Payloads are
-// compact JSON (single line, as SSE data framing requires).
-func (d *Dash) Events(w http.ResponseWriter, r *http.Request) {
-	if d == nil {
-		http.Error(w, "dashboard not enabled", http.StatusNotFound)
-		return
-	}
+// dashEvents is the SSE feed: one "snapshot" event immediately on
+// connect, then one per dashInterval until the client goes away.
+// Payloads are compact JSON (single line, as SSE data framing requires).
+func (s *Surface) dashEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -105,7 +39,10 @@ func (d *Dash) Events(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	send := func() bool {
-		data, err := json.Marshal(d.snapshot())
+		data, err := json.Marshal(dashSnapshot{
+			Time: time.Now(), Series: s.Series.Snapshot(),
+			Cluster: s.Cluster.Snapshot(), Serve: s.Serve.Snapshot(),
+		})
 		if err != nil {
 			return false
 		}
@@ -118,7 +55,7 @@ func (d *Dash) Events(w http.ResponseWriter, r *http.Request) {
 	if !send() {
 		return
 	}
-	tick := time.NewTicker(d.cfg.Interval)
+	tick := time.NewTicker(dashInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -14,10 +14,8 @@ import (
 func TestDashServesPage(t *testing.T) {
 	se := NewSeries(0)
 	se.EpochTick(0, 0.5, 100, 0)
-	d := NewDash(DashConfig{Series: se})
-
 	mux := http.NewServeMux()
-	d.Register(mux, "/debug/dash/")
+	(&Surface{Series: se}).Mount(mux)
 
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/dash", nil))
@@ -39,18 +37,16 @@ func TestDashEventsFraming(t *testing.T) {
 	se := NewSeries(0)
 	se.EpochTick(0, 0.5, 100, 0)
 	se.EpochTick(1, 0.25, 200, 0)
-	d := NewDash(DashConfig{
-		Series:   se,
-		Cluster:  func() *ClusterStats { return &ClusterStats{Nodes: 2} },
-		Interval: time.Hour, // only the on-connect event fires in-test
-	})
+	cm := &ClusterMetrics{}
+	cm.Reset(2)
+	sf := &Surface{Series: se, Cluster: cm}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/debug/dash/events", nil).WithContext(ctx)
 	rr := &syncRecorder{rr: httptest.NewRecorder()}
 
 	done := make(chan struct{})
-	go func() { d.Events(rr, req); close(done) }()
+	go func() { sf.dashEvents(rr, req); close(done) }()
 
 	// An event is pushed immediately on connect; wait for it.
 	deadline := time.Now().Add(5 * time.Second)
@@ -126,26 +122,47 @@ func (f flushlessWriter) Write(b []byte) (int, error) { return f.rr.Write(b) }
 func (f flushlessWriter) WriteHeader(c int)           { f.rr.WriteHeader(c) }
 
 func TestDashEventsRequiresFlusher(t *testing.T) {
-	d := NewDash(DashConfig{})
 	rr := httptest.NewRecorder()
-	d.Events(flushlessWriter{rr}, httptest.NewRequest("GET", "/debug/dash/events", nil))
+	(&Surface{}).dashEvents(flushlessWriter{rr}, httptest.NewRequest("GET", "/debug/dash/events", nil))
 	if rr.Code != http.StatusInternalServerError {
 		t.Errorf("flushless SSE request = %d, want 500", rr.Code)
 	}
 }
 
+// TestNilDashHandlers checks a surface with no sensors: the dashboard
+// page still renders (its sections stay hidden) and its first event
+// carries only the time, while the flight and bundle routes answer 404.
 func TestNilDashHandlers(t *testing.T) {
-	var d *Dash
-	d.Register(http.NewServeMux(), "/debug/dash") // must not panic
-
-	rr := httptest.NewRecorder()
-	d.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/dash", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Errorf("nil dash page = %d, want 404", rr.Code)
+	mux := http.NewServeMux()
+	sf := &Surface{}
+	sf.Mount(mux)
+	for path, want := range map[string]int{
+		"/debug/dash":   http.StatusOK,
+		"/debug/flight": http.StatusNotFound,
+		"/debug/bundle": http.StatusNotFound,
+	} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != want {
+			t.Errorf("GET %s = %d, want %d", path, rr.Code, want)
+		}
 	}
-	rr = httptest.NewRecorder()
-	d.Events(rr, httptest.NewRequest("GET", "/debug/dash/events", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Errorf("nil dash events = %d, want 404", rr.Code)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rr := &syncRecorder{rr: httptest.NewRecorder()}
+	done := make(chan struct{})
+	go func() {
+		sf.dashEvents(rr, httptest.NewRequest("GET", "/debug/dash/events", nil).WithContext(ctx))
+		close(done)
+	}()
+	for !strings.Contains(rr.body(), "\n\n") {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	var snap map[string]json.RawMessage
+	payload := strings.TrimPrefix(strings.SplitN(rr.body(), "\n\n", 2)[0], "event: snapshot\ndata: ")
+	if err := json.Unmarshal([]byte(payload), &snap); err != nil || len(snap) != 1 || snap["time"] == nil {
+		t.Errorf("sensorless snapshot = %s (%v), want only a time", payload, err)
 	}
 }

@@ -45,34 +45,25 @@ type Server struct {
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// ServeDebug starts an HTTP endpoint on addr serving metrics (typically a
-// *LiveMetrics) at /metrics, every route in extra, and the standard pprof
-// handlers at /debug/pprof/. The training command uses it to expose
-// /debug/flight, /debug/dash and /debug/bundle on the same mux. Nil
-// handlers, metrics included, are skipped. It returns once the listener
-// is bound; the server runs until Close.
-func ServeDebug(addr string, metrics http.Handler, extra map[string]http.Handler) (*Server, error) {
+// ServeDebug starts an HTTP endpoint on addr serving the surface's
+// routes (see Surface.Mount) and the standard pprof handlers at
+// /debug/pprof/. It returns once the listener is bound; the server runs
+// until Close.
+func ServeDebug(addr string, s *Surface) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	if metrics != nil {
-		mux.Handle("/metrics", metrics)
-	}
-	for pattern, h := range extra {
-		if h != nil {
-			mux.Handle(pattern, h)
-		}
-	}
+	s.Mount(mux)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{
+	srv := &Server{Addr: ln.Addr().String(), srv: &http.Server{
 		Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout,
 	}}
-	go s.srv.Serve(ln)
-	return s, nil
+	go srv.srv.Serve(ln)
+	return srv, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -17,8 +16,8 @@ import (
 // faults, watchdog trips, slow requests, epoch/round completions). It is
 // the post-mortem half of the observability stack — cheap enough to leave
 // armed in production, and dumped as JSON when something goes wrong
-// (divergence, supervisor exhaustion, SIGQUIT) or on demand via the serve
-// daemon's GET /debug/flight.
+// (divergence, supervisor exhaustion, SIGQUIT) or on demand via a
+// Surface's GET /debug/flight.
 //
 // The ring is lock-free on the record path: one atomic fetch-add claims a
 // slot, one atomic pointer store publishes the event. Readers snapshot by
@@ -148,13 +147,6 @@ func (r *FlightRecorder) DumpFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ServeHTTP serves the snapshot as JSON — the serve daemon mounts this
-// at GET /debug/flight.
-func (r *FlightRecorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	r.WriteJSON(w)
 }
 
 // LogHandler returns a slog.Handler that forwards every record to next

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,19 +127,15 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestServeDebug checks the debug mux: /metrics reaches the passed
-// handler, extra routes are mounted (nil ones skipped), pprof answers,
-// and nothing else is served. A client that dribbles half a request
-// header is dropped once ReadHeaderTimeout passes, while a well-formed
-// /metrics GET sent in the meantime still answers 200.
+// TestServeDebug checks the debug mux: the surface's routes are mounted
+// (/metrics renders its sensors, a nil sensor's route answers 404), pprof
+// answers, and nothing else is served. A client that dribbles half a
+// request header is dropped once ReadHeaderTimeout passes, while a
+// well-formed /metrics GET sent in the meantime still answers 200.
 func TestServeDebug(t *testing.T) {
-	body := func(text string) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, text) })
-	}
-	s, err := ServeDebug("127.0.0.1:0", body("metrics-body"), map[string]http.Handler{
-		"/debug/extra": body("extra-body"),
-		"/debug/nil":   nil,
-	})
+	rec := NewFlightRecorder(4)
+	rec.Record("run", "epoch", "flight-body", nil)
+	s, err := ServeDebug("127.0.0.1:0", &Surface{Flight: rec, Live: &LiveMetrics{}})
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}
@@ -148,11 +145,11 @@ func TestServeDebug(t *testing.T) {
 		code int
 		body string
 	}{
-		{"/metrics", http.StatusOK, "metrics-body"},
-		{"/debug/extra", http.StatusOK, "extra-body"},
+		{"/metrics", http.StatusOK, "buckwild_epochs_completed 0"},
+		{"/debug/flight", http.StatusOK, "flight-body"},
 		{"/debug/pprof/", http.StatusOK, ""},
 		{"/debug/obs", http.StatusNotFound, ""},
-		{"/debug/nil", http.StatusNotFound, ""},
+		{"/debug/bundle", http.StatusNotFound, ""},
 	} {
 		resp, err := http.Get("http://" + s.Addr + c.path)
 		if err != nil {
@@ -163,7 +160,7 @@ func TestServeDebug(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != c.code || (c.body != "" && string(got) != c.body) {
+		if resp.StatusCode != c.code || !strings.Contains(string(got), c.body) {
 			t.Errorf("GET %s = %d %q, want %d %q", c.path, resp.StatusCode, got, c.code, c.body)
 		}
 	}
@@ -205,7 +202,7 @@ func TestServeDebug(t *testing.T) {
 // connection timeouts, and that the idle one outlasts the Go client's own
 // idle-connection timeout.
 func TestServeDebugTimeouts(t *testing.T) {
-	s, err := ServeDebug("127.0.0.1:0", nil, nil)
+	s, err := ServeDebug("127.0.0.1:0", &Surface{})
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"sync/atomic"
 )
@@ -13,9 +12,8 @@ import (
 // text exposition format (text/plain; version=0.0.4), so a live training
 // run can be scraped at /metrics. LiveMetrics is the Hooks-based
 // collector behind the endpoint: it maintains lock-free gauges from the
-// run's callbacks and renders them with a staleness histogram, optionally
-// alongside the newest time-series window and the final run/supervisor
-// snapshots.
+// run's callbacks and renders them with a staleness histogram; a
+// Surface adds the other sensors' sections around it.
 
 // promWriter accumulates metric lines, remembering which metric names
 // have had their TYPE header emitted.
@@ -91,12 +89,9 @@ func (p *promWriter) histogram(name, help string, s HistSnapshot) {
 	p.printf("%s_count %d\n", name, s.Count)
 }
 
-// WriteRunStatsProm renders a RunStats snapshot (and optionally a
-// SupervisorStats) in the Prometheus text format. The commands use it to
-// expose finished-run counters; LiveMetrics uses it for the final
-// snapshot behind /metrics.
-func WriteRunStatsProm(w io.Writer, rs *RunStats, ss *SupervisorStats) error {
-	p := newPromWriter(w)
+// writeRunStatsProm renders a RunStats snapshot (and optionally a
+// SupervisorStats): the finished run's totals behind /metrics.
+func writeRunStatsProm(p *promWriter, rs *RunStats, ss *SupervisorStats) {
 	if rs != nil {
 		p.metric("buckwild_steps_total", "counter", "Model updates performed.", float64(rs.Steps))
 		p.metric("buckwild_mutex_waits_total", "counter", "Contended lock acquisitions (Locked sharing).", float64(rs.MutexWaits))
@@ -148,21 +143,13 @@ func WriteRunStatsProm(w io.Writer, rs *RunStats, ss *SupervisorStats) error {
 		p.metric("buckwild_supervisor_stalls_detected_total", "counter", "Watchdog firings.", float64(ss.StallsDetected))
 		p.metric("buckwild_supervisor_final_threads", "gauge", "Worker count of the last attempt.", float64(ss.FinalThreads))
 	}
-	return p.err
 }
 
 // LiveMetrics is a Hooks (and LifecycleHooks) implementation that keeps
 // live, scrape-ready gauges of a running training job. Install it as the
-// run's hooks and serve it at /metrics (it is an http.Handler); every
-// callback is lock-free, so it adds no contention to the sampled path.
+// run's hooks and as a Surface's Live; every callback is lock-free, so it
+// adds no contention to the sampled path.
 type LiveMetrics struct {
-	// Series, when non-nil, contributes the newest time-series window's
-	// gauges to the scrape.
-	Series *Series
-	// Cluster, when non-nil, contributes the live per-node counters of a
-	// running cluster simulation to the scrape.
-	Cluster *ClusterMetrics
-
 	epochs       atomic.Int64
 	steps        atomic.Uint64
 	lossBits     atomic.Uint64
@@ -247,9 +234,8 @@ func (m *LiveMetrics) SetFinal(run *RunStats, sup *SupervisorStats) {
 	m.final.Store(&finalStats{run: run, sup: sup})
 }
 
-// WriteProm renders the current gauges in the Prometheus text format.
-func (m *LiveMetrics) WriteProm(w io.Writer) error {
-	p := newPromWriter(w)
+// writeProm renders the live gauges.
+func (m *LiveMetrics) writeProm(p *promWriter) {
 	p.metric("buckwild_epochs_completed", "gauge", "Completed training epochs.", float64(m.epochs.Load()))
 	p.metric("buckwild_live_steps", "gauge", "Model updates at the last epoch boundary.", float64(m.steps.Load()))
 	p.metric("buckwild_train_loss", "gauge", "Training loss after the last epoch.", math.Float64frombits(m.lossBits.Load()))
@@ -276,27 +262,4 @@ func (m *LiveMetrics) WriteProm(w io.Writer) error {
 		p.metric("buckwild_diverged_epoch", "gauge", "Epoch at which the health watchdog fired.", float64(m.divergedEpoch.Load()))
 	}
 	p.metric("buckwild_diverged", "gauge", "1 if the health watchdog detected numerical divergence.", divergedVal)
-	if win := m.Series.Snapshot().Final(); win != nil {
-		p.metric("buckwild_window_steps_per_sec", "gauge", "Throughput of the newest time-series window.", win.StepsPerSec)
-		p.metric("buckwild_window_loss", "gauge", "Loss of the newest time-series window.", win.Loss)
-		p.metric("buckwild_window_grad_abs_mean", "gauge", "Mean sampled gradient magnitude of the newest window.", win.GradAbsMean())
-		p.metric("buckwild_window_mutex_waits", "gauge", "Contended lock acquisitions in the newest window.", float64(win.MutexWaits))
-		p.histogram("buckwild_window_staleness", "Staleness sub-histogram of the newest window.", win.Staleness)
-	}
-	if p.err != nil {
-		return p.err
-	}
-	if err := m.Cluster.WriteProm(w); err != nil {
-		return err
-	}
-	if f := m.final.Load(); f != nil {
-		return WriteRunStatsProm(w, f.run, f.sup)
-	}
-	return nil
-}
-
-// ServeHTTP implements http.Handler, serving the Prometheus text format.
-func (m *LiveMetrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.WriteProm(w)
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -39,7 +41,7 @@ func TestWriteRunStatsProm(t *testing.T) {
 	rs.Staleness.Observe(3) // bucket [2,4) -> le="3"
 	ss := &SupervisorStats{Attempts: 2, Retries: 1, Checkpoints: 4, Resumes: 1, FinalThreads: 2}
 	var buf bytes.Buffer
-	if err := WriteRunStatsProm(&buf, rs, ss); err != nil {
+	if err := runStatsProm(&buf, rs, ss); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -67,8 +69,18 @@ func TestWriteRunStatsProm(t *testing.T) {
 	}
 }
 
+// runStatsProm renders a finished run's totals on their own.
+func runStatsProm(w io.Writer, rs *RunStats, ss *SupervisorStats) error {
+	p := newPromWriter(w)
+	writeRunStatsProm(p, rs, ss)
+	return p.err
+}
+
 func TestLiveMetricsEndpoint(t *testing.T) {
-	m := &LiveMetrics{Series: NewSeries(4)}
+	m := &LiveMetrics{}
+	sf := &Surface{Live: m, Series: NewSeries(4)}
+	mux := http.NewServeMux()
+	sf.Mount(mux)
 	var hooks Hooks = m
 	hooks.OnEpoch(EpochInfo{Epoch: 3, Loss: 0.125, Steps: 300})
 	hooks.OnStep(StepInfo{Staleness: 2})
@@ -76,10 +88,10 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	var lc LifecycleHooks = m
 	lc.OnCheckpoint(CheckpointInfo{Epoch: 3, Bytes: 512})
 	lc.OnRetry(RetryInfo{Attempt: 1, ResumeEpoch: 2})
-	m.Series.EpochTick(3, 0.125, 300, 0)
+	sf.Series.EpochTick(3, 0.125, 300, 0)
 
 	rec := httptest.NewRecorder()
-	m.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
@@ -104,7 +116,7 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	// SetFinal adds the authoritative totals to later scrapes.
 	m.SetFinal(&RunStats{Steps: 300}, &SupervisorStats{Attempts: 2})
 	rec = httptest.NewRecorder()
-	m.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	out = rec.Body.String()
 	if !strings.Contains(out, "buckwild_steps_total 300") ||
 		!strings.Contains(out, "buckwild_supervisor_attempts_total 2") {
@@ -113,9 +125,9 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 }
 
 func TestLiveMetricsNilSeries(t *testing.T) {
-	m := &LiveMetrics{} // no Series attached: window gauges just absent
+	sf := &Surface{Live: &LiveMetrics{}} // no Series: window gauges just absent
 	var buf bytes.Buffer
-	if err := m.WriteProm(&buf); err != nil {
+	if err := sf.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "buckwild_window_") {
@@ -187,7 +199,7 @@ func TestWriteRunStatsPromNumHealth(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteRunStatsProm(&buf, rs, nil); err != nil {
+	if err := runStatsProm(&buf, rs, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -216,7 +228,7 @@ func TestWriteRunStatsPromNumHealth(t *testing.T) {
 	}
 	// Without NumHealth the health family is absent entirely.
 	buf.Reset()
-	if err := WriteRunStatsProm(&buf, &RunStats{Steps: 10}, nil); err != nil {
+	if err := runStatsProm(&buf, &RunStats{Steps: 10}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "buckwild_num_") || strings.Contains(buf.String(), "buckwild_rounding_bias") {
@@ -279,8 +291,9 @@ func TestPromHistogramCumulativeMonotone(t *testing.T) {
 // after a health callback, and the divergence gauges after OnDivergence.
 func TestLiveMetricsHealth(t *testing.T) {
 	m := &LiveMetrics{}
+	sf := &Surface{Live: m}
 	var buf bytes.Buffer
-	if err := m.WriteProm(&buf); err != nil {
+	if err := sf.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -299,7 +312,7 @@ func TestLiveMetricsHealth(t *testing.T) {
 	var dh DivergenceHooks = m
 	dh.OnDivergence(DivergenceInfo{Epoch: 2, Reason: "test"})
 	buf.Reset()
-	if err := m.WriteProm(&buf); err != nil {
+	if err := sf.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()

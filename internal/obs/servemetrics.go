@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"io"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ServeMetrics is the serving tier's counter set: every field is an
 // atomic or a lock-free Histogram, so the daemon's request path records
@@ -99,8 +96,9 @@ func (m *ServeMetrics) PromotionRefused() { m.promotionsRefused.Add(1) }
 // SetDraining flips the draining gauge.
 func (m *ServeMetrics) SetDraining(v bool) { m.draining.Store(v) }
 
-// ServeStats is the exportable snapshot of a ServeMetrics: the report
-// form the servload experiment and -report emit.
+// ServeStats is the exportable snapshot of a ServeMetrics: the form the
+// dashboard feed, a bundle's stats/serve section and the serve command's
+// exit summary read.
 type ServeStats struct {
 	Requests          uint64       `json:"requests"`
 	Examples          uint64       `json:"examples"`
@@ -116,8 +114,12 @@ type ServeStats struct {
 	InFlight          int64        `json:"in_flight,omitempty"`
 }
 
-// Snapshot returns the current counters in exportable form.
+// Snapshot returns the current counters in exportable form; a nil
+// receiver returns nil.
 func (m *ServeMetrics) Snapshot() *ServeStats {
+	if m == nil {
+		return nil
+	}
 	return &ServeStats{
 		Requests:          m.requests.Load(),
 		Examples:          m.examples.Load(),
@@ -134,32 +136,9 @@ func (m *ServeMetrics) Snapshot() *ServeStats {
 	}
 }
 
-// Merge folds other into s (the report helpers merge per-experiment
-// snapshots the same way RunStats and ClusterStats merge).
-func (s *ServeStats) Merge(other *ServeStats) {
-	if other == nil {
-		return
-	}
-	s.Requests += other.Requests
-	s.Examples += other.Examples
-	s.Rejected += other.Rejected
-	s.Unavailable += other.Unavailable
-	s.BadRequests += other.BadRequests
-	s.DecodeFallbacks += other.DecodeFallbacks
-	s.LatencyUS.Merge(other.LatencyUS)
-	s.BatchSize.Merge(other.BatchSize)
-	s.Promotions += other.Promotions
-	s.PromotionsRefused += other.PromotionsRefused
-	if other.ModelEpoch > s.ModelEpoch {
-		s.ModelEpoch = other.ModelEpoch
-	}
-}
-
-// WriteProm renders the serving counters in the Prometheus text format;
-// the daemon's /metrics endpoint serves this ahead of the training-side
-// exposition.
-func (m *ServeMetrics) WriteProm(w io.Writer) error {
-	p := newPromWriter(w)
+// writeProm renders the serving counters, the head of the daemon's
+// /metrics body.
+func (m *ServeMetrics) writeProm(p *promWriter) {
 	p.metric("buckwild_serve_requests_total", "counter", "Predict requests accepted.", float64(m.requests.Load()))
 	p.metric("buckwild_serve_examples_total", "counter", "Examples predicted (batched requests count each example).", float64(m.examples.Load()))
 	p.metric("buckwild_serve_rejected_total", "counter", "Requests rejected by admission control (429).", float64(m.rejected.Load()))
@@ -177,5 +156,4 @@ func (m *ServeMetrics) WriteProm(w io.Writer) error {
 		draining = 1
 	}
 	p.metric("buckwild_serve_draining", "gauge", "1 while the server drains after SIGTERM.", draining)
-	return p.err
 }

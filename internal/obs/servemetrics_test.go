@@ -26,7 +26,7 @@ func TestServeMetricsProm(t *testing.T) {
 	m.SetDraining(true)
 
 	var buf bytes.Buffer
-	if err := m.WriteProm(&buf); err != nil {
+	if err := (&Surface{Serve: m}).WriteProm(&buf); err != nil {
 		t.Fatalf("WriteProm: %v", err)
 	}
 	out := buf.String()
@@ -123,7 +123,7 @@ func TestServeMetricsConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			_ = m.Snapshot()
-			_ = m.WriteProm(io.Discard)
+			_ = (&Surface{Serve: m}).WriteProm(io.Discard)
 		}
 	}()
 	wg.Wait()

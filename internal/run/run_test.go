@@ -369,7 +369,7 @@ func TestLifecycleHooks(t *testing.T) {
 func TestRetriesExhaustedTriggersBundle(t *testing.T) {
 	ds := testDense(t)
 	bundleDir := t.TempDir()
-	bundler, err := obs.NewBundler(obs.BundleConfig{Dir: bundleDir, Flight: obs.NewFlightRecorder(0)})
+	bundler, err := obs.NewBundler(obs.BundleConfig{Dir: bundleDir}, &obs.Surface{Flight: obs.NewFlightRecorder(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

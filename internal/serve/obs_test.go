@@ -34,7 +34,7 @@ func (b *syncBuffer) String() string {
 
 func TestDebugFlightEndpoint(t *testing.T) {
 	rec := obs.NewFlightRecorder(32)
-	s, hs := newTestServer(t, Config{Flight: rec})
+	s, hs := newTestServer(t, Config{Surface: &obs.Surface{Flight: rec}})
 	if _, err := s.Promote(newLin(2, 1), 5, 0.25); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSlowRequestLogging(t *testing.T) {
 	rec := obs.NewFlightRecorder(32)
 	s, hs := newTestServer(t, Config{
 		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
-		Flight:      rec,
+		Surface:     &obs.Surface{Flight: rec},
 		SlowRequest: time.Nanosecond, // every completed request is an offender
 	})
 	if _, err := s.Promote(newLin(2, 1), 1, 0.5); err != nil {

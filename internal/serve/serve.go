@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -52,13 +51,6 @@ type Predictor interface {
 	PredictBatch(xs [][]float32, out []float32) ([]float32, error)
 }
 
-// PromWriter is anything that can render itself in the Prometheus text
-// format; the daemon's /metrics endpoint appends Extra writers (the
-// training side's LiveMetrics) after its own serving counters.
-type PromWriter interface {
-	WriteProm(w io.Writer) error
-}
-
 // Config configures a Server. The zero value is usable: New fills in
 // localhost defaults sized for a single-machine daemon.
 type Config struct {
@@ -76,9 +68,6 @@ type Config struct {
 	BatchWait time.Duration
 	// DrainTimeout bounds the graceful drain on SIGTERM (10s).
 	DrainTimeout time.Duration
-	// Extra prom writers are appended to /metrics after the serving
-	// counters (the training side's LiveMetrics goes here).
-	Extra []PromWriter
 	// Tracer, when non-nil, records request -> batch -> predict spans,
 	// per-job queue-wait spans, and batch-assembly spans, all tagged with
 	// the serving model's epoch and promotion sequence.
@@ -87,20 +76,15 @@ type Config struct {
 	// (promotions, drain progress, slow requests). Nil is silent, the
 	// repo's nil-means-off logging convention.
 	Logger *slog.Logger
-	// Flight, when non-nil, records promotions, refusals, slow requests
-	// and drain transitions into the post-mortem ring, served at
-	// GET /debug/flight.
-	Flight *obs.FlightRecorder
 	// SlowRequest, when positive, is the latency threshold above which a
 	// completed request is logged (and flight-recorded) as an offender.
 	SlowRequest time.Duration
-	// Bundle, when non-nil, gets a debug bundle triggered on each slow
-	// request (debounced by the bundler's cooldown) and is served on
-	// demand at GET /debug/bundle.
-	Bundle *obs.Bundler
-	// Dash, when non-nil, is the live dashboard, served at
-	// GET /debug/dash with its SSE feed at GET /debug/dash/events.
-	Dash *obs.Dash
+	// Surface is the process's debug surface, mounted beside /predict:
+	// its Flight records promotions, refusals, slow requests and drain
+	// transitions, its Bundle is triggered on each slow request
+	// (debounced by the bundler's cooldown), and New installs the
+	// server's counters as its Serve. Nil gets a surface of its own.
+	Surface *obs.Surface
 }
 
 // fill applies defaults to unset fields and validates the rest.
@@ -222,6 +206,10 @@ func New(cfg Config) (*Server, error) {
 		batchDone: make(chan struct{}),
 		serveErr:  make(chan error, 1),
 	}
+	if s.cfg.Surface == nil {
+		s.cfg.Surface = &obs.Surface{}
+	}
+	s.cfg.Surface.Serve = s.metrics
 	if t := cfg.Tracer; t != nil {
 		t.NameTrack(traceTIDRequest, "serve/requests")
 		t.NameTrack(traceTIDBatch, "serve/batcher")
@@ -259,13 +247,13 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 	}
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		s.metrics.PromotionRefused()
-		s.cfg.Flight.Record("serve", "promotion-refused",
+		s.cfg.Surface.Flight.Record("serve", "promotion-refused",
 			fmt.Sprintf("non-finite loss %v at epoch %d", loss, epoch), nil)
 		return 0, fmt.Errorf("serve: refusing to promote a model with loss %v", loss)
 	}
 	if r := s.refuse.Load(); r != nil {
 		s.metrics.PromotionRefused()
-		s.cfg.Flight.Record("serve", "promotion-refused", *r,
+		s.cfg.Surface.Flight.Record("serve", "promotion-refused", *r,
 			map[string]string{"epoch": fmt.Sprint(epoch)})
 		return 0, fmt.Errorf("serve: promotion refused: %s", *r)
 	}
@@ -277,7 +265,7 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 			"epoch": fmt.Sprint(epoch), "seq": fmt.Sprint(seq),
 		})
 	}
-	s.cfg.Flight.Record("serve", "promotion",
+	s.cfg.Surface.Flight.Record("serve", "promotion",
 		fmt.Sprintf("promoted model at epoch %d", epoch), map[string]string{
 			"epoch": fmt.Sprint(epoch), "loss": fmt.Sprintf("%.6g", loss),
 			"promotion": fmt.Sprint(seq),
@@ -296,7 +284,7 @@ func (s *Server) RefusePromotions(reason string) {
 		reason = "promotions disabled"
 	}
 	s.refuse.Store(&reason)
-	s.cfg.Flight.Record("serve", "promotion-gate", reason, nil)
+	s.cfg.Surface.Flight.Record("serve", "promotion-gate", reason, nil)
 	s.logWarn("refusing promotions", slog.String("reason", reason))
 }
 
@@ -456,29 +444,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// Handler returns the daemon's HTTP mux: POST /predict, GET /healthz,
-// GET /metrics.
+// Handler returns the daemon's HTTP mux: POST /predict, GET /healthz
+// and the debug surface's routes (see obs.Surface.Mount). The serving
+// port carries no pprof: profiling handlers stay on the training
+// command's -http endpoint, off the port that faces clients.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", s.handlePredict)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/flight", s.handleFlight)
-	if s.cfg.Bundle != nil {
-		mux.Handle("/debug/bundle", s.cfg.Bundle)
-	}
-	s.cfg.Dash.Register(mux, "/debug/dash")
+	s.cfg.Surface.Mount(mux)
 	return mux
-}
-
-// handleFlight serves the flight recorder's JSON dump: the post-mortem
-// ring, readable from a live daemon. 404 when no recorder is installed.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Flight == nil {
-		http.NotFound(w, r)
-		return
-	}
-	s.cfg.Flight.ServeHTTP(w, r)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -631,13 +606,13 @@ func (s *Server) noteSlow(elapsed time.Duration, status string, j *job) {
 		slog.Duration("elapsed", elapsed), slog.String("status", status),
 		slog.Int("examples", j.examples()),
 		slog.Int("model_epoch", j.epoch), slog.Uint64("promotion", j.seq))
-	s.cfg.Flight.Record("serve", "slow-request",
+	s.cfg.Surface.Flight.Record("serve", "slow-request",
 		fmt.Sprintf("request took %v (threshold %v)", elapsed, s.cfg.SlowRequest),
 		map[string]string{
 			"elapsed": elapsed.String(), "status": status,
 			"model_epoch": fmt.Sprint(j.epoch), "promotion": fmt.Sprint(j.seq),
 		})
-	s.cfg.Bundle.Trigger("slow-request",
+	s.cfg.Surface.Bundle.Trigger("slow-request",
 		fmt.Sprintf("request took %v (threshold %v, model epoch %d)",
 			elapsed, s.cfg.SlowRequest, j.epoch))
 }
@@ -662,21 +637,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h["promotions_refused"] = *r
 	}
 	writeJSON(w, code, h)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.WriteProm(w); err != nil {
-		return
-	}
-	for _, e := range s.cfg.Extra {
-		if e == nil {
-			continue
-		}
-		if err := e.WriteProm(w); err != nil {
-			return
-		}
-	}
 }
 
 // Start binds the configured address and serves in the background; read
@@ -729,7 +689,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	if !already {
 		s.metrics.SetDraining(true)
-		s.cfg.Flight.Record("serve", "drain", "drain started", nil)
+		s.cfg.Surface.Flight.Record("serve", "drain", "drain started", nil)
 		s.logInfo("draining", slog.String("note", "in-flight requests will complete"))
 	}
 
@@ -756,7 +716,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			return fmt.Errorf("serve: shutdown: %w", err)
 		}
 	}
-	s.cfg.Flight.Record("serve", "drain", "drain complete", nil)
+	s.cfg.Surface.Flight.Record("serve", "drain", "drain complete", nil)
 	s.logInfo("drained")
 	return nil
 }

@@ -25,9 +25,6 @@ type (
 	ServeMetrics = obs.ServeMetrics
 	// ServeStats is the exportable snapshot of a ServeMetrics.
 	ServeStats = obs.ServeStats
-	// PromWriter is anything that renders itself in the Prometheus text
-	// format; ServeConfig.Extra appends such writers to /metrics.
-	PromWriter = serve.PromWriter
 )
 
 // ServeConfig configures a ModelServer. The zero value is usable: it
@@ -49,10 +46,6 @@ type ServeConfig struct {
 	BatchWait time.Duration
 	// DrainTimeout bounds the graceful drain on shutdown (default 10s).
 	DrainTimeout time.Duration
-	// Extra prom writers are appended to /metrics after the serving
-	// counters — install the training side's LiveMetrics here so one
-	// scrape covers both halves of the daemon.
-	Extra []PromWriter
 	// Tracer, when non-nil, records request -> batch -> predict spans,
 	// per-job queue-wait spans, and batch-assembly spans.
 	Tracer *Tracer
@@ -60,19 +53,17 @@ type ServeConfig struct {
 	// (promotions, drain progress, slow requests); it is scoped to the
 	// "serve" component. Nil is silent.
 	Logger *slog.Logger
-	// Flight, when non-nil, records promotions, refusals, slow requests
-	// and drain transitions into the post-mortem ring; the daemon serves
-	// its dump at GET /debug/flight.
-	Flight *FlightRecorder
 	// SlowRequest, when positive, logs (and flight-records) completed
 	// requests slower than this threshold.
 	SlowRequest time.Duration
-	// Bundle, when non-nil, gets a debug bundle triggered on each slow
-	// request (debounced) and is served on demand at GET /debug/bundle.
-	Bundle *Bundler
-	// Dash, when non-nil, is served at GET /debug/dash with its SSE feed
-	// at GET /debug/dash/events.
-	Dash *Dash
+	// Surface is the daemon's debug surface, mounted beside /predict
+	// (/metrics, /debug/flight, /debug/dash, /debug/bundle; no pprof).
+	// Its Flight records promotions, refusals, slow requests and drain
+	// transitions, its Bundle is triggered on each slow request
+	// (debounced), and the server installs its counters as its Serve, so
+	// put the training side's LiveMetrics in its Live and one scrape
+	// covers both halves of the daemon. Nil gets a surface of its own.
+	Surface *Surface
 }
 
 func (sc ServeConfig) internal() serve.Config {
@@ -82,13 +73,10 @@ func (sc ServeConfig) internal() serve.Config {
 		QueueDepth:   sc.QueueDepth,
 		BatchWait:    sc.BatchWait,
 		DrainTimeout: sc.DrainTimeout,
-		Extra:        sc.Extra,
 		Tracer:       sc.Tracer,
 		Logger:       obs.Component(sc.Logger, "serve"),
-		Flight:       sc.Flight,
 		SlowRequest:  sc.SlowRequest,
-		Bundle:       sc.Bundle,
-		Dash:         sc.Dash,
+		Surface:      sc.Surface,
 	}
 }
 
