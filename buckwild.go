@@ -192,28 +192,26 @@ type (
 	// WeightStats and RoundingBias are NumStats components.
 	WeightStats  = obs.WeightStats
 	RoundingBias = obs.RoundingBias
-	// HealthInfo is the per-epoch payload delivered to HealthHooks.
+	// HealthInfo is the per-epoch OnHealth payload.
 	HealthInfo = obs.HealthInfo
-	// HealthHooks is the optional Hooks extension receiving per-epoch
-	// numerical-health snapshots.
-	HealthHooks = obs.HealthHooks
 	// HealthWatchdog wraps a Hooks chain and cancels the run's context
 	// with a *DivergenceError when the loss goes non-finite or the
 	// saturation rate / rounding-bias drift cross its thresholds.
 	HealthWatchdog = obs.HealthWatchdog
-	// DivergenceInfo describes why a HealthWatchdog fired; DivergenceHooks
-	// is the optional extension receiving it.
-	DivergenceInfo  = obs.DivergenceInfo
-	DivergenceHooks = obs.DivergenceHooks
+	// DivergenceInfo describes why a HealthWatchdog fired; it is the
+	// OnDivergence payload.
+	DivergenceInfo = obs.DivergenceInfo
 	// DivergenceError is the context cause installed by a fired
 	// HealthWatchdog; errors.Is(err, ErrDivergence) matches it.
 	DivergenceError = obs.DivergenceError
 	// FlightRecorder is the always-on post-mortem ring: a bounded,
 	// lock-free buffer of recent structured events (promotions, retries,
-	// faults, watchdog trips, slow requests, epoch completions) dumped as
-	// JSON when a run dies or on demand. Create one with
-	// NewFlightRecorder and install it in Config.Flight and a Surface's
-	// Flight. A nil *FlightRecorder records nothing at no cost.
+	// checkpoints, slow requests, epoch completions) dumped as JSON when a
+	// run dies or on demand. Its feed is the log: events reach a ring rec
+	// when the logger's handler is rec.LogHandler(h), so build the logger
+	// you install in Config.Logger, ServeConfig.Logger and
+	// BundleConfig.Logger that way, and put rec in a Surface's Flight. A
+	// nil *FlightRecorder records nothing at no cost.
 	FlightRecorder = obs.FlightRecorder
 	// FlightEvent and FlightSnapshot are the recorder's exportable forms.
 	FlightEvent    = obs.FlightEvent
@@ -350,15 +348,14 @@ type Config struct {
 	// on Result.NumStats. Off (the default) it costs one nil check per
 	// kernel call.
 	NumHealth bool
-	// Logger, when non-nil, receives structured operational logs from the
-	// run (cluster epoch completions and, through RunConfig, supervisor
-	// retries, checkpoints and faults). Build one with NewLogger; nil is
-	// silent at no cost.
+	// Logger, when non-nil, receives the run's events, one record each
+	// with an "event" attribute: cluster epoch completions (component
+	// "cluster") and, through RunConfig, supervisor resumes, checkpoints,
+	// retries, degradations and retry exhaustion (component "run"). They
+	// reach a flight ring rec when the logger's handler is
+	// rec.LogHandler(h). Build one with NewLogger; nil is silent at no
+	// cost.
 	Logger *slog.Logger
-	// Flight, when non-nil, records the run's notable events (cluster
-	// epochs, watchdog trips, supervisor retries) into the post-mortem
-	// ring for dumping after a failure. Nil records nothing at no cost.
-	Flight *FlightRecorder
 	// Bundle, when non-nil, gets a debug bundle triggered on supervised-
 	// run anomalies (stall watchdog, retry exhaustion); point a
 	// HealthWatchdog's Bundle field at the same Bundler to cover
@@ -470,14 +467,14 @@ func (c Config) observe() obs.Observer {
 // the configuration asks for no observation.
 func (c Config) observer() *obs.Observer {
 	o := c.observe()
-	// Only the cluster tier has flight-recorder and live-metric call
-	// sites; on the shared-memory engine those fields alone must not
-	// switch the per-step counters on (a non-nil Observer does).
+	// Only the cluster tier has live-metric call sites; on the
+	// shared-memory engine that field alone must not switch the per-step
+	// counters on (a non-nil Observer does).
 	if c.Cluster.enabled() {
-		o.Flight, o.ClusterLive = c.Flight, c.Cluster.LiveMetrics
+		o.ClusterLive = c.Cluster.LiveMetrics
 	}
 	if o.Hooks == nil && o.Tracer == nil && o.Series == nil &&
-		!o.NumHealth && o.Flight == nil && o.ClusterLive == nil {
+		!o.NumHealth && o.ClusterLive == nil {
 		return nil
 	}
 	return &o

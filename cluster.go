@@ -161,5 +161,6 @@ func (c Config) clusterConfig(cc core.Config) (cluster.Config, error) {
 		StalenessAlpha: c.Cluster.StalenessAlpha,
 		Ctx:            c.Context,
 		Observer:       cc.Observer,
+		Logger:         obs.Component(c.Logger, "cluster"),
 	}, nil
 }

@@ -101,14 +101,14 @@ func fatal(err error) {
 }
 
 // buildLogger assembles the process logger from the -log-format and
-// -log-level flags and tees every warning or worse into the flight
-// recorder, so the dump holds the tail of the operational log too.
+// -log-level flags over the flight recorder: every event the run logs at
+// Info or worse lands in the ring once, whatever -log-level prints.
 func buildLogger(format, level string, rec *buckwild.FlightRecorder) *slog.Logger {
 	logger, err := buckwild.NewLogger(os.Stderr, format, level)
 	if err != nil {
 		fatal(err)
 	}
-	return slog.New(rec.LogHandler(logger.Handler(), slog.LevelWarn))
+	return slog.New(rec.LogHandler(logger.Handler()))
 }
 
 // watchSIGQUIT dumps the flight recorder and a goroutine profile to
@@ -332,7 +332,6 @@ func main() {
 		Seed:           *seed,
 		NumHealth:      *stats || *report != "" || *healthW || *httpAddr != "",
 		Logger:         logger,
-		Flight:         rec,
 		Context:        ctx,
 		Cluster: buckwild.ClusterConfig{
 			Nodes:          *nodes,

@@ -272,3 +272,73 @@ func TestServeRoutes(t *testing.T) {
 		t.Errorf("exit %d after SIGTERM, want 0; stderr:\n%s", code, stderr.String())
 	}
 }
+
+// flightScenarios are failing supervised runs whose -flight dumps the
+// event tests read, each with the (component, kind) pairs of its
+// transitions in order. A run with two crashes and one retry exhausts
+// its retries; a two-worker run with three stalls degrades to one
+// worker on the second and exhausts its retries on the third. Every
+// stall lands in the first epoch, so no attempt writes a checkpoint.
+var flightScenarios = []struct {
+	name string
+	args []string
+	want []string
+}{
+	{"crash", []string{"-checkpoint-dir", "ck", "-fault", "crash@step=1500,crash@step=3000",
+		"-retries", "1", "-epochs", "3", "-flight", "fl.json"},
+		[]string{"run/retry", "run/retries-exhausted", "bundle/trigger", "bundle/written"}},
+	{"stall", []string{"-threads", "2", "-checkpoint-dir", "ck",
+		"-fault", "stall@step=1500,stall@step=1500,stall@step=1500", "-stall-timeout", "500ms",
+		"-retries", "2", "-epochs", "3", "-flight", "fl.json"},
+		[]string{"bundle/trigger", "bundle/written", "run/retry", "bundle/suppressed", "run/degrade",
+			"run/retry", "bundle/suppressed", "run/retries-exhausted", "bundle/suppressed"}},
+}
+
+// flightDumpEvents runs a failing command and returns its -flight dump's
+// events as component/kind pairs, with and without the "log" ones.
+func flightDumpEvents(t *testing.T, args []string) (all, events []string) {
+	t.Helper()
+	dir := t.TempDir()
+	stderr, code := runCmd(t, dir, args...)
+	if code == 0 {
+		t.Fatalf("exit 0, want a failed run; stderr:\n%s", stderr)
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, "fl.json"))
+	if err != nil {
+		t.Fatalf("%v; stderr:\n%s", err, stderr)
+	}
+	var snap obs.FlightSnapshot
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range snap.Events {
+		pair := ev.Component + "/" + ev.Kind
+		all = append(all, pair)
+		if ev.Kind != "log" {
+			events = append(events, pair)
+		}
+	}
+	return all, events
+}
+
+// TestFlightEventsPinned pins the ordered transitions a failed
+// supervised run leaves in its flight dump.
+func TestFlightEventsPinned(t *testing.T) {
+	for _, sc := range flightScenarios {
+		_, events := flightDumpEvents(t, sc.args)
+		if strings.Join(events, " ") != strings.Join(sc.want, " ") {
+			t.Errorf("%s: flight events\n  %v\nwant\n  %v", sc.name, events, sc.want)
+		}
+	}
+}
+
+// TestFlightEventsOnce checks that each transition lands in the flight
+// dump exactly once: no second "log" copy of a logged event.
+func TestFlightEventsOnce(t *testing.T) {
+	for _, sc := range flightScenarios {
+		all, _ := flightDumpEvents(t, sc.args)
+		if strings.Join(all, " ") != strings.Join(sc.want, " ") {
+			t.Errorf("%s: flight dump holds\n  %v\nwant each transition once\n  %v", sc.name, all, sc.want)
+		}
+	}
+}

@@ -91,9 +91,9 @@ func serveCmd(args []string) {
 	}
 	fs.Parse(args)
 
-	// The daemon's post-mortem ring: promotions, refusals, slow requests,
-	// supervisor retries and drain transitions, served at
-	// GET /debug/flight and dumped to stderr on SIGQUIT.
+	// The daemon's post-mortem ring, fed by the logger: promotions,
+	// refusals, slow requests, supervisor retries and drain transitions,
+	// served at GET /debug/flight and dumped to stderr on SIGQUIT.
 	rec := buckwild.NewFlightRecorder(0)
 	logger := buildLogger(*logFormat, *logLevel, rec)
 	watchSIGQUIT(rec)
@@ -199,7 +199,6 @@ func serveCmd(args []string) {
 				NumHealth:  true,
 				Hooks:      &buckwild.HealthWatchdog{Cancel: cancelCause, Bundle: surface.Bundle, Next: gate},
 				Logger:     logger,
-				Flight:     rec,
 				TimeSeries: series,
 				Bundle:     surface.Bundle,
 				Context:    roundCtx,
@@ -235,9 +234,8 @@ func serveCmd(args []string) {
 				// model keeps serving. Training stops rather than diverge
 				// again on the same trajectory.
 				logger.Warn("training diverged, promotions gated, serving continues",
-					slog.String("error", err.Error()))
-				rec.Record("run", "divergence", "training diverged, promotions gated",
-					map[string]string{"round": fmt.Sprint(r), "error": err.Error()})
+					slog.String("component", "run"), slog.String("event", "divergence"),
+					slog.Int("round", r), slog.String("error", err.Error()))
 				return
 			default:
 				logger.Error("training stopped", slog.String("error", err.Error()))

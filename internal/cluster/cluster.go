@@ -32,6 +32,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"buckwild/internal/core"
 	"buckwild/internal/dataset"
@@ -108,6 +109,9 @@ type Config struct {
 	// and wire numerical health. Nil skips all of it; the exact wire-byte
 	// accounting on Result.Cluster is always produced.
 	Observer *obs.Observer
+	// Logger, when non-nil, receives one Info record per finished epoch
+	// (event "epoch"). Nil is silent at no cost.
+	Logger *slog.Logger
 }
 
 func (c *Config) fill() error {
@@ -337,10 +341,16 @@ func (e *engine) observeUpdate(staleness uint64, g []float32, compensated bool) 
 	}
 }
 
-// epochDone records an epoch boundary: the loss is appended, hooks fire,
-// the time-series ticks, and a trace instant marks the simulated time.
+// epochDone records an epoch boundary: the loss is appended, the epoch is
+// logged, hooks fire, the time-series ticks, and a trace instant marks
+// the simulated time.
 func (e *engine) epochDone(epoch int, loss, simT float64) {
 	e.losses = append(e.losses, loss)
+	if l := e.cfg.Logger; l != nil {
+		l.Info("epoch done", slog.String("event", "epoch"),
+			slog.Int("epoch", epoch), slog.Float64("loss", loss),
+			slog.Uint64("updates", e.updates), slog.Float64("sim_seconds", simT))
+	}
 	o := e.cfg.Observer
 	if o == nil {
 		return
@@ -356,14 +366,6 @@ func (e *engine) epochDone(epoch int, loss, simT float64) {
 			"epoch": fmt.Sprint(epoch), "loss": fmt.Sprintf("%.6g", loss),
 			"sim_seconds": fmt.Sprintf("%.6g", simT),
 		})
-	}
-	if o.Flight != nil {
-		o.Flight.Record("cluster", "epoch",
-			fmt.Sprintf("epoch %d done, loss %.6g", epoch, loss),
-			map[string]string{
-				"epoch": fmt.Sprint(epoch), "loss": fmt.Sprintf("%.6g", loss),
-				"updates": fmt.Sprint(e.updates), "sim_seconds": fmt.Sprintf("%.6g", simT),
-			})
 	}
 }
 

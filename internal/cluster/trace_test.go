@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -140,7 +141,8 @@ func TestClusterPerNodeStatsAndLiveMetrics(t *testing.T) {
 	rec := obs.NewFlightRecorder(16)
 	res := clusterRun(t, ds, Config{
 		Nodes: 3, Protocol: ParamServer, WireBits: 8, ErrorFeedback: true,
-		Epochs: 2, Observer: &obs.Observer{ClusterLive: live, Flight: rec},
+		Epochs: 2, Observer: &obs.Observer{ClusterLive: live},
+		Logger: obs.Component(slog.New(rec.LogHandler(nil)), "cluster"),
 	})
 	c := res.Cluster
 	if len(c.PerNode) != 3 {
@@ -184,7 +186,7 @@ func TestClusterPerNodeStatsAndLiveMetrics(t *testing.T) {
 		}
 	}
 
-	// Epoch completions landed in the flight ring.
+	// Epoch completions, logged, landed in the flight ring.
 	snap := rec.Snapshot()
 	epochs := 0
 	for _, ev := range snap.Events {

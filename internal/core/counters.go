@@ -312,7 +312,7 @@ func (ro *runObs) epochDone(epoch int, loss float64) {
 	ro.series.EpochTick(epoch, loss, steps, waits)
 	if ro.hooks != nil {
 		ro.hooks.OnEpoch(obs.EpochInfo{Epoch: epoch, Loss: loss, Steps: steps})
-		if hh, ok := ro.hooks.(obs.HealthHooks); ok && ro.num != nil {
+		if ro.num != nil {
 			hi := obs.HealthInfo{
 				Epoch: epoch, Loss: loss, Steps: steps, ModelWrites: writes,
 				Saturations:   health.SatTotal(),
@@ -324,7 +324,7 @@ func (ro *runObs) epochDone(epoch int, loss float64) {
 				hi.WeightsAtBounds = ro.weights.AtBounds
 				hi.WeightCount = ro.weights.Count
 			}
-			hh.OnHealth(hi)
+			ro.hooks.OnHealth(hi)
 		}
 	}
 }

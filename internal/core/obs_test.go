@@ -12,6 +12,7 @@ import (
 // countingHooks counts invocations with atomics so it is safe under
 // concurrent workers (and clean under -race).
 type countingHooks struct {
+	obs.NopHooks
 	epochs  atomic.Uint64
 	steps   atomic.Uint64
 	workers atomic.Uint64

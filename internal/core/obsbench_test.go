@@ -59,11 +59,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			cfg.Observer = &obs.Observer{Tracer: obs.NewTracer(0)}
 			return cfg
 		}},
-		{"flight", func(*testing.B) Config {
-			cfg := base()
-			cfg.Observer = &obs.Observer{Flight: obs.NewFlightRecorder(0)}
-			return cfg
-		}},
 		{"numhealth", func(*testing.B) Config {
 			cfg := base()
 			cfg.Observer = &obs.Observer{NumHealth: true}
@@ -91,7 +86,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 				Hooks:     &countingHooks{},
 				Series:    obs.NewSeries(0),
 				Tracer:    obs.NewTracer(0),
-				Flight:    obs.NewFlightRecorder(0),
 				NumHealth: true,
 			}
 			return cfg

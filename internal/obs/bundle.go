@@ -60,8 +60,10 @@ type BundleConfig struct {
 	// oldest are pruned after each write (default 8).
 	MaxBundles int
 
-	// Logger, when non-nil, gets one Info line per bundle written and a
-	// Warn on write failure.
+	// Logger, when non-nil, gets the bundler's events, scoped to
+	// component "bundle": an Info line per trigger, suppressed trigger
+	// and bundle written, and a Warn on write failure. They reach a
+	// flight ring rec when the logger's handler is rec.LogHandler(h).
 	Logger *slog.Logger
 }
 
@@ -78,6 +80,7 @@ func (c *BundleConfig) fill() {
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = DefaultMaxBundles
 	}
+	c.Logger = Component(c.Logger, "bundle")
 }
 
 // BundleEntry is one file inside a bundle, as listed by the manifest.
@@ -131,9 +134,10 @@ type Bundler struct {
 }
 
 // NewBundler returns a Bundler writing bundles of src's sensors into
-// cfg.Dir, creating it if missing; it records its triggers in
-// src.Flight. A nil src bundles only the process's profiles. The caller
-// usually stores the result in src.Bundle.
+// cfg.Dir, creating it if missing. Its events reach src.Flight through
+// cfg.Logger when the logger's handler is src.Flight.LogHandler(h). A
+// nil src bundles only the process's profiles. The caller usually stores
+// the result in src.Bundle.
 func NewBundler(cfg BundleConfig, src *Surface) (*Bundler, error) {
 	cfg.fill()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -149,8 +153,8 @@ func NewBundler(cfg BundleConfig, src *Surface) (*Bundler, error) {
 // written, or inside the cooldown window after the previous write
 // finished, the trigger is counted and dropped (wrote is false);
 // otherwise a bundle is written and its path returned. Errors
-// are logged, flight-recorded and swallowed — an anomaly handler must
-// never die because evidence collection did. Nil-safe.
+// are logged and swallowed — an anomaly handler must never die because
+// evidence collection did. Nil-safe.
 func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 	if b == nil {
 		return "", false
@@ -160,8 +164,10 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 		b.suppressed++
 		n := b.suppressed
 		b.mu.Unlock()
-		b.src.Flight.Record("bundle", "suppressed", reason,
-			map[string]string{"detail": detail, "suppressed": fmt.Sprint(n)})
+		if b.cfg.Logger != nil {
+			b.cfg.Logger.Info("debug bundle suppressed", slog.String("event", "suppressed"),
+				slog.String("reason", reason), slog.String("detail", detail), slog.Uint64("suppressed", n))
+		}
 		return "", false
 	}
 	b.writing = true
@@ -171,9 +177,12 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 	b.suppressed = 0
 	b.mu.Unlock()
 
-	// Record the trigger before snapshotting the flight ring so the
+	// Log the trigger before snapshotting the flight ring so the
 	// bundle's own flight.json shows what tripped it.
-	b.src.Flight.Record("bundle", "trigger", reason, map[string]string{"detail": detail})
+	if b.cfg.Logger != nil {
+		b.cfg.Logger.Info("debug bundle triggered", slog.String("event", "trigger"),
+			slog.String("reason", reason), slog.String("detail", detail))
+	}
 
 	name := fmt.Sprintf("%s-%s-%03d%s", b.cfg.Prefix, sanitizeReason(reason), seq, DebugBundleSuffix)
 	path = filepath.Join(b.cfg.Dir, name)
@@ -183,17 +192,15 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 	b.mu.Unlock()
 	if err != nil {
 		if b.cfg.Logger != nil {
-			b.cfg.Logger.Warn("debug bundle write failed",
+			b.cfg.Logger.Warn("debug bundle write failed", slog.String("event", "error"),
 				slog.String("reason", reason), slog.String("error", err.Error()))
 		}
-		b.src.Flight.Record("bundle", "error", err.Error(), nil)
 		return "", false
 	}
 	if b.cfg.Logger != nil {
-		b.cfg.Logger.Info("debug bundle written",
+		b.cfg.Logger.Info("debug bundle written", slog.String("event", "written"),
 			slog.String("reason", reason), slog.String("path", path))
 	}
-	b.src.Flight.Record("bundle", "written", path, map[string]string{"reason": reason})
 	b.prune()
 	return path, true
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +18,8 @@ import (
 
 // populatedBundler builds a Bundler over a surface of live flight,
 // tracer, series and serving sensors with some recorded content, plus
-// resolved flags.
+// resolved flags. Without a cfg.Logger the bundler logs into the
+// surface's flight ring, as the commands wire it.
 func populatedBundler(t *testing.T, cfg BundleConfig) (*Bundler, *Surface) {
 	t.Helper()
 	sf := &Surface{
@@ -30,6 +32,9 @@ func populatedBundler(t *testing.T, cfg BundleConfig) (*Bundler, *Surface) {
 	sf.Series.EpochTick(0, 0.5, 100, 0)
 	sf.Series.EpochTick(1, 0.4, 200, 0)
 	sf.Serve.Request(1, 42)
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(sf.Flight.LogHandler(nil))
+	}
 	b, err := NewBundler(cfg, sf)
 	if err != nil {
 		t.Fatal(err)
@@ -73,11 +78,11 @@ func TestBundleRoundTrip(t *testing.T) {
 	if info.Flight == nil {
 		t.Fatal("bundle has no decoded flight section")
 	}
-	// The trigger itself is recorded before the snapshot, so the bundle's
+	// The trigger itself is logged before the snapshot, so the bundle's
 	// own flight ring shows what tripped it.
 	var sawTrigger, sawEpoch bool
 	for _, ev := range info.Flight.Events {
-		if ev.Component == "bundle" && ev.Kind == "trigger" && ev.Message == "divergence" {
+		if ev.Component == "bundle" && ev.Kind == "trigger" && ev.Fields["reason"] == "divergence" {
 			sawTrigger = true
 		}
 		if ev.Kind == "epoch" {

@@ -13,7 +13,9 @@ import (
 
 // This file holds the flight recorder: an always-on, bounded, lock-free
 // ring of the run's most recent structured events (promotions, retries,
-// faults, watchdog trips, slow requests, epoch/round completions). It is
+// faults, watchdog trips, slow requests, epoch/round completions). Its
+// feed is the log stream: LogHandler captures every Info-or-worse record,
+// so each event is one slog call carrying an "event" attribute. It is
 // the post-mortem half of the observability stack — cheap enough to leave
 // armed in production, and dumped as JSON when something goes wrong
 // (divergence, supervisor exhaustion, SIGQUIT) or on demand via a
@@ -32,11 +34,12 @@ type FlightEvent struct {
 	Seq uint64 `json:"seq"`
 	// Time is the wall-clock record time.
 	Time time.Time `json:"time"`
-	// Component names the subsystem that recorded the event ("run",
-	// "cluster", "serve", "log", ...).
+	// Component names the subsystem that logged the event ("run",
+	// "cluster", "serve", "bundle"; "log" for an unscoped logger).
 	Component string `json:"component"`
-	// Kind classifies the event ("promotion", "retry", "fault",
-	// "watchdog-stall", "slow-request", "epoch", ...).
+	// Kind classifies the event ("retry", "checkpoint", "promotion",
+	// "slow-request", "drain", "epoch", ...; "log" for a record with no
+	// event attribute).
 	Kind string `json:"kind"`
 	// Message is the human-readable one-liner.
 	Message string `json:"message,omitempty"`
@@ -67,7 +70,8 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 }
 
 // Record appends one event. fields may be nil; the recorder keeps the
-// map as given, so callers must not mutate it afterwards.
+// map as given, so callers must not mutate it afterwards. Subsystems do
+// not call it: they log, and LogHandler records.
 func (r *FlightRecorder) Record(component, kind, message string, fields map[string]string) {
 	if r == nil {
 		return
@@ -149,25 +153,24 @@ func (r *FlightRecorder) DumpFile(path string) error {
 	return f.Close()
 }
 
-// LogHandler returns a slog.Handler that forwards every record to next
-// and additionally captures records at or above min into the recorder
-// (component taken from the record's "component" attribute, kind "log").
-// It is how the structured-logging and flight-recorder halves compose:
-// warnings and errors logged anywhere automatically land in the
-// post-mortem ring. next may be nil to only capture.
-func (r *FlightRecorder) LogHandler(next slog.Handler, min slog.Level) slog.Handler {
-	return &flightLogHandler{rec: r, next: next, min: min}
+// LogHandler returns a slog.Handler that forwards every record next
+// enables to next, and captures every record at Info or above into the
+// recorder, whatever level next is set to. It is the ring's only feed:
+// a subsystem logs each notable event once, and the component and event
+// attributes name it (kind "log" when the record carries no event).
+// next may be nil to only capture.
+func (r *FlightRecorder) LogHandler(next slog.Handler) slog.Handler {
+	return &flightLogHandler{rec: r, next: next}
 }
 
 type flightLogHandler struct {
 	rec   *FlightRecorder
 	next  slog.Handler
-	min   slog.Level
 	attrs []slog.Attr
 }
 
 func (h *flightLogHandler) Enabled(ctx context.Context, level slog.Level) bool {
-	if level >= h.min {
+	if level >= slog.LevelInfo {
 		return true
 	}
 	return h.next != nil && h.next.Enabled(ctx, level)
@@ -178,24 +181,27 @@ func (h *flightLogHandler) Handle(ctx context.Context, rec slog.Record) error {
 	if h.next != nil && h.next.Enabled(ctx, rec.Level) {
 		err = h.next.Handle(ctx, rec.Clone())
 	}
-	if rec.Level < h.min {
+	if rec.Level < slog.LevelInfo {
 		return err
 	}
-	component := "log"
+	component, kind := "log", "log"
 	fields := make(map[string]string, rec.NumAttrs()+len(h.attrs)+1)
 	add := func(a slog.Attr) {
-		if a.Key == "component" {
+		switch a.Key {
+		case "component":
 			component = a.Value.String()
-			return
+		case "event":
+			kind = a.Value.String()
+		default:
+			fields[a.Key] = a.Value.String()
 		}
-		fields[a.Key] = a.Value.String()
 	}
 	for _, a := range h.attrs {
 		add(a)
 	}
 	rec.Attrs(func(a slog.Attr) bool { add(a); return true })
 	fields["level"] = rec.Level.String()
-	h.rec.Record(component, "log", rec.Message, fields)
+	h.rec.Record(component, kind, rec.Message, fields)
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -98,25 +99,33 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 func TestFlightLogHandlerTee(t *testing.T) {
 	rec := NewFlightRecorder(8)
 	var buf bytes.Buffer
-	base, err := NewLogger(&buf, "json", "info")
+	base, err := NewLogger(&buf, "json", "warn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	logger := slog.New(rec.LogHandler(base.Handler(), slog.LevelWarn))
-	logger = Component(logger, "run")
-	logger.Info("below the tee threshold")
+	logger := Component(slog.New(rec.LogHandler(base.Handler())), "run")
+	logger.Debug("below the ring")
+	logger.Info("checkpoint saved", slog.String("event", "checkpoint"), slog.Int("epoch", 3))
 	logger.Warn("worth remembering", slog.Int("attempt", 2))
 
-	if !bytes.Contains(buf.Bytes(), []byte("below the tee threshold")) {
-		t.Error("info record did not reach the wrapped handler")
+	if out := buf.String(); strings.Contains(out, "below the ring") || strings.Contains(out, "checkpoint saved") ||
+		!strings.Contains(out, "worth remembering") {
+		t.Errorf("the wrapped handler's own level no longer filters what it prints:\n%s", out)
 	}
 	snap := rec.Snapshot()
-	if len(snap.Events) != 1 {
-		t.Fatalf("ring holds %d events, want only the warning", len(snap.Events))
+	if len(snap.Events) != 2 {
+		t.Fatalf("ring holds %d events, want the Info event and the warning: %+v", len(snap.Events), snap.Events)
 	}
 	ev := snap.Events[0]
+	if ev.Kind != "checkpoint" || ev.Component != "run" || ev.Message != "checkpoint saved" {
+		t.Errorf("event = %+v, want its event attribute as the kind", ev)
+	}
+	if _, ok := ev.Fields["event"]; ok || ev.Fields["epoch"] != "3" || ev.Fields["level"] != "INFO" {
+		t.Errorf("event fields = %v", ev.Fields)
+	}
+	ev = snap.Events[1]
 	if ev.Kind != "log" || ev.Component != "run" || ev.Message != "worth remembering" {
-		t.Errorf("teed event = %+v", ev)
+		t.Errorf("teed record = %+v", ev)
 	}
 	if ev.Fields["attempt"] != "2" || ev.Fields["level"] != "WARN" {
 		t.Errorf("teed fields = %v", ev.Fields)

@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // This file holds the observability vocabulary of the run supervisor
-// (internal/run): the lifecycle callback surface and the counter snapshot
+// (internal/run): the lifecycle callback payloads and the counter snapshot
 // a supervised, fault-tolerant run reports. It lives here rather than in
 // internal/run so that exporters, the commands' -report documents and the
 // facade all speak one observability schema.
@@ -33,23 +33,6 @@ type RetryInfo struct {
 	// Threads is the worker count the next attempt will run with (lower
 	// than the configured count after graceful degradation).
 	Threads int
-}
-
-// LifecycleHooks is the optional extension of Hooks that receives the run
-// supervisor's lifecycle events. A Hooks implementation that also
-// implements this interface gets checkpoint and retry callbacks from
-// supervised runs; implementations that do not are simply not called.
-// Extending via a separate optional interface keeps existing Hooks
-// implementations compiling unchanged.
-//
-// Both callbacks fire on the supervisor's goroutine, never concurrently
-// with each other, but possibly concurrently with OnStep/OnWorker.
-type LifecycleHooks interface {
-	// OnCheckpoint fires after a checkpoint file has been atomically
-	// renamed into place.
-	OnCheckpoint(CheckpointInfo)
-	// OnRetry fires after an attempt fails and before the backoff sleep.
-	OnRetry(RetryInfo)
 }
 
 // SupervisorStats is the counter snapshot of one supervised run: what the

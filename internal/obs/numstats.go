@@ -11,8 +11,8 @@ import (
 // This file holds the numerical-health half of the run statistics: the
 // snapshot types the engine fills from its per-worker counting shards
 // (saturation per clamp site, signed rounding bias, underflows, the
-// per-epoch weight-distribution pass), the per-epoch HealthHooks
-// callback, and the HealthWatchdog divergence detector. The paper's §3
+// per-epoch weight-distribution pass), the per-epoch OnHealth payload,
+// and the HealthWatchdog divergence detector. The paper's §3
 // argument — that saturation and rounding bias, not raw bit width, drive
 // low-precision accuracy gaps — becomes a set of live metrics here.
 
@@ -183,16 +183,6 @@ func (h HealthInfo) BiasMeanQuanta() float64 {
 	return h.BiasSumQuanta / float64(h.BiasSamples)
 }
 
-// HealthHooks is the optional numerical-health extension of Hooks: a
-// Hooks implementation that also implements HealthHooks receives
-// OnHealth after each epoch of a run collecting numerical health.
-// Extending via a separate optional interface keeps existing Hooks
-// implementations compiling unchanged (the LifecycleHooks pattern).
-type HealthHooks interface {
-	// OnHealth fires on the coordinating goroutine after OnEpoch.
-	OnHealth(HealthInfo)
-}
-
 // DivergenceInfo describes a detected numerical divergence.
 type DivergenceInfo struct {
 	// Epoch is the epoch boundary at which the detector fired.
@@ -203,15 +193,6 @@ type DivergenceInfo struct {
 	Loss           float64 `json:"loss"`
 	SatRate        float64 `json:"sat_rate"`
 	BiasMeanQuanta float64 `json:"bias_mean_quanta"`
-}
-
-// DivergenceHooks is the optional divergence extension of Hooks, fired
-// by the HealthWatchdog (same optional-interface pattern as
-// LifecycleHooks and HealthHooks).
-type DivergenceHooks interface {
-	// OnDivergence fires once, on the goroutine that detected the
-	// divergence, before the run's context is cancelled.
-	OnDivergence(DivergenceInfo)
 }
 
 // ErrDivergence is the sentinel every watchdog cancellation matches:
@@ -248,9 +229,9 @@ const (
 // HealthWatchdog is a Hooks middleware that detects numerical divergence
 // — NaN/Inf loss at any epoch, or saturation-rate / rounding-bias drift
 // beyond thresholds once the grace period has passed — and stops the run:
-// it fires OnDivergence on the wrapped hooks (if implemented) and cancels
-// the run's context with a *DivergenceError cause, so the training call
-// returns an error matching ErrDivergence. It fires at most once.
+// it fires OnDivergence on the wrapped hooks and cancels the run's
+// context with a *DivergenceError cause, so the training call returns an
+// error matching ErrDivergence. It fires at most once.
 //
 // The watchdog needs the run to collect numerical health (the rate
 // thresholds see only OnHealth); NaN/Inf detection works regardless.
@@ -270,10 +251,9 @@ type HealthWatchdog struct {
 	// before the run's context is cancelled — so the bundle's flight and
 	// series sections still show the diverging run live.
 	Bundle *Bundler
-	// Next receives every callback unchanged (nil: none). If it also
-	// implements HealthHooks, LifecycleHooks or DivergenceHooks those
-	// are forwarded/fired too, so the watchdog can wrap e.g. a
-	// LiveMetrics without hiding its other capabilities.
+	// Next receives every callback unchanged, and OnDivergence when the
+	// watchdog trips (nil: none), so the watchdog can wrap e.g. a
+	// LiveMetrics without hiding it.
 	Next Hooks
 
 	fired atomic.Bool
@@ -341,22 +321,29 @@ func (wd *HealthWatchdog) OnHealth(hi HealthInfo) {
 			})
 		}
 	}
-	if hh, ok := wd.Next.(HealthHooks); ok {
-		hh.OnHealth(hi)
+	if wd.Next != nil {
+		wd.Next.OnHealth(hi)
 	}
 }
 
-// OnCheckpoint forwards the lifecycle event to the wrapped hooks.
+// OnDivergence forwards.
+func (wd *HealthWatchdog) OnDivergence(di DivergenceInfo) {
+	if wd.Next != nil {
+		wd.Next.OnDivergence(di)
+	}
+}
+
+// OnCheckpoint forwards.
 func (wd *HealthWatchdog) OnCheckpoint(ci CheckpointInfo) {
-	if lh, ok := wd.Next.(LifecycleHooks); ok {
-		lh.OnCheckpoint(ci)
+	if wd.Next != nil {
+		wd.Next.OnCheckpoint(ci)
 	}
 }
 
-// OnRetry forwards the lifecycle event to the wrapped hooks.
+// OnRetry forwards.
 func (wd *HealthWatchdog) OnRetry(ri RetryInfo) {
-	if lh, ok := wd.Next.(LifecycleHooks); ok {
-		lh.OnRetry(ri)
+	if wd.Next != nil {
+		wd.Next.OnRetry(ri)
 	}
 }
 
@@ -369,8 +356,8 @@ func (wd *HealthWatchdog) trip(di DivergenceInfo) {
 	if !wd.fired.CompareAndSwap(false, true) {
 		return
 	}
-	if dh, ok := wd.Next.(DivergenceHooks); ok {
-		dh.OnDivergence(di)
+	if wd.Next != nil {
+		wd.Next.OnDivergence(di)
 	}
 	wd.Bundle.Trigger("divergence", fmt.Sprintf("epoch %d: %s", di.Epoch, di.Reason))
 	if wd.Cancel != nil {

@@ -160,14 +160,18 @@ func TestHealthWatchdogBiasDrift(t *testing.T) {
 func TestHealthWatchdogForwardsLifecycle(t *testing.T) {
 	rec := &recordingHooks{}
 	wd := &HealthWatchdog{Next: rec}
-	var lh LifecycleHooks = wd
-	lh.OnCheckpoint(CheckpointInfo{Epoch: 1})
-	lh.OnRetry(RetryInfo{Attempt: 1})
-	if rec.checkpoints != 1 || rec.retries != 1 {
-		t.Fatalf("lifecycle forwarding: %d checkpoints, %d retries", rec.checkpoints, rec.retries)
+	var h Hooks = wd
+	h.OnCheckpoint(CheckpointInfo{Epoch: 1})
+	h.OnRetry(RetryInfo{Attempt: 1})
+	h.OnDivergence(DivergenceInfo{Epoch: 1})
+	if rec.checkpoints != 1 || rec.retries != 1 || len(rec.divergences) != 1 {
+		t.Fatalf("forwarding: %d checkpoints, %d retries, %d divergences", rec.checkpoints, rec.retries, len(rec.divergences))
 	}
 	// A watchdog with no Cancel and no Next must not panic.
 	bare := &HealthWatchdog{}
+	bare.OnCheckpoint(CheckpointInfo{Epoch: 1})
+	bare.OnRetry(RetryInfo{Attempt: 1})
+	bare.OnHealth(HealthInfo{Epoch: 1})
 	bare.OnEpoch(EpochInfo{Epoch: 1, Loss: math.NaN()})
 	if !bare.Fired() {
 		t.Fatal("bare watchdog did not record the detection")

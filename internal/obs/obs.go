@@ -58,16 +58,28 @@ type WorkerInfo struct {
 // Hooks receives run-level callbacks from a training run. OnStep and
 // OnWorker are called from worker goroutines, concurrently under Racy and
 // Locked sharing, so implementations must be safe for concurrent use.
-// Embed NopHooks to implement only a subset.
+// Every other callback fires on the run's coordinating goroutine (the
+// supervisor's, for OnCheckpoint and OnRetry), possibly concurrently with
+// OnStep and OnWorker. Embed NopHooks to implement only a subset.
 type Hooks interface {
-	// OnEpoch fires on the coordinating goroutine after each epoch's
-	// loss evaluation.
+	// OnEpoch fires after each epoch's loss evaluation.
 	OnEpoch(EpochInfo)
 	// OnStep fires for one in every Observer.StepSample model updates
 	// per worker.
 	OnStep(StepInfo)
 	// OnWorker fires when a worker finishes its range of an epoch.
 	OnWorker(WorkerInfo)
+	// OnHealth fires after OnEpoch in a run collecting numerical health.
+	OnHealth(HealthInfo)
+	// OnDivergence fires once, when a HealthWatchdog detects divergence,
+	// before the run's context is cancelled.
+	OnDivergence(DivergenceInfo)
+	// OnCheckpoint fires in a supervised run after a checkpoint file has
+	// been atomically renamed into place.
+	OnCheckpoint(CheckpointInfo)
+	// OnRetry fires in a supervised run after an attempt fails and
+	// before the backoff sleep.
+	OnRetry(RetryInfo)
 }
 
 // NopHooks implements Hooks with no-ops, for embedding.
@@ -81,6 +93,18 @@ func (NopHooks) OnStep(StepInfo) {}
 
 // OnWorker implements Hooks.
 func (NopHooks) OnWorker(WorkerInfo) {}
+
+// OnHealth implements Hooks.
+func (NopHooks) OnHealth(HealthInfo) {}
+
+// OnDivergence implements Hooks.
+func (NopHooks) OnDivergence(DivergenceInfo) {}
+
+// OnCheckpoint implements Hooks.
+func (NopHooks) OnCheckpoint(CheckpointInfo) {}
+
+// OnRetry implements Hooks.
+func (NopHooks) OnRetry(RetryInfo) {}
 
 // DefaultStepSample is the per-worker step sampling period used when
 // Observer.StepSample is zero.
@@ -109,10 +133,6 @@ type Observer struct {
 	// pass (see NumStats). Off is free on the hot paths: the kernels pay
 	// one nil check per call.
 	NumHealth bool
-	// Flight, when non-nil, receives coarse structured events (epoch and
-	// round completions, faults, promotions) into the always-on flight
-	// recorder for post-mortem dumps. Nil is free.
-	Flight *FlightRecorder
 	// ClusterLive, when non-nil, receives live per-node counters from a
 	// cluster simulation for Prometheus exposition. Nil is free.
 	ClusterLive *ClusterMetrics

@@ -145,7 +145,7 @@ func writeRunStatsProm(p *promWriter, rs *RunStats, ss *SupervisorStats) {
 	}
 }
 
-// LiveMetrics is a Hooks (and LifecycleHooks) implementation that keeps
+// LiveMetrics is a Hooks implementation that keeps
 // live, scrape-ready gauges of a running training job. Install it as the
 // run's hooks and as a Surface's Live; every callback is lock-free, so it
 // adds no contention to the sampled path.
@@ -199,19 +199,19 @@ func (m *LiveMetrics) OnStep(si StepInfo) {
 // OnWorker implements Hooks.
 func (m *LiveMetrics) OnWorker(WorkerInfo) { m.workersDone.Add(1) }
 
-// OnCheckpoint implements LifecycleHooks.
+// OnCheckpoint implements Hooks.
 func (m *LiveMetrics) OnCheckpoint(ci CheckpointInfo) {
 	m.checkpoints.Add(1)
 	m.checkpointBytes.Add(ci.Bytes)
 }
 
-// OnRetry implements LifecycleHooks.
+// OnRetry implements Hooks.
 func (m *LiveMetrics) OnRetry(ri RetryInfo) {
 	m.retries.Add(1)
 	m.resumeEpoch.Store(int64(ri.ResumeEpoch))
 }
 
-// OnHealth implements HealthHooks: the cumulative numerical-health
+// OnHealth implements Hooks: the cumulative numerical-health
 // counters become live gauges.
 func (m *LiveMetrics) OnHealth(hi HealthInfo) {
 	m.healthSat.Store(hi.Saturations)
@@ -222,7 +222,7 @@ func (m *LiveMetrics) OnHealth(hi HealthInfo) {
 	m.healthSeen.Store(true)
 }
 
-// OnDivergence implements DivergenceHooks.
+// OnDivergence implements Hooks.
 func (m *LiveMetrics) OnDivergence(di DivergenceInfo) {
 	m.diverged.Store(true)
 	m.divergedEpoch.Store(int64(di.Epoch))

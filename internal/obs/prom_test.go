@@ -85,9 +85,8 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	hooks.OnEpoch(EpochInfo{Epoch: 3, Loss: 0.125, Steps: 300})
 	hooks.OnStep(StepInfo{Staleness: 2})
 	hooks.OnStep(StepInfo{Staleness: 0})
-	var lc LifecycleHooks = m
-	lc.OnCheckpoint(CheckpointInfo{Epoch: 3, Bytes: 512})
-	lc.OnRetry(RetryInfo{Attempt: 1, ResumeEpoch: 2})
+	hooks.OnCheckpoint(CheckpointInfo{Epoch: 3, Bytes: 512})
+	hooks.OnRetry(RetryInfo{Attempt: 1, ResumeEpoch: 2})
 	sf.Series.EpochTick(3, 0.125, 300, 0)
 
 	rec := httptest.NewRecorder()
@@ -307,10 +306,9 @@ func TestLiveMetricsHealth(t *testing.T) {
 		t.Error("diverged_epoch emitted before divergence")
 	}
 
-	var hh HealthHooks = m
-	hh.OnHealth(HealthInfo{Epoch: 2, ModelWrites: 100, Saturations: 12, Underflows: 3, BiasSamples: 8, BiasSumQuanta: 2, WeightsAtBounds: 5})
-	var dh DivergenceHooks = m
-	dh.OnDivergence(DivergenceInfo{Epoch: 2, Reason: "test"})
+	var hooks Hooks = m
+	hooks.OnHealth(HealthInfo{Epoch: 2, ModelWrites: 100, Saturations: 12, Underflows: 3, BiasSamples: 8, BiasSumQuanta: 2, WeightsAtBounds: 5})
+	hooks.OnDivergence(DivergenceInfo{Epoch: 2, Reason: "test"})
 	buf.Reset()
 	if err := sf.WriteProm(&buf); err != nil {
 		t.Fatal(err)

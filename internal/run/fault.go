@@ -3,6 +3,7 @@ package run
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,7 +125,7 @@ func (p *Plan) hasStalls() bool {
 //
 //	crash@step=N    crash the attempt at its Nth model update
 //	stall@step=N    hang a worker at its Nth model update
-//	corrupt@ckpt=N  corrupt the Nth checkpoint write
+//	corrupt@ckpt=N  corrupt the Nth checkpoint write (N <= math.MaxInt32)
 //
 // e.g. "corrupt@ckpt=1,crash@step=1500". An empty spec is a nil plan.
 func ParsePlan(spec string) (*Plan, error) {
@@ -155,6 +156,11 @@ func ParsePlan(spec string) (*Plan, error) {
 			}
 			p.Faults = append(p.Faults, Fault{Kind: k, Step: n})
 		case kind == "corrupt" && key == "ckpt":
+			// The count becomes an int: keep it in 32 bits on every
+			// platform, or a 386 build would wrap it.
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("run: fault %q: checkpoint %d is beyond %d", part, n, math.MaxInt32)
+			}
 			p.Faults = append(p.Faults, Fault{Kind: FaultCorrupt, Checkpoint: int(n)})
 		default:
 			return nil, fmt.Errorf("run: unknown fault %q (want crash@step=, stall@step= or corrupt@ckpt=)", part)

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -42,11 +43,32 @@ func TestParsePlanErrors(t *testing.T) {
 		"corrupt@step=2",
 		"explode@step=2",
 		"crash@step=two",
+		"corrupt@ckpt=2147483648",
+		"corrupt@ckpt=4294967297", // checkpoint 1 once wrapped to a 32-bit int
 	} {
 		if p, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) = %v, want error", spec, p)
 		}
 	}
+}
+
+// FuzzParsePlan: any spec parses or fails without a panic, and a plan
+// that parses renders back (String) to a spec that parses to the same
+// plan. Its seeds are the committed corpus (testdata/fuzz/FuzzParsePlan).
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil || p == nil {
+			return
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) = %v; its String %q fails: %v", spec, p, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("ParsePlan(%q) = %v, but its String %q parses to %v", spec, p, p.String(), q)
+		}
+	})
 }
 
 func TestInjectorFiresOnce(t *testing.T) {

@@ -51,24 +51,21 @@ type Config struct {
 	// nothing.
 	Faults *Plan
 	// Observer is installed in the engine of every attempt. Its Hooks
-	// also receive checkpoint and retry events if they implement
-	// obs.LifecycleHooks; its StepSample is forced to 1 while step faults
-	// are armed; its Tracer also records the supervisor's lifecycle
-	// (attempts, checkpoint saves, resume decisions, backoff waits), so
-	// epochs appear nested inside their attempt; its Series spans the whole
-	// supervised run (the recorder detects each attempt's counter restart
-	// and keeps accumulating). With the zero value the engine runs bare
-	// unless step faults or the stall watchdog need its callbacks; for
-	// counters alone install obs.NopHooks{}.
+	// also receive the supervisor's OnCheckpoint and OnRetry; its
+	// StepSample is forced to 1 while step faults are armed; its Tracer
+	// also records the supervisor's lifecycle (attempts, checkpoint saves,
+	// resume decisions, backoff waits), so epochs appear nested inside
+	// their attempt; its Series spans the whole supervised run (the
+	// recorder detects each attempt's counter restart and keeps
+	// accumulating). With the zero value the engine runs bare unless step
+	// faults or the stall watchdog need its callbacks; for counters alone
+	// install obs.NopHooks{}.
 	Observer obs.Observer
-	// Logger, when non-nil, receives the supervisor's structured
-	// operational log: resumes, checkpoints, retries, stall degradations
-	// and retry exhaustion. Nil is silent at no cost.
+	// Logger, when non-nil, receives the supervisor's events, one record
+	// each with an "event" attribute: resume, checkpoint, retry, degrade
+	// and retries-exhausted. They reach a flight ring when the logger's
+	// handler is the ring's LogHandler. Nil is silent at no cost.
 	Logger *slog.Logger
-	// Flight, when non-nil, records the same lifecycle events into the
-	// post-mortem ring so a crashed or exhausted run can be diagnosed
-	// from its dump. Nil records nothing at no cost.
-	Flight *obs.FlightRecorder
 	// Bundle, when non-nil, gets a debug bundle triggered when the stall
 	// watchdog fires and when the supervisor exhausts its retries — the
 	// full evidentiary record lands on disk before the error propagates.
@@ -148,7 +145,6 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 
 	inj := newInjector(cfg.Faults)
 	tracer := cfg.Observer.Tracer
-	lifecycle, _ := cfg.Observer.Hooks.(obs.LifecycleHooks)
 	var stats obs.SupervisorStats
 
 	// Resume state: a previous process may have left checkpoints behind.
@@ -183,12 +179,9 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 		stats.Resumes++
 		stats.ResumedEpoch = ck.Epoch
 		if cfg.Logger != nil {
-			cfg.Logger.Info("resumed from checkpoint",
+			cfg.Logger.Info("resumed from checkpoint", slog.String("event", "resume"),
 				slog.String("path", path), slog.Int("epoch", ck.Epoch))
 		}
-		cfg.Flight.Record("run", "resume", "resumed from checkpoint", map[string]string{
-			"path": path, "epoch": fmt.Sprint(ck.Epoch),
-		})
 		return nil
 	}
 	if err := loadResume(); err != nil {
@@ -233,16 +226,13 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 			stats.CheckpointBytes += n
 			lastPath = path
 			if cfg.Logger != nil {
-				cfg.Logger.Info("checkpoint saved",
+				cfg.Logger.Info("checkpoint saved", slog.String("event", "checkpoint"),
 					slog.Int("epoch", st.Epoch), slog.Int64("bytes", n),
-					slog.Float64("loss", st.Loss))
+					slog.Float64("loss", st.Loss), slog.String("path", path))
 			}
-			cfg.Flight.Record("run", "checkpoint", "checkpoint saved", map[string]string{
-				"epoch": fmt.Sprint(st.Epoch), "bytes": fmt.Sprint(n), "path": path,
-			})
 			pruneCheckpoints(cfg.Dir)
-			if lifecycle != nil {
-				lifecycle.OnCheckpoint(obs.CheckpointInfo{Epoch: st.Epoch, Path: path, Bytes: n})
+			if h := cfg.Observer.Hooks; h != nil {
+				h.OnCheckpoint(obs.CheckpointInfo{Epoch: st.Epoch, Path: path, Bytes: n})
 			}
 			if cfg.Snapshot != nil {
 				cfg.Snapshot(st.Epoch, st.Loss, st.W.Floats())
@@ -294,12 +284,9 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 				stalls = 0
 				stats.Degradations++
 				if cfg.Logger != nil {
-					cfg.Logger.Warn("degrading after repeated stalls",
+					cfg.Logger.Warn("degrading after repeated stalls", slog.String("event", "degrade"),
 						slog.Int("threads", threads), slog.Int("attempt", attempt))
 				}
-				cfg.Flight.Record("run", "degrade", "degrading after repeated stalls", map[string]string{
-					"threads": fmt.Sprint(threads), "attempt": fmt.Sprint(attempt),
-				})
 			}
 		default:
 			// Configuration, dataset and I/O errors recur identically on
@@ -308,12 +295,9 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 		}
 		if attempt > cfg.MaxRetries {
 			if cfg.Logger != nil {
-				cfg.Logger.Error("retries exhausted",
+				cfg.Logger.Error("retries exhausted", slog.String("event", "retries-exhausted"),
 					slog.Int("attempts", attempt), slog.String("error", err.Error()))
 			}
-			cfg.Flight.Record("run", "retries-exhausted", "giving up", map[string]string{
-				"attempts": fmt.Sprint(attempt), "error": err.Error(),
-			})
 			cfg.Bundle.Trigger("retries-exhausted",
 				fmt.Sprintf("giving up after %d attempts: %v", attempt, err))
 			return nil, fmt.Errorf("run: giving up after %d attempts: %w", attempt, err)
@@ -323,16 +307,12 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 			return nil, err
 		}
 		if cfg.Logger != nil {
-			cfg.Logger.Warn("retrying after failed attempt",
+			cfg.Logger.Warn("retrying after failed attempt", slog.String("event", "retry"),
 				slog.Int("attempt", attempt), slog.String("error", err.Error()),
 				slog.Duration("backoff", backoff), slog.Int("resume_epoch", startEpoch))
 		}
-		cfg.Flight.Record("run", "retry", "retrying after failed attempt", map[string]string{
-			"attempt": fmt.Sprint(attempt), "error": err.Error(),
-			"backoff": backoff.String(), "resume_epoch": fmt.Sprint(startEpoch),
-		})
-		if lifecycle != nil {
-			lifecycle.OnRetry(obs.RetryInfo{
+		if h := cfg.Observer.Hooks; h != nil {
+			h.OnRetry(obs.RetryInfo{
 				Attempt: attempt, Err: err, Backoff: backoff,
 				ResumeEpoch: startEpoch, Threads: threads,
 			})
@@ -386,8 +366,10 @@ func stitchLoss(history, attempt []float64) []float64 {
 // attemptHooks wraps the user's hooks with the supervisor's machinery:
 // the progress counter the watchdog monitors and the fault-injection
 // sites. OnStep is called from worker goroutines; everything here is
-// safe for concurrent use.
+// safe for concurrent use. The engine fires no lifecycle or divergence
+// callbacks, so those stay the embedded no-ops.
 type attemptHooks struct {
+	obs.NopHooks
 	inner    obs.Hooks
 	inj      *injector
 	cancel   context.CancelCauseFunc
@@ -430,13 +412,10 @@ func (h *attemptHooks) OnWorker(wi obs.WorkerInfo) {
 	}
 }
 
-// OnHealth forwards the engine's per-epoch numerical-health snapshot to
-// the user's hooks when they care (e.g. an obs.HealthWatchdog chained in
-// front of live metrics).
 func (h *attemptHooks) OnHealth(hi obs.HealthInfo) {
 	h.progress.Add(1)
-	if hh, ok := h.inner.(obs.HealthHooks); ok {
-		hh.OnHealth(hi)
+	if h.inner != nil {
+		h.inner.OnHealth(hi)
 	}
 }
 

@@ -186,6 +186,7 @@ func TestStallDegrade(t *testing.T) {
 // cancelAt is a user Hooks implementation that cancels the parent
 // context at its nth observed model update.
 type cancelAt struct {
+	obs.NopHooks
 	n      uint64
 	steps  atomic.Uint64
 	cancel context.CancelFunc
@@ -196,8 +197,6 @@ func (c *cancelAt) OnStep(obs.StepInfo) {
 		c.cancel()
 	}
 }
-func (c *cancelAt) OnEpoch(obs.EpochInfo)   {}
-func (c *cancelAt) OnWorker(obs.WorkerInfo) {}
 
 // TestContextCancelLeavesResumableCheckpoint cancels mid-run and then
 // restarts the supervisor over the same directory — the killed-process
@@ -323,13 +322,11 @@ func TestSparseCrashResume(t *testing.T) {
 
 // lifecycleRecorder records supervisor lifecycle callbacks.
 type lifecycleRecorder struct {
+	obs.NopHooks
 	checkpoints []obs.CheckpointInfo
 	retries     []obs.RetryInfo
 }
 
-func (l *lifecycleRecorder) OnStep(obs.StepInfo)     {}
-func (l *lifecycleRecorder) OnEpoch(obs.EpochInfo)   {}
-func (l *lifecycleRecorder) OnWorker(obs.WorkerInfo) {}
 func (l *lifecycleRecorder) OnCheckpoint(ci obs.CheckpointInfo) {
 	l.checkpoints = append(l.checkpoints, ci)
 }

@@ -3,6 +3,8 @@ package run
 import (
 	"context"
 	"errors"
+	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 // concurrently; the mutex keeps the recorder race-clean anyway, since
 // this test runs under -race in CI.
 type orderedRecorder struct {
+	obs.NopHooks
 	mu     sync.Mutex
 	events []lifeEvent
 }
@@ -31,8 +34,6 @@ func (r *orderedRecorder) add(kind string, epoch int) {
 	r.mu.Unlock()
 }
 
-func (r *orderedRecorder) OnStep(obs.StepInfo)     {}
-func (r *orderedRecorder) OnWorker(obs.WorkerInfo) {}
 func (r *orderedRecorder) OnEpoch(ei obs.EpochInfo) {
 	r.add("epoch", ei.Epoch)
 }
@@ -112,6 +113,39 @@ func TestLifecycleHooksOrderingUnderRetries(t *testing.T) {
 	}
 	if last := rec.events[len(rec.events)-1]; last.kind != "checkpoint" || last.epoch != 6 {
 		t.Fatalf("run should end with the final epoch's checkpoint, got %+v", last)
+	}
+}
+
+// TestSupervisorEventsLogged: every supervisor transition is one log
+// record with an event attribute, so a ring fed by the logger holds each
+// once, in order. A crash at step 250 (epoch 3) resumes from the epoch-2
+// checkpoint.
+func TestSupervisorEventsLogged(t *testing.T) {
+	ds := testDense(t)
+	plan, err := ParsePlan("crash@step=250")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewFlightRecorder(0)
+	_, err = Train(context.Background(), Config{
+		Dir:    t.TempDir(),
+		Faults: plan,
+		Logger: obs.Component(slog.New(rec.LogHandler(nil)), "run"),
+		Sleep:  noSleep,
+	}, testTrainConfig(4), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range rec.Snapshot().Events {
+		if ev.Component != "run" {
+			t.Errorf("event without the run component: %+v", ev)
+		}
+		got = append(got, ev.Kind+"@"+ev.Fields["epoch"]+ev.Fields["resume_epoch"])
+	}
+	want := "checkpoint@1 checkpoint@2 resume@2 retry@2 checkpoint@3 checkpoint@4"
+	if strings.Join(got, " ") != want {
+		t.Errorf("ring events = %v, want %s", got, want)
 	}
 }
 

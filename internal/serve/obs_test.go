@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,9 +33,15 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// ringLogger logs into rec, scoped to the serve component, as the
+// facade and the commands wire a server's logger.
+func ringLogger(rec *obs.FlightRecorder, next slog.Handler) *slog.Logger {
+	return obs.Component(slog.New(rec.LogHandler(next)), "serve")
+}
+
 func TestDebugFlightEndpoint(t *testing.T) {
 	rec := obs.NewFlightRecorder(32)
-	s, hs := newTestServer(t, Config{Surface: &obs.Surface{Flight: rec}})
+	s, hs := newTestServer(t, Config{Logger: ringLogger(rec, nil), Surface: &obs.Surface{Flight: rec}})
 	if _, err := s.Promote(newLin(2, 1), 5, 0.25); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +91,7 @@ func TestSlowRequestLogging(t *testing.T) {
 	var logs syncBuffer
 	rec := obs.NewFlightRecorder(32)
 	s, hs := newTestServer(t, Config{
-		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
+		Logger:      ringLogger(rec, slog.NewTextHandler(&logs, nil)),
 		Surface:     &obs.Surface{Flight: rec},
 		SlowRequest: time.Nanosecond, // every completed request is an offender
 	})
@@ -141,5 +148,49 @@ func TestRequestSpansTagged(t *testing.T) {
 	}
 	if snap.Tracks[900] == "" || snap.Tracks[901] == "" {
 		t.Errorf("serve tracks unnamed: %v", snap.Tracks)
+	}
+}
+
+// TestServeEventsLoggedOnce: each promotion, refusal, gate and drain
+// transition is one log record that lands in the ring once, and a
+// refused promotion is a warning the operator's log shows.
+func TestServeEventsLoggedOnce(t *testing.T) {
+	var logs syncBuffer
+	rec := obs.NewFlightRecorder(32)
+	s, err := New(Config{Logger: ringLogger(rec, slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Promote(newLin(2, 1), 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Promote(newLin(2, 1), 2, math.NaN()); err == nil {
+		t.Fatal("promoted a model with a NaN loss")
+	}
+	s.RefusePromotions("diverged")
+	if _, err := s.Promote(newLin(2, 1), 3, 0.4); err == nil {
+		t.Fatal("promoted through a closed gate")
+	}
+	if err := s.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var kinds []string
+	for _, ev := range rec.Snapshot().Events {
+		if ev.Component != "serve" {
+			t.Errorf("event logged without the serve component: %+v", ev)
+		}
+		kinds = append(kinds, ev.Kind)
+	}
+	want := "promotion promotion-refused promotion-gate promotion-refused drain drain"
+	if got := strings.Join(kinds, " "); got != want {
+		t.Errorf("ring kinds = %s, want %s", got, want)
+	}
+	out := logs.String()
+	if n := strings.Count(out, "level=WARN msg=\"promotion refused\""); n != 2 {
+		t.Errorf("log shows %d refused promotions at Warn, want 2:\n%s", n, out)
+	}
+	if !strings.Contains(out, "reason=\"non-finite loss NaN\" epoch=2") || !strings.Contains(out, "reason=diverged epoch=3") {
+		t.Errorf("refusal records lack their reason and epoch:\n%s", out)
 	}
 }

@@ -72,18 +72,19 @@ type Config struct {
 	// per-job queue-wait spans, and batch-assembly spans, all tagged with
 	// the serving model's epoch and promotion sequence.
 	Tracer *obs.Tracer
-	// Logger, when non-nil, receives structured operational logs
-	// (promotions, drain progress, slow requests). Nil is silent, the
-	// repo's nil-means-off logging convention.
+	// Logger, when non-nil, receives the server's events, one record
+	// each with an "event" attribute: promotion, promotion-refused,
+	// promotion-gate, slow-request and drain. They reach the surface's
+	// Flight when the logger's handler is Flight.LogHandler(h). Nil is
+	// silent, the repo's nil-means-off logging convention.
 	Logger *slog.Logger
 	// SlowRequest, when positive, is the latency threshold above which a
-	// completed request is logged (and flight-recorded) as an offender.
+	// completed request is logged as an offender.
 	SlowRequest time.Duration
 	// Surface is the process's debug surface, mounted beside /predict:
-	// its Flight records promotions, refusals, slow requests and drain
-	// transitions, its Bundle is triggered on each slow request
-	// (debounced by the bundler's cooldown), and New installs the
-	// server's counters as its Serve. Nil gets a surface of its own.
+	// its Bundle is triggered on each slow request (debounced by the
+	// bundler's cooldown), and New installs the server's counters as its
+	// Serve. Nil gets a surface of its own.
 	Surface *obs.Surface
 }
 
@@ -247,14 +248,14 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 	}
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		s.metrics.PromotionRefused()
-		s.cfg.Surface.Flight.Record("serve", "promotion-refused",
-			fmt.Sprintf("non-finite loss %v at epoch %d", loss, epoch), nil)
+		s.logWarn("promotion refused", slog.String("event", "promotion-refused"),
+			slog.String("reason", fmt.Sprintf("non-finite loss %v", loss)), slog.Int("epoch", epoch))
 		return 0, fmt.Errorf("serve: refusing to promote a model with loss %v", loss)
 	}
 	if r := s.refuse.Load(); r != nil {
 		s.metrics.PromotionRefused()
-		s.cfg.Surface.Flight.Record("serve", "promotion-refused", *r,
-			map[string]string{"epoch": fmt.Sprint(epoch)})
+		s.logWarn("promotion refused", slog.String("event", "promotion-refused"),
+			slog.String("reason", *r), slog.Int("epoch", epoch))
 		return 0, fmt.Errorf("serve: promotion refused: %s", *r)
 	}
 	seq := s.promoSeq.Add(1)
@@ -265,12 +266,7 @@ func (s *Server) Promote(p Predictor, epoch int, loss float64) (uint64, error) {
 			"epoch": fmt.Sprint(epoch), "seq": fmt.Sprint(seq),
 		})
 	}
-	s.cfg.Surface.Flight.Record("serve", "promotion",
-		fmt.Sprintf("promoted model at epoch %d", epoch), map[string]string{
-			"epoch": fmt.Sprint(epoch), "loss": fmt.Sprintf("%.6g", loss),
-			"promotion": fmt.Sprint(seq),
-		})
-	s.logInfo("promoted model",
+	s.logInfo("promoted model", slog.String("event", "promotion"),
 		slog.Int("epoch", epoch), slog.Float64("loss", loss), slog.Uint64("promotion", seq))
 	return seq, nil
 }
@@ -284,8 +280,7 @@ func (s *Server) RefusePromotions(reason string) {
 		reason = "promotions disabled"
 	}
 	s.refuse.Store(&reason)
-	s.cfg.Surface.Flight.Record("serve", "promotion-gate", reason, nil)
-	s.logWarn("refusing promotions", slog.String("reason", reason))
+	s.logWarn("refusing promotions", slog.String("event", "promotion-gate"), slog.String("reason", reason))
 }
 
 // Promotions returns the number of successful promotions so far.
@@ -595,23 +590,17 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, dim int) (p
 	return req, err
 }
 
-// noteSlow logs (and flight-records) a completed request whose latency
-// crossed the SlowRequest threshold, tagged with the model snapshot that
-// answered it so tail latency can be correlated with hot promotions.
+// noteSlow logs a completed request whose latency crossed the
+// SlowRequest threshold, tagged with the model snapshot that answered it
+// so tail latency can be correlated with hot promotions.
 func (s *Server) noteSlow(elapsed time.Duration, status string, j *job) {
 	if s.cfg.SlowRequest <= 0 || elapsed < s.cfg.SlowRequest {
 		return
 	}
-	s.logWarn("slow request",
-		slog.Duration("elapsed", elapsed), slog.String("status", status),
-		slog.Int("examples", j.examples()),
+	s.logWarn("slow request", slog.String("event", "slow-request"),
+		slog.Duration("elapsed", elapsed), slog.Duration("threshold", s.cfg.SlowRequest),
+		slog.String("status", status), slog.Int("examples", j.examples()),
 		slog.Int("model_epoch", j.epoch), slog.Uint64("promotion", j.seq))
-	s.cfg.Surface.Flight.Record("serve", "slow-request",
-		fmt.Sprintf("request took %v (threshold %v)", elapsed, s.cfg.SlowRequest),
-		map[string]string{
-			"elapsed": elapsed.String(), "status": status,
-			"model_epoch": fmt.Sprint(j.epoch), "promotion": fmt.Sprint(j.seq),
-		})
 	s.cfg.Surface.Bundle.Trigger("slow-request",
 		fmt.Sprintf("request took %v (threshold %v, model epoch %d)",
 			elapsed, s.cfg.SlowRequest, j.epoch))
@@ -689,8 +678,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	if !already {
 		s.metrics.SetDraining(true)
-		s.cfg.Surface.Flight.Record("serve", "drain", "drain started", nil)
-		s.logInfo("draining", slog.String("note", "in-flight requests will complete"))
+		s.logInfo("draining", slog.String("event", "drain"), slog.String("note", "in-flight requests will complete"))
 	}
 
 	done := make(chan struct{})
@@ -716,8 +704,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			return fmt.Errorf("serve: shutdown: %w", err)
 		}
 	}
-	s.cfg.Surface.Flight.Record("serve", "drain", "drain complete", nil)
-	s.logInfo("drained")
+	s.logInfo("drained", slog.String("event", "drain"))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package buckwild
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -190,6 +191,107 @@ func TestFacadeOptionsSet(t *testing.T) {
 	sort.Strings(unset)
 	if len(unset) > 0 {
 		t.Errorf("facade options no command or benchmark sets: %s", strings.Join(unset, ", "))
+	}
+}
+
+// TestOneEventPath enforces the event rule: every event is one log call,
+// and the flight ring reads the log. No non-test code of the module
+// outside internal/obs/flight.go calls FlightRecorder.Record (the
+// benchmark harness, its own module, times the method), and internal/obs
+// declares one interface of On… callbacks, Hooks.
+func TestOneEventPath(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.Default()
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	pkgs := map[string]*types.Package{}
+	var load func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if path == "buckwild" || strings.HasPrefix(path, "buckwild/") {
+			return load(path)
+		}
+		return std.Import(path)
+	})}
+	load = func(path string) (*types.Package, error) {
+		if p, ok := pkgs[path]; ok {
+			return p, nil
+		}
+		dir := filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "buckwild"), "/"))
+		if dir == "" {
+			dir = "."
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		p, err := conf.Check(path, fset, files, info)
+		pkgs[path] = p
+		return p, err
+	}
+
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." {
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+		}
+		if names, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(names) == 0 {
+			return nil
+		}
+		_, err = load(strings.TrimSuffix("buckwild/"+filepath.ToSlash(dir), "/."))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	obsPkg := pkgs["buckwild/internal/obs"]
+	rec := obsPkg.Scope().Lookup("FlightRecorder").Type()
+	record := types.NewMethodSet(types.NewPointer(rec)).Lookup(obsPkg, "Record").Obj()
+	var calls []string
+	for sel, s := range info.Selections {
+		if s.Obj() != record {
+			continue
+		}
+		pos := fset.Position(sel.Pos())
+		if filepath.ToSlash(pos.Filename) != "internal/obs/flight.go" {
+			calls = append(calls, fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line))
+		}
+	}
+	sort.Strings(calls)
+	if len(calls) > 0 {
+		t.Errorf("FlightRecorder.Record called outside internal/obs/flight.go (log the event with an \"event\" attribute instead): %s",
+			strings.Join(calls, ", "))
+	}
+
+	var hooks []string
+	for _, name := range obsPkg.Scope().Names() {
+		it, ok := obsPkg.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			if strings.HasPrefix(it.Method(i).Name(), "On") {
+				hooks = append(hooks, name)
+				break
+			}
+		}
+	}
+	if strings.Join(hooks, " ") != "Hooks" {
+		t.Errorf("internal/obs callback interfaces = %v, want only Hooks", hooks)
 	}
 }
 

@@ -25,12 +25,10 @@ type (
 	// SupervisorStats counts what the supervisor did around the training
 	// attempts of one run.
 	SupervisorStats = obs.SupervisorStats
-	// CheckpointInfo and RetryInfo are the LifecycleHooks payloads.
+	// CheckpointInfo and RetryInfo are the OnCheckpoint and OnRetry
+	// payloads of supervised runs.
 	CheckpointInfo = obs.CheckpointInfo
 	RetryInfo      = obs.RetryInfo
-	// LifecycleHooks is the optional extension of Hooks that receives
-	// checkpoint and retry events from supervised runs.
-	LifecycleHooks = obs.LifecycleHooks
 	// RunReport is the outcome of a supervised run: the training result
 	// (loss trajectory stitched across restarts), the supervisor's
 	// counters, and the newest checkpoint path.
@@ -103,7 +101,6 @@ func (rc RunConfig) internal(cfg Config) run.Config {
 		Faults:       rc.Faults,
 		Observer:     cfg.observe(),
 		Logger:       obs.Component(cfg.Logger, "run"),
-		Flight:       cfg.Flight,
 		Bundle:       cfg.Bundle,
 		Snapshot:     snap,
 	}

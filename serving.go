@@ -49,20 +49,20 @@ type ServeConfig struct {
 	// Tracer, when non-nil, records request -> batch -> predict spans,
 	// per-job queue-wait spans, and batch-assembly spans.
 	Tracer *Tracer
-	// Logger, when non-nil, receives structured operational logs
-	// (promotions, drain progress, slow requests); it is scoped to the
-	// "serve" component. Nil is silent.
+	// Logger, when non-nil, receives the daemon's events scoped to the
+	// "serve" component: promotions, refused promotions, the promotion
+	// gate, slow requests and drain progress. They reach a flight ring
+	// rec when the logger's handler is rec.LogHandler(h). Nil is silent.
 	Logger *slog.Logger
-	// SlowRequest, when positive, logs (and flight-records) completed
-	// requests slower than this threshold.
+	// SlowRequest, when positive, logs completed requests slower than
+	// this threshold.
 	SlowRequest time.Duration
 	// Surface is the daemon's debug surface, mounted beside /predict
 	// (/metrics, /debug/flight, /debug/dash, /debug/bundle; no pprof).
-	// Its Flight records promotions, refusals, slow requests and drain
-	// transitions, its Bundle is triggered on each slow request
-	// (debounced), and the server installs its counters as its Serve, so
-	// put the training side's LiveMetrics in its Live and one scrape
-	// covers both halves of the daemon. Nil gets a surface of its own.
+	// Its Bundle is triggered on each slow request (debounced), and the
+	// server installs its counters as its Serve, so put the training
+	// side's LiveMetrics in its Live and one scrape covers both halves of
+	// the daemon. Nil gets a surface of its own.
 	Surface *Surface
 }
 

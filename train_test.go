@@ -1,6 +1,9 @@
 package buckwild
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -197,6 +200,48 @@ func TestClusterWireBitsFromSignature(t *testing.T) {
 	}
 	if plain.Cluster.WireBits != 32 {
 		t.Errorf("wire bits %d, want 32 without a C term", plain.Cluster.WireBits)
+	}
+}
+
+// TestClusterEpochsLogged: a cluster run logs each epoch once through
+// Config.Logger, scoped to the cluster component, and logging leaves the
+// run's bits alone.
+func TestClusterEpochsLogged(t *testing.T) {
+	ds, err := GenerateDense("", 32, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	logger, err := NewLogger(&buf, "json", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Epochs: 3, Seed: 2, Cluster: ClusterConfig{Nodes: 3}}
+	bare, err := Train(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Logger = logger
+	res, err := Train(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "logged cluster run", bare, res)
+	var epochs []float64
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		var rec map[string]any
+		if len(line) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		if rec["component"] == "cluster" && rec["event"] == "epoch" {
+			epochs = append(epochs, rec["epoch"].(float64))
+		}
+	}
+	if fmt.Sprint(epochs) != "[1 2 3]" {
+		t.Errorf("cluster epoch records for epochs %v, want one each for [1 2 3]; log:\n%s", epochs, buf.String())
 	}
 }
 
