@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 	"testing"
+
+	"buckwild/internal/fixed"
 )
 
 // Microbenchmarks for the host-path kernels across precision, variant and
@@ -65,6 +67,27 @@ func BenchmarkAxpy(b *testing.B) {
 			a = -a
 		}
 	})
+}
+
+// BenchmarkAxpyCounted is BenchmarkAxpy's integer rows with health
+// counting on: the kernel and its quantizer share one NumCounts block, as
+// in a NumHealth run.
+func BenchmarkAxpyCounted(b *testing.B) {
+	for _, d := range []Prec{I8, I16} {
+		for _, kind := range []QuantKind{QBiased, QXorshift, QShared} {
+			b.Run(fmt.Sprintf("D%v/M%v/%v", d, d, kind), func(b *testing.B) {
+				k, x, w := benchKernel(b, d, d, HandOpt, kind)
+				k.Num = &fixed.NumCounts{}
+				k.Q.Num = k.Num
+				b.SetBytes(int64(float64(benchN) * (d.Bytes() + 2*d.Bytes())))
+				a := float32(0.0371)
+				for i := 0; i < b.N; i++ {
+					k.Axpy(a, x, w)
+					a = -a
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkQuantize(b *testing.B) {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -24,24 +25,38 @@ type countedOut struct {
 // is QShared's reuse period, 0 for the default), so the two paths see the
 // same rounding stream.
 func runCounted(scalar bool, d, m Prec, v Variant, kind QuantKind, period int, seed uint64, idx []int32, x, w0 Vec, as []float32) countedOut {
+	return runAxpy(scalar, true, d, m, v, kind, period, 0, seed, idx, x, w0, as)
+}
+
+// runAxpy is runCounted with counting optional and the quantizer first
+// spending phase rounding words, so that the first AXPY starts that far
+// into a QShared reuse window.
+func runAxpy(scalar, counted bool, d, m Prec, v Variant, kind QuantKind, period, phase int, seed uint64, idx []int32, x, w0 Vec, as []float32) countedOut {
 	old := swarOn
 	swarOn = !scalar
 	defer func() { swarOn = old }()
 
 	var out countedOut
 	q := MustQuantizer(m, kind, period, seed)
-	q.Num = &out.c
+	for i := 0; i < phase; i++ {
+		q.Uint32()
+	}
+	var num *fixed.NumCounts
+	if counted {
+		num = &out.c
+	}
+	q.Num = num
 	out.w = w0.Clone()
 	var dot func() float32
 	var axpy func(a float32)
 	if idx == nil {
 		k := MustDense(d, m, v, q)
-		k.Num = &out.c
+		k.Num = num
 		dot = func() float32 { return k.Dot(x, out.w) }
 		axpy = func(a float32) { k.Axpy(a, x, out.w) }
 	} else {
 		k := MustSparse(d, m, v, q, 16)
-		k.Num = &out.c
+		k.Num = num
 		dot = func() float32 { return k.Dot(idx, x, out.w) }
 		axpy = func(a float32) { k.Axpy(a, idx, x, out.w) }
 	}
@@ -52,6 +67,84 @@ func runCounted(scalar bool, d, m Prec, v Variant, kind QuantKind, period int, s
 	out.dots = append(out.dots, math.Float32bits(dot()))
 	return out
 }
+
+// windowScalars alternate rounding clamps at both bounds (|a| at the ends
+// of the a-lane, against operands at both ends of their range) with
+// ordinary updates and near-zero ones, so that model words reach both
+// bounds and clamp there too.
+var windowScalars = []float32{-2, 0.371, 1.99997, -1.044, 2, 0.002, -1.9999, 1.9}
+
+// fillBounds fills v with the pattern MinInt, MaxInt, MinInt+1, MaxInt-1,
+// 0, rotated by off, so that every block holds both bounds of the format.
+func fillBounds(v Vec, off int) {
+	f := v.P.Fixed()
+	pat := []int32{f.MinInt(), f.MaxInt(), f.MinInt() + 1, f.MaxInt() - 1, 0}
+	for i := 0; i < v.Len(); i++ {
+		v.SetRaw(i, pat[(i+off)%len(pat)])
+	}
+}
+
+// checkWindows is the fused AXPY's rounding-window grid: QShared at every
+// reuse period 1..9 and every phase of the window the first AXPY starts
+// at, with lengths covering n mod 8 = 0..7 inside one chunk and across
+// chunks, every lane width pair, random operands and operands at both
+// format bounds (delta and model-write clamps at both ends), dense or
+// (sparse) over indices with duplicates, several of them inside a block.
+// The SWAR run must match the scalar reference bit for bit — and, with
+// counts, on every NumCounts field; without, a counted SWAR run must
+// produce the same values.
+func checkWindows(t *testing.T, sparse, counts bool) {
+	t.Helper()
+	seed := uint64(0x3A11)
+	for _, d := range []Prec{I8, I16} {
+		for _, m := range []Prec{I8, I16} {
+			for period := 1; period <= 9; period++ {
+				for phase := 0; phase < period; phase++ {
+					for _, n := range []int{8, 9, 10, 11, 12, 13, 14, 15, 135} {
+						for _, bounds := range []bool{false, true} {
+							seed++
+							wlen := n
+							var idx []int32
+							if sparse {
+								wlen = 5 + n/4 // few positions: duplicates in most blocks
+								idx = sparseIdx(n, wlen, seed)
+							}
+							x, w0 := NewVec(d, n), NewVec(m, wlen)
+							if bounds {
+								fillBounds(x, 0)
+								fillBounds(w0, 1)
+							} else {
+								fillRawVec(x, seed*3+1)
+								fillRawVec(w0, seed*5+2)
+							}
+							name := fmt.Sprintf("D%v/M%v/period%d/phase%d/n%d/bounds=%v", d, m, period, phase, n, bounds)
+							run := func(scalar, counted bool) countedOut {
+								return runAxpy(scalar, counted, d, m, HandOpt, QShared, period, phase, seed, idx, x, w0, windowScalars)
+							}
+							ref := run(true, counts)
+							if err := diffCounted(run(false, counts), ref); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if counts {
+								if bounds && ref.c.Sat[fixed.SiteSaturate] == 0 {
+									t.Errorf("%s: no clamp counted: %+v", name, ref.c)
+								}
+								continue
+							}
+							if err := diffCounted(run(false, true), ref); err != nil && !errors.Is(err, errCountsDiffer) {
+								t.Fatalf("%s: counted: %v", name, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// errCountsDiffer marks a diffCounted error in the counts alone: the dots
+// and the model words matched.
+var errCountsDiffer = errors.New("counts differ")
 
 // diffCounted reports the first difference between a SWAR and a scalar
 // counted run: dots, every model word, and every NumCounts field (the
@@ -69,17 +162,17 @@ func diffCounted(swar, ref countedOut) error {
 	}
 	for s := fixed.Site(0); s < fixed.NumSites; s++ {
 		if swar.c.Sat[s] != ref.c.Sat[s] {
-			return fmt.Errorf("Sat[%v]: swar %d scalar %d", s, swar.c.Sat[s], ref.c.Sat[s])
+			return fmt.Errorf("%w: Sat[%v]: swar %d scalar %d", errCountsDiffer, s, swar.c.Sat[s], ref.c.Sat[s])
 		}
 	}
 	if swar.c.Underflows != ref.c.Underflows {
-		return fmt.Errorf("Underflows: swar %d scalar %d", swar.c.Underflows, ref.c.Underflows)
+		return fmt.Errorf("%w: Underflows: swar %d scalar %d", errCountsDiffer, swar.c.Underflows, ref.c.Underflows)
 	}
 	if swar.c.BiasN != ref.c.BiasN {
-		return fmt.Errorf("BiasN: swar %d scalar %d", swar.c.BiasN, ref.c.BiasN)
+		return fmt.Errorf("%w: BiasN: swar %d scalar %d", errCountsDiffer, swar.c.BiasN, ref.c.BiasN)
 	}
 	if a, b := math.Float64bits(swar.c.BiasSumQ), math.Float64bits(ref.c.BiasSumQ); a != b {
-		return fmt.Errorf("BiasSumQ bits: swar %#x (%g) scalar %#x (%g)", a, swar.c.BiasSumQ, b, ref.c.BiasSumQ)
+		return fmt.Errorf("%w: BiasSumQ bits: swar %#x (%g) scalar %#x (%g)", errCountsDiffer, a, swar.c.BiasSumQ, b, ref.c.BiasSumQ)
 	}
 	return nil
 }
@@ -118,6 +211,9 @@ func sparseIdx(nnz, wlen int, seed uint64) []int32 {
 // sub-word lengths, and an all-MinInt operand pair that forces
 // vpmaddubsw-pair and model-write clamps; then the fused loop's corners.
 func TestCountedSwarMatchesScalar(t *testing.T) {
+	t.Run("fused corners", countedFusedCorners)
+	t.Run("dense windows", func(t *testing.T) { checkWindows(t, false, true) })
+	t.Run("sparse windows", func(t *testing.T) { checkWindows(t, true, true) })
 	precs := []Prec{I8, I16, I4}
 	seed := uint64(0xC0DE)
 	for _, d := range precs {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"unsafe"
 
 	"buckwild/internal/fixed"
 )
@@ -92,7 +93,7 @@ func (k *Dense) Dot(x, w Vec) float32 {
 		panic(fmt.Sprintf("kernels: Dot length mismatch %d != %d", n, w.Len()))
 	}
 	if k.intPath() {
-		return k.dotInt(x, w, n)
+		return k.dotInt(&x, &w, n)
 	}
 	// Float path (generic, or hand-optimized FMA when either side is
 	// float): widen to float32 and accumulate.
@@ -110,7 +111,7 @@ func (k *Dense) Dot(x, w Vec) float32 {
 // inputs (vpmaddwd) the pair products accumulate exactly into 32 bits and
 // there is nothing to count. Mixed widths widen the narrower operand first
 // (exact).
-func (k *Dense) dotInt(x, w Vec, n int) float32 {
+func (k *Dense) dotInt(x, w *Vec, n int) float32 {
 	var acc int64
 	if k.D.Bits() <= 8 && k.M.Bits() <= 8 {
 		// vpmaddubsw: pairwise 8x8->16 with saturating pair add. Whole
@@ -213,7 +214,7 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 			w.F32[i] += a * x.At(i)
 		}
 	case k.V != Generic && !k.D.IsFloat():
-		axpyInt(k.Q, k.Num, a, nil, x, w)
+		axpyInt(k.Q, k.Num, a, nil, &x, &w)
 	case k.V != Generic: // float dataset, fixed model
 		// Hand-optimized float->fixed pipeline: the product is
 		// stochastically rounded to a model-format delta, which is
@@ -249,7 +250,9 @@ func (k *Dense) Axpy(a float32, x, w Vec) {
 // scalar underflowing its 16-bit lane) and per-element deltas that round
 // to zero count as underflows, the model write clamp counts under
 // SiteSaturate, and RoundRaw feeds the bias accumulator through q.Num.
-func axpyInt(q *Quantizer, c *fixed.NumCounts, a float32, idx []int32, x, w Vec) {
+//
+// x and w are pointers so that no call copies the Vec headers.
+func axpyInt(q *Quantizer, c *fixed.NumCounts, a float32, idx []int32, x, w *Vec) {
 	aq := quantizeScalarA(a)
 	if aq == 0 {
 		// The scalar underflowed the a-lane format; the hand-optimized
@@ -285,7 +288,7 @@ func axpyInt(q *Quantizer, c *fixed.NumCounts, a float32, idx []int32, x, w Vec)
 // lane widths and returns how many elements it processed: a multiple of 8,
 // or none at a width the pipeline does not cover (I4). A nil idx is the
 // dense AXPY; otherwise x holds the nonzeros of positions idx.
-func axpySwar(q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32, x, w Vec) int {
+func axpySwar(q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32, x, w *Vec) int {
 	switch {
 	case x.P == I8 && w.P == I8:
 		return axpyFused(q, c, a, shift, idx, x.I8, w.I8)
@@ -301,100 +304,149 @@ func axpySwar(q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32
 
 // axpyFused is that pipeline, one loop for dense and sparse, counted or
 // not. Product and addend are scaled by 2^(32-shift) so the rounding shift
-// is the constant 32. Elements go through in chunks: the quantizer lays
-// down the chunk's rounding addends (one word per block when a QShared
-// window covers it, half a quantum for nearest rounding), roundLanes turns
-// each into the delta (x*a + add) >> 32 clamped into the model format, and
-// writeLanes adds with saturation. That is RoundRaw followed by SaturateC
-// with the bounds, the mask and the mode hoisted, so values are
-// bit-identical to the scalar loop; lanes are written in element order, so
-// duplicate sparse indices read each other's writes.
+// is the constant 32. Elements go through in chunks of up to 64: the
+// quantizer lays down the chunk's rounding addends (one per 8-lane block
+// while a QShared window or nearest rounding gives each block a single
+// word, else one per lane), and roundWrite turns each lane into the delta
+// (x*a + add) >> 32, clamped into the model format, and adds it to the
+// model with saturation. That is RoundRaw followed by SaturateC with the
+// bounds, the mask and the mode hoisted, so values are bit-identical to
+// the scalar loop; lanes are written in element order, so duplicate sparse
+// indices read each other's writes.
 //
-// The health counts come back from the same passes and fold into the
-// counter blocks once per call: each clamp is one SiteSaturate event, and
-// the bias numerator is an exact integer (see roundLanes). Every term
-// RoundRawUC adds is that integer over 2^32, a multiple of 2^-shift below 1
-// in magnitude, so its float64 partial sums are exact while |BiasSumQ| <
-// 2^(53-shift) and adding the call's total instead yields the same bits
-// (up to 2^31 roundings per call keep the integer sum in range).
+// The health counts fold into the counter blocks once per call: each clamp
+// is one SiteSaturate event, and the bias numerator is an exact integer
+// (see roundWrite). Every term RoundRawUC adds is that integer over 2^32,
+// a multiple of 2^-shift below 1 in magnitude, so its float64 partial sums
+// are exact while |BiasSumQ| < 2^(53-shift) and adding the call's total
+// instead yields the same bits (up to 2^31 roundings per call keep the
+// integer sum in range).
 func axpyFused[X, W int8 | int16](q *Quantizer, c *fixed.NumCounts, a int64, shift uint, idx []int32, xs []X, ws []W) int {
-	lo := int64(q.Fmt.MinInt())
 	up := 32 - shift
 	a <<= up
 	counted := c != nil || q.Num != nil
-	var rsat, wsat, under, bias int64
-	var buf [64]int64
+	var t tally
+	var adds [chunkLanes]int64
 	n8 := len(xs) &^ 7
-	for i := 0; i < n8; i += len(buf) {
-		d := buf[:min(len(buf), n8-i)]
-		q.addends(d, up)
-		b, u, s := roundLanes[X, W](xs[i:i+len(d)], d, a, lo, counted)
-		bias, under, rsat = bias+b, under+u, rsat+s
+	for i := 0; i < n8; i += chunkLanes {
+		xc := xs[i:min(i+chunkLanes, n8)]
+		m := q.chunkAddends(&adds, len(xc), up)
+		wc, ic := ws, idx
 		if idx == nil {
-			wsat += writeLanes(ws[i:i+len(d)], nil, d, lo)
+			wc = ws[i:]
 		} else {
-			wsat += writeLanes(ws, idx[i:i+len(d)], d, lo)
+			ic = idx[i:]
+		}
+		if counted {
+			t = roundWrite[X, W, tally](t, xc, wc, ic, &adds, m, a)
+		} else {
+			t = roundWrite[X, W, noTally](t, xc, wc, ic, &adds, m, a)
 		}
 	}
 	if qc := q.Num; qc != nil {
-		qc.Sat[fixed.SiteSaturate] += uint64(rsat)
-		qc.BiasN += uint64(int64(n8) - rsat)
-		qc.BiasSumQ += float64(bias) / (1 << 32)
+		qc.Sat[fixed.SiteSaturate] += uint64(t.roundClamps)
+		qc.BiasN += uint64(int64(n8) - t.roundClamps)
+		qc.BiasSumQ += float64(t.bias) / (1 << 32)
 	}
 	if c != nil {
-		c.Sat[fixed.SiteSaturate] += uint64(wsat)
-		c.Underflows += uint64(under)
+		c.Sat[fixed.SiteSaturate] += uint64(t.writeClamps)
+		c.Underflows += uint64(t.under)
 	}
 	return n8
 }
 
-// roundLanes replaces each addend d[j] by the delta of lane j, clamped to
-// W's range [lo, ^lo], and returns the clamps and, when counted, the
-// underflows and the bias numerator in units of 2^-32: with t = x*a + add,
-// rounded<<32 - x*a = add - uint32(t) exactly, summed over the unclamped
-// lanes. x == 0 forces a zero delta, so underflows are zero deltas minus
-// zero inputs.
-func roundLanes[X, W int8 | int16](xs []X, d []int64, a, lo int64, counted bool) (bias, under, clamps int64) {
-	d = d[:len(xs)]
-	for j, xv := range xs {
-		add := d[j]
-		t := int64(xv)*a + add
-		r := t >> 32
-		if int64(W(r)) != r {
-			r, add = ^lo^r>>63, int64(uint32(t)) // the bound on r's side; no bias term
-			clamps++
-		}
-		d[j] = r
-		if counted {
-			bias += add - int64(uint32(t))
-			if r == 0 {
-				under++
-			}
-			if xv == 0 {
-				under--
-			}
-		}
-	}
-	return bias, under, clamps
+// tally holds the health counts of the fused AXPY's lanes.
+type tally struct {
+	roundClamps, writeClamps int64 // deltas and model sums that clamped
+	under                    int64 // zero deltas of nonzero inputs
+	bias                     int64 // rounding-bias numerator, units of 2^-32
 }
 
-// writeLanes adds delta d[j] to the model element of lane j (ws[j], or
-// ws[idx[j]] for a sparse update) with saturation at [lo, ^lo] and returns
-// the clamps.
-func writeLanes[W int8 | int16](ws []W, idx []int32, d []int64, lo int64) (clamps int64) {
-	for j, r := range d {
-		p := j
-		if idx != nil {
-			p = int(idx[j])
+// noTally stands for no health counts. roundWrite takes the kind of tally
+// as a type parameter so that the uncounted AXPY runs an instance of the
+// loop with the counting compiled out: counting behind a run-time flag in
+// the one loop spills its registers and slows the uncounted AXPY, and
+// counting in a second pass over the chunk slows the counted one (DESIGN
+// §10).
+type noTally struct{}
+
+// tallyKind is roundWrite's tally parameter: tally counts, noTally not.
+type tallyKind interface{ noTally | tally }
+
+// roundWrite rounds each lane j of xc and adds the delta to its model
+// element (ws[j], or ws[idx[j]] for a sparse update), both clamped to W's
+// range, which is the model format's; lane j's rounding addend is
+// adds[j&m]. Unless T is noTally it returns t plus the lanes' clamps,
+// underflows and bias numerator. A lane's bias term is its rounded delta
+// minus the exact one, r<<32 - x*a; a clamped delta is a bound, never
+// zero, and has none. x == 0 forces a zero delta, so underflows are zero
+// deltas minus zero inputs, and x*a is zero exactly when x is (a is never
+// zero here). The clamps are rare: the clamp branches count in every
+// instance, which also keeps the compiler from making them conditional
+// moves that every lane would pay for. The dense and the sparse loop
+// differ only in the model index.
+func roundWrite[X, W int8 | int16, T tallyKind](t tally, xc []X, ws []W, idx []int32, adds *[chunkLanes]int64, m int, a int64) tally {
+	// Constants in each instance: whether it counts, and W's upper bound.
+	var kind T
+	counted := unsafe.Sizeof(kind) != 0
+	hi := int64(1)<<(8*unsafe.Sizeof(W(0))-1) - 1
+	m &= chunkLanes - 1
+	rc, wc, under, bias := t.roundClamps, t.writeClamps, t.under, t.bias
+	if idx == nil {
+		ws = ws[:len(xc)]
+		for j, xv := range xc {
+			xa := int64(xv) * a
+			r := (xa + adds[j&m]) >> 32
+			if int64(W(r)) != r {
+				r = hi ^ r>>63 // the bound on r's side
+				rc++
+				bias -= r<<32 - xa // cancels the term counted below
+			}
+			if counted {
+				bias += r<<32 - xa
+				under += b2i(r == 0) - b2i(xa == 0)
+			}
+			s := int64(ws[j]) + r
+			if int64(W(s)) != s {
+				s = hi ^ s>>63
+				wc++
+			}
+			ws[j] = W(s)
 		}
-		s := int64(ws[p]) + r
-		if int64(W(s)) != s {
-			s = ^lo ^ s>>63 // the bound on s's side
-			clamps++
+	} else {
+		idx = idx[:len(xc)]
+		for j, xv := range xc {
+			p := idx[j]
+			xa := int64(xv) * a
+			r := (xa + adds[j&m]) >> 32
+			if int64(W(r)) != r {
+				r = hi ^ r>>63 // the bound on r's side
+				rc++
+				bias -= r<<32 - xa // cancels the term counted below
+			}
+			if counted {
+				bias += r<<32 - xa
+				under += b2i(r == 0) - b2i(xa == 0)
+			}
+			s := int64(ws[p]) + r
+			if int64(W(s)) != s {
+				s = hi ^ s>>63
+				wc++
+			}
+			ws[p] = W(s)
 		}
-		ws[p] = W(s)
 	}
-	return clamps
+	return tally{rc, wc, under, bias}
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set, so
+// counting a frequent condition costs no branch and no conditional-move
+// chain.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // quantizeScalarA rounds the AXPY scalar into its 16-bit broadcast lane

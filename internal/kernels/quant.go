@@ -77,7 +77,7 @@ type Quantizer struct {
 	// behaviour — merely staged through the same buffer-free path.
 	src64 prng.Source64
 	// rbuf holds buffered rounding words; rpos is the next unconsumed
-	// lane. The scalar and block rounding entry points (RoundRaw, addends)
+	// lane. The scalar and block rounding entry points (RoundRaw, laneWords)
 	// pop lanes strictly in order, so the stream a value sees never depends
 	// on how values were grouped into calls — the lockstep invariant the
 	// block AXPY relies on for bit-identity with the scalar reference.
@@ -166,41 +166,69 @@ func (q *Quantizer) rand() uint32 {
 // consumes the identical lane stream.
 func (q *Quantizer) Uint32() uint32 { return q.rand() }
 
-// addends fills d, a whole number of 8-lane blocks, with the rounding
-// addends of the next len(d) RoundRaw calls by shift 32-up, each scaled by
-// 2^up: the low shift bits of the rounding word the scalar call would draw
-// — the same words in the same order, for any interleaving with scalar
-// calls — or half a quantum under nearest rounding, which draws nothing. A
-// block costs one fetch: a QShared window covering it is a single word.
-func (q *Quantizer) addends(d []int64, up uint) {
-	var u [prng.BatchLanes]uint32
-	u[0] = 1 << 31 >> up
-	for j := 0; j < len(d); j += len(u) {
-		uniform := true
-		switch {
-		case q.Kind == QBiased:
-		case q.shared != nil:
-			uniform = q.shared.Fill8(&u)
-		case q.src64 != nil && (q.rpos == 0 || q.rpos >= len(u)):
-			if q.rpos != 0 {
-				q.refill()
-			}
-			u, q.rpos, uniform = q.rbuf, len(u), false
-		default:
-			for l := range u {
-				u[l] = q.rand()
-			}
-			uniform = false
+// chunkLanes is the most lanes the fused AXPY rounds per chunkAddends call.
+const chunkLanes = 64
+
+// chunkAddends lays down in d the rounding addends of the next n RoundRaw
+// calls by shift 32-up (n a multiple of 8, at most chunkLanes), each
+// scaled by 2^up: the low shift bits of the rounding word the scalar call
+// would draw — the same words in the same order, for any interleaving with
+// scalar calls — or half a quantum under nearest rounding, which draws
+// nothing. It returns the lane mask m: lane j's addend is d[j&m]. While
+// each block of eight lanes has a single word (nearest rounding, or a
+// QShared window covering the block) only its first lane is written and m
+// clears the lane bits; from the first block with eight words on, every
+// lane is written and m keeps them.
+func (q *Quantizer) chunkAddends(d *[chunkLanes]int64, n int, up uint) int {
+	const lanes = prng.BatchLanes
+	up &= 31 // up < 32: no shift guard per lane
+	var w [chunkLanes / lanes]uint32
+	nb := 0
+	switch {
+	case q.Kind == QBiased:
+		for nb = 0; nb < n/lanes; nb++ {
+			w[nb] = 1 << 31 >> up
 		}
-		blk := d[j : j+len(u) : j+len(u)]
-		if v := int64(u[0] << up); uniform {
-			for l := range blk {
-				blk[l] = v
+	case q.shared != nil:
+		nb = q.shared.FillBlocks(w[:n/lanes])
+	}
+	for b, v := range w[:nb] {
+		d[b*lanes] = int64(v << up)
+	}
+	if nb*lanes == n {
+		return chunkLanes - lanes
+	}
+	for j := range d[:nb*lanes] {
+		d[j] = d[j&^(lanes-1)]
+	}
+	var u [lanes]uint32
+	for k := nb * lanes; k < n; k += lanes {
+		q.laneWords(&u)
+		for l, v := range u {
+			d[k+l] = int64(v << up)
+		}
+	}
+	return chunkLanes - 1
+}
+
+// laneWords yields in u the rounding words of the next eight RoundRaw
+// calls of an unbiased quantizer.
+func (q *Quantizer) laneWords(u *[prng.BatchLanes]uint32) {
+	switch {
+	case q.shared != nil:
+		if q.shared.Fill8(u) {
+			for l := range u {
+				u[l] = u[0]
 			}
-		} else {
-			for l := range blk {
-				blk[l] = int64(u[l] << up)
-			}
+		}
+	case q.src64 != nil && (q.rpos == 0 || q.rpos >= len(u)):
+		if q.rpos != 0 {
+			q.refill()
+		}
+		*u, q.rpos = q.rbuf, len(u)
+	default:
+		for l := range u {
+			u[l] = q.rand()
 		}
 	}
 }

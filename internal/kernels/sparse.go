@@ -127,7 +127,7 @@ func (k *Sparse) Axpy(a float32, idx []int32, x, w Vec) {
 			w.F32[i] += a * x.At(j)
 		}
 	case k.V != Generic && !k.D.IsFloat():
-		axpyInt(k.Q, k.Num, a, idx, x, w)
+		axpyInt(k.Q, k.Num, a, idx, &x, &w)
 	case k.V != Generic: // float dataset, fixed model
 		fm := k.M.Fixed()
 		c := k.Num

@@ -43,6 +43,7 @@ var swarLens = []int{1, 3, 7, 8, 9, 13, 16, 31, 64, 100}
 // which takes the scalar counting path — must match both bit-for-bit
 // (PRNG lockstep parity).
 func TestDenseSwarMatchesScalar(t *testing.T) {
+	t.Run("windows", func(t *testing.T) { checkWindows(t, false, false) })
 	precs := []Prec{I8, I16, I4}
 	seed := uint64(0xD1FF)
 	for _, d := range precs {
@@ -113,6 +114,7 @@ func runDensePair(t *testing.T, name string, d, m Prec, v Variant, kind QuantKin
 // TestSparseSwarMatchesScalar is the sparse analogue, with duplicate
 // indices in the block so the scatter ordering contract is exercised.
 func TestSparseSwarMatchesScalar(t *testing.T) {
+	t.Run("windows", func(t *testing.T) { checkWindows(t, true, false) })
 	precs := []Prec{I8, I16}
 	seed := uint64(0x5EED5)
 	const wlen = 37
@@ -214,6 +216,21 @@ func TestVecWordView(t *testing.T) {
 	v.lanes8(1, &lanes)
 	if lanes[0] != -128 || lanes[1] != 3 || lanes[2] != 0 {
 		t.Errorf("lanes8 = %v", lanes[:3])
+	}
+}
+
+// addends lays down, through the fused AXPY's chunk fetch, the rounding
+// addends of the next len(d) RoundRaw calls by shift 32-up, each scaled by
+// 2^up, one per lane: d is a whole number of 8-lane blocks.
+func (q *Quantizer) addends(d []int64, up uint) {
+	var c [chunkLanes]int64
+	for len(d) > 0 {
+		n := min(len(d), len(c))
+		m := q.chunkAddends(&c, n, up)
+		for j := range d[:n] {
+			d[j] = c[j&m]
+		}
+		d = d[n:]
 	}
 }
 

@@ -139,6 +139,9 @@ func ParsePrec(s string) (Prec, error) {
 // element slice or the host is big-endian; kernels treat nil as "scalar
 // path only". The element slices and w64 alias the same memory, so scalar
 // tail code and word code interleave safely.
+//
+// The methods take a pointer receiver: a Vec is 104 bytes, and a value
+// receiver copies it on every call, inlined or not.
 type Vec struct {
 	P   Prec
 	F32 []float32
@@ -178,7 +181,7 @@ func NewVec(p Prec, n int) Vec {
 // lanes8 loads the raw values of elements 8*blk .. 8*blk+7 into dst with
 // word accesses (one uint64 load for I8/I4, two for I16). The caller
 // guarantees the vector has a word view and the block is fully in range.
-func (v Vec) lanes8(blk int, dst *[8]int32) {
+func (v *Vec) lanes8(blk int, dst *[8]int32) {
 	if v.P == I16 {
 		w0 := v.w64[2*blk]
 		w1 := v.w64[2*blk+1]
@@ -204,7 +207,7 @@ func (v Vec) lanes8(blk int, dst *[8]int32) {
 }
 
 // Len returns the vector length.
-func (v Vec) Len() int {
+func (v *Vec) Len() int {
 	switch v.P {
 	case F32:
 		return len(v.F32)
@@ -216,7 +219,7 @@ func (v Vec) Len() int {
 }
 
 // At returns the real (dequantized) value at index i.
-func (v Vec) At(i int) float32 {
+func (v *Vec) At(i int) float32 {
 	switch v.P {
 	case F32:
 		return v.F32[i]
@@ -231,7 +234,7 @@ func (v Vec) At(i int) float32 {
 
 // SetRaw stores a raw fixed-point value (or bit-cast float via SetFloat for
 // F32 vectors). It panics if called on a float vector.
-func (v Vec) SetRaw(i int, raw int32) {
+func (v *Vec) SetRaw(i int, raw int32) {
 	switch v.P {
 	case I16:
 		v.I16[i] = int16(raw)
@@ -243,7 +246,7 @@ func (v Vec) SetRaw(i int, raw int32) {
 }
 
 // Raw returns the raw fixed-point value at index i. It panics for F32.
-func (v Vec) Raw(i int) int32 {
+func (v *Vec) Raw(i int) int32 {
 	switch v.P {
 	case I16:
 		return int32(v.I16[i])
@@ -256,7 +259,7 @@ func (v Vec) Raw(i int) int32 {
 
 // Set quantizes and stores the real value x at index i using q. For F32
 // vectors the value is stored directly and q may be nil.
-func (v Vec) Set(i int, x float32, q *Quantizer) {
+func (v *Vec) Set(i int, x float32, q *Quantizer) {
 	if v.P == F32 {
 		v.F32[i] = x
 		return
@@ -265,7 +268,7 @@ func (v Vec) Set(i int, x float32, q *Quantizer) {
 }
 
 // Fill quantizes the real values xs into v using q (nil allowed for F32).
-func (v Vec) Fill(xs []float32, q *Quantizer) {
+func (v *Vec) Fill(xs []float32, q *Quantizer) {
 	if len(xs) != v.Len() {
 		panic(fmt.Sprintf("kernels: Fill length mismatch: %d != %d", len(xs), v.Len()))
 	}
@@ -275,7 +278,7 @@ func (v Vec) Fill(xs []float32, q *Quantizer) {
 }
 
 // Floats dequantizes the whole vector into a fresh []float32.
-func (v Vec) Floats() []float32 {
+func (v *Vec) Floats() []float32 {
 	out := make([]float32, v.Len())
 	for i := range out {
 		out[i] = v.At(i)
@@ -284,7 +287,7 @@ func (v Vec) Floats() []float32 {
 }
 
 // Clone returns a deep copy of the vector.
-func (v Vec) Clone() Vec {
+func (v *Vec) Clone() Vec {
 	c := NewVec(v.P, v.Len())
 	switch v.P {
 	case F32:
@@ -298,7 +301,7 @@ func (v Vec) Clone() Vec {
 }
 
 // Zero resets all elements to zero.
-func (v Vec) Zero() {
+func (v *Vec) Zero() {
 	switch v.P {
 	case F32:
 		for i := range v.F32 {

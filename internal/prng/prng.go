@@ -218,7 +218,10 @@ func (b *Batch) Words() *[BatchLanes]uint32 {
 // controls the statistical/hardware efficiency trade-off; Period == 1 is
 // equivalent to the underlying source.
 type Shared struct {
-	src    Source
+	src Source
+	// batch is src when it is a *Batch, whose draws FillBlocks then
+	// inlines instead of calling through the interface.
+	batch  *Batch
 	period int
 	count  int
 	cur    uint32
@@ -232,7 +235,8 @@ func NewShared(src Source, period int) (*Shared, error) {
 	if period < 1 {
 		return nil, fmt.Errorf("prng: NewShared: period %d < 1", period)
 	}
-	return &Shared{src: src, period: period, count: period}, nil
+	b, _ := src.(*Batch)
+	return &Shared{src: src, batch: b, period: period, count: period}, nil
 }
 
 // Period returns the reuse period.
@@ -255,19 +259,41 @@ func (s *Shared) Uint32() uint32 {
 // reports true — at Period >= 8 a block of roundings then costs one draw
 // and no per-lane call.
 func (s *Shared) Fill8(dst *[BatchLanes]uint32) bool {
-	if s.count >= s.period {
-		s.cur = s.src.Uint32()
-		s.count = 0
-	}
-	if s.period-s.count >= BatchLanes {
-		s.count += BatchLanes
-		dst[0] = s.cur
+	if s.FillBlocks(dst[:1]) == 1 {
 		return true
 	}
 	for i := range dst {
 		dst[i] = s.Uint32()
 	}
 	return false
+}
+
+// FillBlocks yields the words of up to len(dst) consecutive blocks of
+// BatchLanes Uint32 calls for as long as one reuse window covers each
+// whole block: dst[k] is the single word of block k. It consumes the
+// stream exactly as those calls would and returns how many blocks it
+// filled, stopping at the first block that needs more than one word —
+// the state is then the one Fill8 reads that block's words from.
+func (s *Shared) FillBlocks(dst []uint32) int {
+	count, cur, b := s.count, s.cur, s.batch
+	n := 0
+	for ; n < len(dst); n++ {
+		if count >= s.period {
+			if b != nil {
+				cur = b.Uint32()
+			} else {
+				cur = s.src.Uint32()
+			}
+			count = 0
+		}
+		if s.period-count < BatchLanes {
+			break
+		}
+		count += BatchLanes
+		dst[n] = cur
+	}
+	s.count, s.cur = count, cur
+	return n
 }
 
 // Draws reports how many words have been drawn from the underlying source;

@@ -284,3 +284,57 @@ func TestSharedFill8MatchesUint32(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedFillBlocksMatchesUint32 pins the multi-block fill the same way,
+// over a Batch source (whose draws Shared inlines) and an opaque one: for
+// every period 1..20 and phase, runs of FillBlocks calls of 1..8 blocks,
+// each followed by the Fill8 the stopping block falls to, yield the words
+// eight Uint32 calls per block would, with as many draws.
+func TestSharedFillBlocksMatchesUint32(t *testing.T) {
+	for period := 1; period <= 20; period++ {
+		for phase := 0; phase < period; phase++ {
+			for _, batch := range []bool{false, true} {
+				seed := uint64(period*31 + phase + 1)
+				src := func() Source {
+					if batch {
+						return NewBatch(seed)
+					}
+					return &Counting{Src: NewXorshift32(uint32(seed))}
+				}
+				ref, _ := NewShared(src(), period)
+				got, _ := NewShared(src(), period)
+				for i := 0; i < phase; i++ {
+					ref.Uint32()
+					got.Uint32()
+				}
+				var words [8]uint32
+				for call := 0; call < 200; call++ {
+					n := got.FillBlocks(words[:call%8+1])
+					var u [BatchLanes]uint32
+					for k := 0; k <= n && k <= call%8; k++ {
+						one := k < n
+						if one {
+							u[0] = words[k]
+						} else {
+							one = got.Fill8(&u)
+						}
+						for l := range u {
+							if one {
+								u[l] = u[0]
+							}
+							if want := ref.Uint32(); u[l] != want {
+								t.Fatalf("period %d phase %d batch %v call %d block %d lane %d: %#x, Uint32 %#x",
+									period, phase, batch, call, k, l, u[l], want)
+							}
+						}
+					}
+				}
+				if !batch {
+					if g, r := got.src.(*Counting).Count(), ref.src.(*Counting).Count(); g != r {
+						t.Fatalf("period %d phase %d: %d draws, want %d", period, phase, g, r)
+					}
+				}
+			}
+		}
+	}
+}
