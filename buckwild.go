@@ -484,31 +484,16 @@ func (c Config) coreConfig(sparse bool, idxBits uint) (core.Config, error) {
 	if err := c.Validate(); err != nil {
 		return core.Config{}, err
 	}
-	sigText := c.Signature
-	if sigText == "" {
-		if sparse {
-			sigText = "D32fi32M32f"
-		} else {
-			sigText = "D32fM32f"
-		}
-	}
-	sig, err := dmgc.Parse(sigText)
+	sig, d, err := datasetSignature(c.Signature, sparse)
 	if err != nil {
-		return core.Config{}, wrapErr(err)
-	}
-	if sparse != sig.Sparse() {
-		return core.Config{}, fmt.Errorf("buckwild: signature %v sparsity does not match the dataset", sig)
+		return core.Config{}, err
 	}
 	if sparse && sig.IndexBits() != idxBits {
 		return core.Config{}, fmt.Errorf("buckwild: signature index precision i%d, dataset stores i%d", sig.IndexBits(), idxBits)
 	}
-	d, err := precOf(sig.DatasetBits(), sig.D.Float || !sig.D.Present)
+	m, err := kernels.TermPrec(sig.M)
 	if err != nil {
-		return core.Config{}, err
-	}
-	m, err := precOf(sig.ModelBits(), sig.M.Float || !sig.M.Present)
-	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, wrapErr(err)
 	}
 	prob, err := c.Problem.core()
 	if err != nil {
@@ -557,25 +542,30 @@ func (c Config) coreConfig(sparse bool, idxBits uint) (core.Config, error) {
 	}, nil
 }
 
-// precOf maps a signature term to a storage precision.
-func precOf(bits uint, isFloat bool) (kernels.Prec, error) {
-	if isFloat {
-		if bits != 32 {
-			return 0, fmt.Errorf("buckwild: only 32-bit float storage is supported, got %df", bits)
+// datasetSignature parses the signature a dataset of the given kind is
+// built or trained under, and returns it with its dataset precision.
+// Empty text means full precision of that kind ("D32fM32f" or
+// "D32fi32M32f"), and a signature whose index term does not match the
+// kind is refused.
+func datasetSignature(sigText string, sparse bool) (dmgc.Signature, kernels.Prec, error) {
+	if sigText == "" {
+		sigText = "D32fM32f"
+		if sparse {
+			sigText = "D32fi32M32f"
 		}
-		return kernels.F32, nil
 	}
-	switch bits {
-	case 4:
-		return kernels.I4, nil
-	case 8:
-		return kernels.I8, nil
-	case 16:
-		return kernels.I16, nil
-	case 32:
-		return kernels.F32, nil
+	sig, err := dmgc.Parse(sigText)
+	if err != nil {
+		return sig, 0, wrapErr(err)
 	}
-	return 0, fmt.Errorf("buckwild: unsupported precision %d (use 4, 8, 16 or 32f)", bits)
+	switch {
+	case sparse && !sig.Sparse():
+		return sig, 0, fmt.Errorf("buckwild: signature %v has no index term", sig)
+	case !sparse && sig.Sparse():
+		return sig, 0, fmt.Errorf("buckwild: signature %v sparsity does not match the dataset", sig)
+	}
+	d, err := kernels.TermPrec(sig.D)
+	return sig, d, wrapErr(err)
 }
 
 // GenerateDense samples a dense logistic-regression dataset from the
@@ -585,11 +575,7 @@ func GenerateDense(sigText string, n, m int, seed uint64) (*DenseDataset, error)
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("buckwild: dataset dimensions must be positive (n=%d, m=%d)", n, m)
 	}
-	sig, err := dmgc.Parse(orDefault(sigText, "D32fM32f"))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	p, err := precOf(sig.DatasetBits(), sig.D.Float || !sig.D.Present)
+	_, p, err := datasetSignature(sigText, false)
 	if err != nil {
 		return nil, err
 	}
@@ -608,14 +594,7 @@ func GenerateSparse(sigText string, n, m int, density float64, seed uint64) (*Sp
 	if density <= 0 || density > 1 {
 		return nil, fmt.Errorf("buckwild: density %v out of (0, 1]", density)
 	}
-	sig, err := dmgc.Parse(orDefault(sigText, "D32fi32M32f"))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if !sig.Sparse() {
-		return nil, fmt.Errorf("buckwild: signature %v has no index term", sig)
-	}
-	p, err := precOf(sig.DatasetBits(), sig.D.Float || !sig.D.Present)
+	sig, p, err := datasetSignature(sigText, true)
 	if err != nil {
 		return nil, err
 	}
@@ -624,11 +603,4 @@ func GenerateSparse(sigText string, n, m int, density float64, seed uint64) (*Sp
 		Rounding: fixed.Unbiased, Seed: seed,
 	})
 	return ds, wrapErr(err)
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

@@ -163,6 +163,17 @@ func TestFacadeValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateDenseRejectsSparseSignature: Train refuses a dense set under
+// a sparse signature, so the dense constructor refuses to build one, the
+// mirror of GenerateSparse refusing a signature without an index term.
+func TestGenerateDenseRejectsSparseSignature(t *testing.T) {
+	const want = "buckwild: signature D8i16M8 sparsity does not match the dataset"
+	ds, err := GenerateDense("D8i16M8", 16, 4, 1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("GenerateDense(D8i16M8) = %v, %v; want error %q", ds != nil, err, want)
+	}
+}
+
 func TestRoundingOptions(t *testing.T) {
 	ds, err := GenerateDense("D8M8", 32, 200, 5)
 	if err != nil {

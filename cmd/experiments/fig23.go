@@ -28,7 +28,7 @@ func sizes(quick bool) []int {
 func fig2Points(ns []int) ([]machine.Workload, error) {
 	var points []machine.Workload
 	for _, n := range ns {
-		w, err := sigWorkload(dmgc.MustParse("D8M8"), n, 18, false)
+		w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 18)
 		if err != nil {
 			return nil, err
 		}
@@ -101,14 +101,14 @@ func runFig3(quick bool) error {
 		var points []machine.Workload
 		for _, name := range names {
 			sig := dmgc.MustParse(name)
-			wBase, err := sigWorkload(sig, ns[len(ns)-1], 1, sparse)
+			wBase, err := machine.SignatureWorkload(sig, ns[len(ns)-1], 1)
 			if err != nil {
 				return err
 			}
 			points = append(points, wBase)
 			for _, t := range threads {
 				for _, n := range ns {
-					w, err := sigWorkload(sig, n, t, sparse)
+					w, err := machine.SignatureWorkload(sig, n, t)
 					if err != nil {
 						return err
 					}

@@ -17,8 +17,8 @@ func init() {
 
 // variantPoints builds the (generic, hand-optimized) workload pair of a
 // signature; every fig4 sweep is a flat list of such pairs.
-func variantPoints(sig dmgc.Signature, n, threads int, sparse bool) ([]machine.Workload, error) {
-	w, err := sigWorkload(sig, n, threads, sparse)
+func variantPoints(sig dmgc.Signature, n, threads int) ([]machine.Workload, error) {
+	w, err := machine.SignatureWorkload(sig, n, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func runFig4a(quick bool) error {
 	}
 	var points []machine.Workload
 	for _, name := range fig4Signatures() {
-		pair, err := variantPoints(dmgc.MustParse(name), n, 1, false)
+		pair, err := variantPoints(dmgc.MustParse(name), n, 1)
 		if err != nil {
 			return err
 		}
@@ -67,7 +67,7 @@ func runFig4b(quick bool) error {
 	for _, n := range ns {
 		// Single thread isolates the kernel effect: at high thread
 		// counts both variants hit the same coherence floor.
-		pair, err := variantPoints(dmgc.MustParse("D8i8M8"), n, 1, true)
+		pair, err := variantPoints(dmgc.MustParse("D8i8M8"), n, 1)
 		if err != nil {
 			return err
 		}
@@ -101,14 +101,14 @@ func runFig4c(quick bool) error {
 		sig := dmgc.MustParse(name)
 		for _, n := range ns {
 			for _, t := range threads {
-				pair, err := variantPoints(sig, n, t, false)
+				pair, err := variantPoints(sig, n, t)
 				if err != nil {
 					return err
 				}
 				points = append(points, pair...)
 				sSig := sig
 				sSig.Idx = dmgc.FixedTerm(sig.DatasetBits())
-				pair, err = variantPoints(sSig, n, t, true)
+				pair, err = variantPoints(sSig, n, t)
 				if err != nil {
 					return err
 				}

@@ -8,9 +8,7 @@ import (
 	"buckwild/internal/dmgc"
 	"buckwild/internal/kernels"
 	"buckwild/internal/machine"
-	"buckwild/internal/obs"
 	"buckwild/internal/simd"
-	"buckwild/internal/sweep"
 )
 
 func init() {
@@ -41,33 +39,22 @@ func runFig5a(quick bool) error {
 	}
 	// Sequential-sharing trainings are deterministic, so the strategies
 	// can train on worker goroutines without changing the loss curves.
-	// Each closure writes only its own tstats slot; reportTrain reads
-	// them after the sweep completes.
-	tstats := make([]*obs.RunStats, len(strategies))
-	losses, err := sweep.Map(*workers, len(strategies), func(i int) ([]float64, error) {
-		cfg := core.Config{
+	res, err := trainSweep(ds, len(strategies), func(i int) core.Config {
+		return core.Config{
 			Problem: core.Logistic, D: kernels.I8, M: kernels.I8,
 			Variant: kernels.HandOpt, Quant: strategies[i].kind, QuantPeriod: 8,
 			Threads: 1, StepSize: 0.02, Epochs: epochs,
 			Sharing: core.Sequential, Seed: 9,
-			Observer: trainObserver(),
 		}
-		res, err := core.Train(cfg, ds)
-		if err != nil {
-			return nil, err
-		}
-		tstats[i] = res.Stats
-		return res.TrainLoss, nil
 	})
 	if err != nil {
 		return err
 	}
-	reportTrain(tstats...)
 	header(append([]string{"epoch"}, names(strategies)...)...)
 	for e := 0; e <= epochs; e++ {
 		cells := []interface{}{e}
 		for i := range strategies {
-			cells = append(cells, losses[i][e])
+			cells = append(cells, res[i].TrainLoss[e])
 		}
 		row(cells...)
 	}
@@ -103,7 +90,7 @@ func runFig5b(quick bool) error {
 	}
 	var points []machine.Workload
 	for _, s := range strategies {
-		w, err := sigWorkload(dmgc.MustParse("D8M8"), n, 1, false)
+		w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 1)
 		if err != nil {
 			return err
 		}
@@ -133,11 +120,11 @@ func runFig5c(quick bool) error {
 	ns := sizes(quick)
 	var points []machine.Workload
 	for _, n := range ns {
-		w8, err := sigWorkload(dmgc.MustParse("D8M8"), n, 18, false)
+		w8, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 18)
 		if err != nil {
 			return err
 		}
-		w4, err := sigWorkload(dmgc.MustParse("D4M4"), n, 18, false)
+		w4, err := machine.SignatureWorkload(dmgc.MustParse("D4M4"), n, 18)
 		if err != nil {
 			return err
 		}
@@ -165,7 +152,7 @@ func runNewInsn(quick bool) error {
 	var points []machine.Workload
 	for _, n := range ns {
 		for _, t := range threads {
-			w, err := sigWorkload(dmgc.MustParse("D8M8"), n, t, false)
+			w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, t)
 			if err != nil {
 				return err
 			}

@@ -8,8 +8,6 @@ import (
 	"buckwild/internal/dmgc"
 	"buckwild/internal/kernels"
 	"buckwild/internal/machine"
-	"buckwild/internal/obs"
-	"buckwild/internal/sweep"
 )
 
 func init() {
@@ -21,14 +19,14 @@ func init() {
 	register("fig6f", "obstinate cache: statistical efficiency vs q", runFig6f)
 }
 
-func prefetchSweep(sigName string, sparse bool, quick bool) error {
+func prefetchSweep(sigName string, quick bool) error {
 	ns := []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}
 	if quick {
 		ns = []int{1 << 8, 1 << 12, 1 << 16}
 	}
 	var points []machine.Workload
 	for _, n := range ns {
-		w, err := sigWorkload(dmgc.MustParse(sigName), n, 18, sparse)
+		w, err := machine.SignatureWorkload(dmgc.MustParse(sigName), n, 18)
 		if err != nil {
 			return err
 		}
@@ -50,8 +48,8 @@ func prefetchSweep(sigName string, sparse bool, quick bool) error {
 	return nil
 }
 
-func runFig6a(quick bool) error { return prefetchSweep("D8M8", false, quick) }
-func runFig6b(quick bool) error { return prefetchSweep("D8i8M8", true, quick) }
+func runFig6a(quick bool) error { return prefetchSweep("D8M8", quick) }
+func runFig6b(quick bool) error { return prefetchSweep("D8i8M8", quick) }
 
 func runFig6c(quick bool) error {
 	ns := []int{1 << 8, 1 << 10, 1 << 12, 1 << 16, 1 << 20}
@@ -62,7 +60,7 @@ func runFig6c(quick bool) error {
 	var points []machine.Workload
 	for _, n := range ns {
 		for _, q := range qs {
-			w, err := sigWorkload(dmgc.MustParse("D8M8"), n, 18, false)
+			w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 18)
 			if err != nil {
 				return err
 			}
@@ -100,7 +98,7 @@ func runFig6d(quick bool) error {
 	var points []machine.Workload
 	for _, n := range ns {
 		for _, b := range bs {
-			w, err := sigWorkload(dmgc.MustParse("D8M8"), n, 18, false)
+			w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 18)
 			if err != nil {
 				return err
 			}
@@ -139,32 +137,21 @@ func runFig6e(quick bool) error {
 	}
 	bs := []int{1, 4, 16, 64, 256}
 	// Sequential-sharing trainings are deterministic, so the batch sizes
-	// can train concurrently without changing the losses. Each closure
-	// writes only its own tstats slot; reportTrain reads them after the
-	// sweep completes.
-	tstats := make([]*obs.RunStats, len(bs))
-	finals, err := sweep.Map(*workers, len(bs), func(i int) (float64, error) {
-		cfg := core.Config{
+	// can train concurrently without changing the losses.
+	res, err := trainSweep(ds, len(bs), func(i int) core.Config {
+		return core.Config{
 			Problem: core.Logistic, D: kernels.I8, M: kernels.I8,
 			Variant: kernels.HandOpt, Quant: kernels.QShared, QuantPeriod: 8,
 			Threads: 1, MiniBatch: bs[i], StepSize: 0.1, Epochs: epochs,
 			Sharing: core.Sequential, Seed: 5,
-			Observer: trainObserver(),
 		}
-		res, err := core.Train(cfg, ds)
-		if err != nil {
-			return 0, err
-		}
-		tstats[i] = res.Stats
-		return res.TrainLoss[len(res.TrainLoss)-1], nil
 	})
 	if err != nil {
 		return err
 	}
-	reportTrain(tstats...)
 	header("mini-batch B", "final training loss")
 	for i, b := range bs {
-		row(b, finals[i])
+		row(b, finalLoss(res[i]))
 	}
 	fmt.Println("\naccuracy degrades once B is too large for the epoch budget (paper Fig 6e)")
 	return nil
@@ -183,31 +170,21 @@ func runFig6f(quick bool) error {
 	// Racy-sharing trainings race by design, so their losses vary run to
 	// run regardless of how the sweep is scheduled; each point still
 	// trains its own private model (and its own counter shards, which
-	// stay exact — only the model races). Each closure writes only its
-	// own tstats slot; reportTrain reads them after the sweep completes.
-	tstats := make([]*obs.RunStats, len(qs))
-	finals, err := sweep.Map(*workers, len(qs), func(i int) (float64, error) {
-		cfg := core.Config{
+	// stay exact — only the model races).
+	res, err := trainSweep(ds, len(qs), func(i int) core.Config {
+		return core.Config{
 			Problem: core.Logistic, D: kernels.I8, M: kernels.I8,
 			Variant: kernels.HandOpt, Quant: kernels.QShared, QuantPeriod: 8,
 			Threads: 4, StepSize: 0.1, Epochs: epochs,
 			Sharing: core.Racy, ObstinateQ: qs[i], Seed: 6,
-			Observer: trainObserver(),
 		}
-		res, err := core.Train(cfg, ds)
-		if err != nil {
-			return 0, err
-		}
-		tstats[i] = res.Stats
-		return res.TrainLoss[len(res.TrainLoss)-1], nil
 	})
 	if err != nil {
 		return err
 	}
-	reportTrain(tstats...)
 	header("obstinacy q", "final training loss")
 	for i, q := range qs {
-		row(fmt.Sprintf("%.2f", q), finals[i])
+		row(fmt.Sprintf("%.2f", q), finalLoss(res[i]))
 	}
 	fmt.Println("\nno detectable statistical-efficiency loss even at q=0.95 (paper Fig 6f)")
 	return nil

@@ -14,7 +14,6 @@ import (
 	"buckwild/internal/dataset"
 	"buckwild/internal/kernels"
 	"buckwild/internal/obs"
-	"buckwild/internal/sweep"
 )
 
 func init() {
@@ -49,38 +48,30 @@ func runHealthSweep(quick bool) error {
 	// Sequential sharing keeps every point deterministic, so the sweep can
 	// run concurrently without changing any counter. The health Observer is
 	// always on here — the health numbers ARE the experiment's output.
-	tstats := make([]*obs.RunStats, len(points))
-	finals, err := sweep.Map(*workers, len(points), func(i int) (float64, error) {
-		cfg := core.Config{
+	res, err := trainSweep(ds, len(points), func(i int) core.Config {
+		return core.Config{
 			Problem: core.Logistic, D: kernels.I8, M: points[i].m,
 			Variant: kernels.HandOpt, Quant: points[i].quant, QuantPeriod: 8,
 			Threads: 1, StepSize: 0.1, Epochs: epochs,
 			Sharing: core.Sequential, Seed: 7,
 			Observer: &obs.Observer{NumHealth: true},
 		}
-		res, err := core.Train(cfg, ds)
-		if err != nil {
-			return 0, err
-		}
-		tstats[i] = res.Stats
-		return res.TrainLoss[len(res.TrainLoss)-1], nil
 	})
 	if err != nil {
 		return err
 	}
-	reportTrain(tstats...)
 	header("model/rounding", "final loss", "sat/write", "underflows", "bias quanta", "wts@bounds")
 	for i, p := range points {
-		h := tstats[i].NumHealth
+		h := res[i].Stats.NumHealth
 		satRate := 0.0
-		if writes := totalWrites(tstats[i]); writes > 0 {
+		if writes := totalWrites(res[i].Stats); writes > 0 {
 			satRate = float64(h.Saturations) / float64(writes)
 		}
 		var atBounds uint64
 		if h.Weights != nil {
 			atBounds = h.Weights.AtBounds
 		}
-		row(p.name, finals[i], satRate, h.Underflows,
+		row(p.name, finalLoss(res[i]), satRate, h.Underflows,
 			fmt.Sprintf("%+.4g", h.Bias.MeanQuanta()), atBounds)
 	}
 	fmt.Println("\nprecision alone doesn't separate the curves (paper §3): at 4 bits biased")

@@ -23,7 +23,7 @@ func runNUMA(quick bool) error {
 	// streaming limit, binds for large models.
 	var points []machine.Workload
 	for _, n := range ns {
-		w, err := sigWorkload(dmgc.MustParse("D8M8"), n, 24, false)
+		w, err := machine.SignatureWorkload(dmgc.MustParse("D8M8"), n, 24)
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func runAblations(quick bool) error {
 	idxNames := []string{"D8i8M8", "D8i16M8", "D8i32M8"}
 	var points []machine.Workload
 	for _, name := range idxNames {
-		w, err := sigWorkload(dmgc.MustParse(name), n, 1, true)
+		w, err := machine.SignatureWorkload(dmgc.MustParse(name), n, 1)
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,10 @@ import (
 	"runtime"
 	"time"
 
+	"buckwild/internal/core"
 	"buckwild/internal/machine"
 	"buckwild/internal/obs"
+	"buckwild/internal/sweep"
 	"buckwild/internal/trace"
 )
 
@@ -129,16 +131,31 @@ func reportSim(_ int, r *machine.Result) {
 	currentRpt.Access.Merge(r.Access)
 }
 
-// trainObserver returns the Observer that training experiments should
-// install: nil without -report (the zero-cost path), otherwise a
-// default-sampling observer collecting counters, the staleness
-// histogram and the numerical-health block.
-func trainObserver() *obs.Observer {
-	if report == nil {
-		return nil
+// trainSweep trains ds once per sweep point, fanned out over -workers,
+// and reports the runs' stats into the running entry after the sweep. A
+// point's config that sets no Observer gets the default one under
+// -report (counters, the staleness histogram and the numerical-health
+// block) and none without it, the zero-cost path. Each run writes only
+// its own result slot, so the points may train concurrently.
+func trainSweep(ds core.Dataset, n int, config func(i int) core.Config) ([]*core.Result, error) {
+	res, err := sweep.Map(*workers, n, func(i int) (*core.Result, error) {
+		cfg := config(i)
+		if cfg.Observer == nil && report != nil {
+			cfg.Observer = &obs.Observer{NumHealth: true}
+		}
+		return core.Train(cfg, ds)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &obs.Observer{NumHealth: true}
+	for _, r := range res {
+		reportTrain(r.Stats)
+	}
+	return res, nil
 }
+
+// finalLoss is a run's training loss after its last epoch.
+func finalLoss(r *core.Result) float64 { return r.TrainLoss[len(r.TrainLoss)-1] }
 
 // reportTrain merges training RunStats (one per sweep point; nil entries
 // are skipped) into the running entry. Call it after sweep.Map returns —

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"buckwild/internal/dmgc"
-	"buckwild/internal/kernels"
 	"buckwild/internal/machine"
 )
 
@@ -22,51 +21,6 @@ func runTable1(bool) error {
 	return nil
 }
 
-// sigWorkload converts a dense Table 2 signature into a machine workload.
-func sigWorkload(sig dmgc.Signature, n, threads int, sparse bool) (machine.Workload, error) {
-	d, err := precFromBits(sig.DatasetBits(), sig.D.Float || !sig.D.Present)
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	m, err := precFromBits(sig.ModelBits(), sig.M.Float || !sig.M.Present)
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	w := machine.Workload{
-		Sparse:      sparse,
-		D:           d,
-		M:           m,
-		IdxBits:     sig.IndexBits(),
-		Variant:     kernels.HandOpt,
-		Quant:       kernels.QShared,
-		QuantPeriod: 8,
-		ModelSize:   n,
-		Density:     0.03,
-		Threads:     threads,
-		Prefetch:    true,
-		Seed:        1,
-	}
-	if d == kernels.I4 || m == kernels.I4 {
-		w.Variant = kernels.NewInsn
-	}
-	return w, nil
-}
-
-func precFromBits(bits uint, isFloat bool) (kernels.Prec, error) {
-	if isFloat || bits == 32 {
-		return kernels.F32, nil
-	}
-	switch bits {
-	case 4:
-		return kernels.I4, nil
-	case 8:
-		return kernels.I8, nil
-	case 16:
-		return kernels.I16, nil
-	}
-	return 0, fmt.Errorf("unsupported precision %d", bits)
-}
-
 func runTable2(quick bool) error {
 	n := 1 << 20
 	if quick {
@@ -76,11 +30,11 @@ func runTable2(quick bool) error {
 	sparseSigs := dmgc.Table2Signatures(true)
 	var points []machine.Workload
 	for i := range denseSigs {
-		wd, err := sigWorkload(denseSigs[i], n, 1, false)
+		wd, err := machine.SignatureWorkload(denseSigs[i], n, 1)
 		if err != nil {
 			return err
 		}
-		ws, err := sigWorkload(sparseSigs[i], n, 1, true)
+		ws, err := machine.SignatureWorkload(sparseSigs[i], n, 1)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"fmt"
-
 	"buckwild/internal/core"
+	"buckwild/internal/dmgc"
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
 )
@@ -27,20 +26,6 @@ type wireCodec struct {
 	q    *kernels.Quantizer // nil at 32 bits
 }
 
-// wirePrec maps a wire precision to the kernels storage precision whose
-// quantizer it reuses.
-func wirePrec(bits uint) (kernels.Prec, error) {
-	switch bits {
-	case 4:
-		return kernels.I4, nil
-	case 8:
-		return kernels.I8, nil
-	case 16:
-		return kernels.I16, nil
-	}
-	return 0, fmt.Errorf("cluster: unsupported wire precision %d (use 4, 8, 16 or 32)", bits)
-}
-
 // newWireCodec builds one node's codec. Each node owns its codec (and so
 // its rounding randomness stream), keyed on (seed, node), which keeps the
 // event-driven protocols deterministic regardless of message ordering.
@@ -48,7 +33,7 @@ func newWireCodec(bits uint, kind kernels.QuantKind, seed uint64, node int) (*wi
 	if bits == 32 {
 		return &wireCodec{bits: 32}, nil
 	}
-	p, err := wirePrec(bits)
+	p, err := kernels.TermPrec(dmgc.FixedTerm(bits))
 	if err != nil {
 		return nil, err
 	}

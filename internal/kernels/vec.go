@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"buckwild/internal/dmgc"
 	"buckwild/internal/fixed"
 )
 
@@ -125,6 +126,31 @@ func ParsePrec(s string) (Prec, error) {
 		return I4, nil
 	}
 	return 0, fmt.Errorf("kernels: unknown precision %q", s)
+}
+
+// TermPrec is the storage precision of a DMGC signature term, and the
+// only place a term becomes one: an absent term (full precision) and 32f
+// are F32, and 4, 8 and 16 bits are fixed point. A fixed 32 is stored as
+// F32 too; any other width, and a float narrower than 32 bits, is
+// refused.
+func TermPrec(t dmgc.Term) (Prec, error) {
+	if t.Float || !t.Present {
+		if t.Present && t.Bits != 32 {
+			return 0, fmt.Errorf("kernels: only 32-bit float storage is supported, got %df", t.Bits)
+		}
+		return F32, nil
+	}
+	switch t.Bits {
+	case 4:
+		return I4, nil
+	case 8:
+		return I8, nil
+	case 16:
+		return I16, nil
+	case 32:
+		return F32, nil
+	}
+	return 0, fmt.Errorf("kernels: unsupported precision %d (use 4, 8, 16 or 32f)", t.Bits)
 }
 
 // Vec is a vector stored at one of the supported precisions. Exactly one of

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"buckwild/internal/cache"
+	"buckwild/internal/dmgc"
 	"buckwild/internal/kernels"
 	"buckwild/internal/prng"
 	"buckwild/internal/simd"
@@ -101,6 +102,42 @@ type Workload struct {
 	// Obstinacy is the obstinate-cache q (Section 6.2).
 	Obstinacy float64
 	Seed      uint64
+}
+
+// SignatureWorkload is the Table 2 workload of a signature, and the only
+// place a signature becomes one: its D and M terms through
+// kernels.TermPrec, its index width and sparsity, hand-optimized kernels
+// (the Section 6.1 proposed instructions when either precision is 4-bit),
+// UnbiasedShared rounding with the paper's reuse period of 8, a 0.03
+// density (read only when sparse), the hardware prefetcher on, and seed
+// 1.
+func SignatureWorkload(sig dmgc.Signature, modelSize, threads int) (Workload, error) {
+	d, err := kernels.TermPrec(sig.D)
+	if err != nil {
+		return Workload{}, err
+	}
+	m, err := kernels.TermPrec(sig.M)
+	if err != nil {
+		return Workload{}, err
+	}
+	variant := kernels.HandOpt
+	if d == kernels.I4 || m == kernels.I4 {
+		variant = kernels.NewInsn
+	}
+	return Workload{
+		Sparse:      sig.Sparse(),
+		D:           d,
+		M:           m,
+		IdxBits:     sig.IndexBits(),
+		Variant:     variant,
+		Quant:       kernels.QShared,
+		QuantPeriod: 8,
+		ModelSize:   modelSize,
+		Density:     0.03,
+		Threads:     threads,
+		Prefetch:    true,
+		Seed:        1,
+	}, nil
 }
 
 // Result is the outcome of a simulation.

@@ -112,14 +112,7 @@ func LoadModelFile(path string) (*SavedModel, error) {
 // signature's dataset and index precisions, ready for Train. Parse
 // errors name the file and line.
 func LoadLibSVM(path, sigText string) (*SparseDataset, error) {
-	sig, err := ParseSignature(orDefault(sigText, "D32fi32M32f"))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if !sig.Sparse() {
-		return nil, fmt.Errorf("buckwild: signature %v has no index term", sig)
-	}
-	p, err := precOf(sig.DatasetBits(), sig.D.Float || !sig.D.Present)
+	sig, p, err := datasetSignature(sigText, true)
 	if err != nil {
 		return nil, err
 	}
