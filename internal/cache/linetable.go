@@ -30,9 +30,9 @@ type lineState struct {
 	// L1 (resp. L2) holds the line in a non-Invalid state right now.
 	l1p uint32
 	l2p uint32
-	// l3way1 is 1 + the line's way index in the shared level's line
-	// array when the line is present there, else 0. It turns L3 hits
-	// into a direct array access instead of a 20-way set scan.
+	// l3way1 is 1 + the line's way index in the shared level when the
+	// line is present there, else 0. It turns an L3 hit into one store
+	// of the way's LRU stamp instead of a 20-way set scan.
 	l3way1 uint32
 	// owner is 1+core of the core holding the line in Modified state, or
 	// 0 when none, so the zero value is an empty record.
