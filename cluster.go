@@ -5,6 +5,7 @@ import (
 
 	"buckwild/internal/cluster"
 	"buckwild/internal/core"
+	"buckwild/internal/kernels"
 	"buckwild/internal/obs"
 )
 
@@ -112,7 +113,9 @@ func (c ClusterConfig) Validate() error {
 }
 
 // wireBits resolves the effective wire precision against the signature's
-// communication term.
+// communication term, which lowers like the D and M terms
+// (kernels.TermPrec): absent, 32 and 32f are a 32-bit wire, and a float
+// narrower than 32 bits is refused like D16f.
 func (c ClusterConfig) wireBits(sigText string) (uint, error) {
 	if c.WireBits != 0 {
 		return c.WireBits, nil
@@ -124,14 +127,14 @@ func (c ClusterConfig) wireBits(sigText string) (uint, error) {
 	if err != nil {
 		return 0, wrapErr(err)
 	}
-	if !sig.C.Present || sig.C.Float || sig.C.Bits >= 32 {
-		return 32, nil
+	p, err := kernels.TermPrec(sig.C)
+	switch {
+	case err != nil && sig.C.Float:
+		return 0, wrapErr(err)
+	case err != nil:
+		return 0, fmt.Errorf("buckwild: signature communication precision %d not supported on the cluster wire (use 4, 8, 16 or 32)", sig.C.Bits)
 	}
-	switch sig.C.Bits {
-	case 4, 8, 16:
-		return sig.C.Bits, nil
-	}
-	return 0, fmt.Errorf("buckwild: signature communication precision %d not supported on the cluster wire (use 4, 8, 16 or 32)", sig.C.Bits)
+	return p.Bits(), nil
 }
 
 // clusterConfig lowers the facade config onto the cluster tier. cc is the

@@ -306,7 +306,7 @@ var pinnedLowering = []string{
 	"SimulateThroughput D32fM32fC4: ok",
 	"GenerateDense D8M8C16f: 8",
 	"lower D8M8C16f: D=8 M=8 G=0 i=0",
-	"wireBits D8M8C16f: 32",
+	"wireBits D8M8C16f: buckwild: only 32-bit float storage is supported, got 16f",
 	"SimulateThroughput D8M8C16f: ok",
 	"GenerateDense D16fM8: buckwild: only 32-bit float storage is supported, got 16f",
 	"lower D16fM8: buckwild: only 32-bit float storage is supported, got 16f",

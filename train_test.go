@@ -203,6 +203,26 @@ func TestClusterWireBitsFromSignature(t *testing.T) {
 	}
 }
 
+// TestClusterWireRefusesUnsupportedCTerm: a C term the wire cannot carry
+// fails the run instead of becoming a 32-bit wire, the float ones with the
+// same error as a D16f or M16f term.
+func TestClusterWireRefusesUnsupportedCTerm(t *testing.T) {
+	ds, err := GenerateDense("D8M8", 32, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sig, want := range map[string]string{
+		"D8M8C16f": "buckwild: only 32-bit float storage is supported, got 16f",
+		"D8M8C64f": "buckwild: only 32-bit float storage is supported, got 64f",
+		"D8M8C64":  "buckwild: signature communication precision 64 not supported on the cluster wire (use 4, 8, 16 or 32)",
+	} {
+		_, err := Train(Config{Signature: sig, Epochs: 1, Cluster: ClusterConfig{Nodes: 2}}, ds)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", sig, err, want)
+		}
+	}
+}
+
 // TestClusterEpochsLogged: a cluster run logs each epoch once through
 // Config.Logger, scoped to the cluster component, and logging leaves the
 // run's bits alone.
