@@ -184,10 +184,9 @@ type (
 	SeriesSnapshot = obs.SeriesSnapshot
 	SeriesWindow   = obs.SeriesWindow
 	// NumStats is the numerical-health snapshot surfaced on
-	// Result.NumStats (and Result.Stats.NumHealth) when Config.NumHealth
-	// is set: saturation counts per clamp site, rounding-bias
-	// accumulators, gradient underflows and the final weight
-	// distribution.
+	// Result.Stats.NumHealth when Config.NumHealth is set: saturation
+	// counts per clamp site, rounding-bias accumulators, gradient
+	// underflows and the final weight distribution.
 	NumStats = obs.NumStats
 	// WeightStats and RoundingBias are NumStats components.
 	WeightStats  = obs.WeightStats
@@ -345,8 +344,8 @@ type Config struct {
 	// NumHealth enables numerical-health collection: saturation events
 	// per clamp site, signed rounding-bias accumulators, gradient
 	// underflows and a per-epoch weight-distribution snapshot, surfaced
-	// on Result.NumStats. Off (the default) it costs one nil check per
-	// kernel call.
+	// on Result.Stats.NumHealth. Off (the default) it costs one nil check
+	// per kernel call.
 	NumHealth bool
 	// Logger, when non-nil, receives the run's events, one record each
 	// with an "event" attribute: cluster epoch completions (component

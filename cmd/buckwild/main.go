@@ -552,7 +552,8 @@ func main() {
 			s.Staleness.Count, s.Staleness.Mean(), s.Staleness.Quantile(0.5),
 			s.Staleness.Quantile(0.99), s.Staleness.Max)
 	}
-	if h := res.NumStats; h != nil {
+	if res.Stats != nil && res.Stats.NumHealth != nil {
+		h := res.Stats.NumHealth
 		fmt.Printf("numerical health: %d saturations, %d underflows, rounding bias %+.4g quanta over %d writes (%s)\n",
 			h.Saturations, h.Underflows, h.Bias.MeanQuanta(), h.Bias.Samples, h.Bias.Mode)
 		sites := make([]string, 0, len(h.SatBySite))

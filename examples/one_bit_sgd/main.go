@@ -28,14 +28,13 @@ func main() {
 
 	run := func(name string, bits uint, ef bool) {
 		res, err := core.TrainSyncDense(core.SyncConfig{
-			Problem:        core.Logistic,
-			CommBits:       bits,
-			Workers:        8,
-			BatchPerWorker: 4,
-			ErrorFeedback:  ef,
-			StepSize:       0.1,
-			Epochs:         8,
-			Seed:           2,
+			Problem:       core.Logistic,
+			CommBits:      bits,
+			Workers:       8,
+			ErrorFeedback: ef,
+			StepSize:      0.1,
+			Epochs:        8,
+			Seed:          2,
 		}, ds)
 		if err != nil {
 			log.Fatal(err)

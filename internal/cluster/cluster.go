@@ -402,9 +402,7 @@ func (e *engine) result(w []float32, simT, computeSec, commSec float64) *core.Re
 			Staleness:    e.stats.Staleness,
 		}
 		if e.nc != nil {
-			ns := core.NumStats(e.nc, "wire-"+e.cfg.Quant.String())
-			s.NumHealth = ns
-			res.NumStats = ns
+			s.NumHealth = core.NumStats(e.nc, "wire-"+e.cfg.Quant.String())
 		}
 		res.Stats = s
 		if o.Series != nil {

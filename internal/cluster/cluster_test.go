@@ -283,11 +283,10 @@ func TestObserverThreading(t *testing.T) {
 	if res.Stats == nil || res.Stats.Steps != uint64(res.Steps) {
 		t.Fatalf("RunStats missing or inconsistent: %+v", res.Stats)
 	}
-	if res.NumStats == nil || res.NumStats.Bias.Samples == 0 {
-		t.Errorf("wire numerical health not collected: %+v", res.NumStats)
-	}
-	if res.NumStats.Bias.Mode != "wire-"+kernels.QuantKind(0).String() {
-		t.Errorf("bias mode = %q", res.NumStats.Bias.Mode)
+	if ns := res.Stats.NumHealth; ns == nil || ns.Bias.Samples == 0 {
+		t.Errorf("wire numerical health not collected: %+v", ns)
+	} else if ns.Bias.Mode != "wire-"+kernels.QuantKind(0).String() {
+		t.Errorf("bias mode = %q", ns.Bias.Mode)
 	}
 	if res.Series == nil || len(res.Series.Windows) == 0 {
 		t.Error("time-series not recorded")
@@ -442,14 +441,17 @@ func TestClusterPinned(t *testing.T) {
 }
 
 // clusterDigest hashes a run's W, TrainLoss and Cluster stats, or with num
-// set its NumStats alone.
+// set its Stats.NumHealth alone.
 func clusterDigest(t *testing.T, res *core.Result, num bool) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	if num {
-		b, err := json.Marshal(res.NumStats)
-		if err != nil || res.NumStats == nil {
-			t.Fatalf("NumHealth run: NumStats %v, marshal error %v", res.NumStats, err)
+		if res.Stats == nil || res.Stats.NumHealth == nil {
+			t.Fatal("NumHealth run: no Stats.NumHealth")
+		}
+		b, err := json.Marshal(res.Stats.NumHealth)
+		if err != nil {
+			t.Fatalf("NumHealth run: marshal error %v", err)
 		}
 		h.Write(b)
 		return h.Sum64()

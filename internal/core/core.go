@@ -254,9 +254,6 @@ type Result struct {
 	// Series is the windowed training time-series; nil unless the
 	// Observer installed a Series recorder.
 	Series *obs.SeriesSnapshot
-	// NumStats is the run's numerical-health snapshot (also reachable as
-	// Stats.NumHealth); nil unless the Observer enabled NumHealth.
-	NumStats *obs.NumStats
 	// Cluster is the simulated-interconnect snapshot (exact wire bytes,
 	// simulated time, update staleness); nil unless the run went through
 	// the internal/cluster tier.
@@ -352,9 +349,6 @@ func Train(cfg Config, ds Dataset) (*Result, error) {
 	}
 	trainSpan.EndArgs(map[string]string{"epochs": fmt.Sprint(epochsRun)})
 	res.Stats = ro.snapshot()
-	if res.Stats != nil {
-		res.NumStats = res.Stats.NumHealth
-	}
 	if ro != nil {
 		res.Series = ro.series.Snapshot()
 	}

@@ -363,8 +363,7 @@ func (ro *runObs) snapshot() *obs.RunStats {
 // NumStats converts a (merged) counter block into the exportable
 // numerical-health snapshot; mode names the rounding discipline the
 // counted writes used. It is the one NumCounts-to-NumStats conversion:
-// the engines, the synchronous trainer and the cluster tier all export
-// through it.
+// the engines and the cluster tier both export through it.
 func NumStats(c *fixed.NumCounts, mode string) *obs.NumStats {
 	ns := &obs.NumStats{
 		Saturations: c.SatTotal(),

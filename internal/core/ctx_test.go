@@ -72,7 +72,7 @@ func TestTrainSyncCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = TrainSyncDense(SyncConfig{
-		Problem: Logistic, CommBits: 8, Workers: 2, BatchPerWorker: 4,
+		Problem: Logistic, CommBits: 8, Workers: 2,
 		StepSize: 0.1, Epochs: 3, Seed: 1, Ctx: ctx,
 	}, ds)
 	if !errors.Is(err, context.Canceled) {

@@ -27,7 +27,8 @@ func sparseData(t *testing.T, n, m int, p kernels.Prec, idxBits uint, seed uint6
 
 // enginePin is the FNV-64a digest of a seeded run's observable output:
 // the bits of Result.W, the bits of Result.TrainLoss, and the JSON form of
-// Result.NumStats (every field, map keys sorted) from the NumHealth rerun.
+// Result.Stats.NumHealth (every field, map keys sorted) from the NumHealth
+// rerun.
 type enginePin struct{ w, loss, num uint64 }
 
 func fnv64(b []byte) uint64 {
@@ -36,20 +37,29 @@ func fnv64(b []byte) uint64 {
 	return h.Sum64()
 }
 
-func pinOf(t *testing.T, res, health *Result) enginePin {
-	t.Helper()
-	var w, loss []byte
+// modelDigests digests the bits of res.W and of res.TrainLoss.
+func modelDigests(res *Result) (w, loss uint64) {
+	var wb, lb []byte
 	for _, v := range res.W {
-		w = binary.LittleEndian.AppendUint32(w, math.Float32bits(v))
+		wb = binary.LittleEndian.AppendUint32(wb, math.Float32bits(v))
 	}
 	for _, v := range res.TrainLoss {
-		loss = binary.LittleEndian.AppendUint64(loss, math.Float64bits(v))
+		lb = binary.LittleEndian.AppendUint64(lb, math.Float64bits(v))
 	}
-	num, err := json.Marshal(health.NumStats)
-	if err != nil || health.NumStats == nil {
-		t.Fatalf("NumHealth run: NumStats %v, marshal error %v", health.NumStats, err)
+	return fnv64(wb), fnv64(lb)
+}
+
+func pinOf(t *testing.T, res, health *Result) enginePin {
+	t.Helper()
+	if health.Stats == nil || health.Stats.NumHealth == nil {
+		t.Fatal("NumHealth run: no Stats.NumHealth")
 	}
-	return enginePin{fnv64(w), fnv64(loss), fnv64(num)}
+	num, err := json.Marshal(health.Stats.NumHealth)
+	if err != nil {
+		t.Fatalf("NumHealth run: marshal error %v", err)
+	}
+	w, loss := modelDigests(res)
+	return enginePin{w, loss, fnv64(num)}
 }
 
 // enginePins were captured on the commit before the dense and the sparse

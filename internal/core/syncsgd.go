@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"buckwild/internal/dataset"
-	"buckwild/internal/fixed"
 	"buckwild/internal/metrics"
 )
 
@@ -26,13 +25,10 @@ type SyncConfig struct {
 	// full-precision communication).
 	CommBits uint
 	// Workers is the number of data-parallel workers; each contributes
-	// one quantized gradient per round.
+	// one quantized gradient, of one example, per round. A round takes
+	// Workers consecutive examples, so each epoch drops the last
+	// m mod Workers of the m examples.
 	Workers int
-	// BatchPerWorker is the examples each worker accumulates per round.
-	// A round takes Workers·BatchPerWorker consecutive examples, so each
-	// epoch drops the last m mod (Workers·BatchPerWorker) of the m
-	// examples.
-	BatchPerWorker int
 	// ErrorFeedback carries the quantization residual into the next
 	// round (Seide et al.'s essential trick).
 	ErrorFeedback bool
@@ -42,19 +38,11 @@ type SyncConfig struct {
 	// Ctx, when non-nil, bounds the run: it is checked before every
 	// communication round, and cancellation returns context.Cause(Ctx).
 	Ctx context.Context
-	// CollectNumHealth enables numerical-health counting over the
-	// communication quantizer: gradient coordinates quantized to zero
-	// (underflows) and the signed grid rounding error in grid steps fill
-	// Result.NumStats with mode "comm-grid".
-	CollectNumHealth bool
 }
 
 func (c *SyncConfig) fill() error {
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.BatchPerWorker < 1 {
-		c.BatchPerWorker = 1
 	}
 	if c.Epochs < 1 {
 		c.Epochs = 1
@@ -97,36 +85,29 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 	}
 	res.TrainLoss = append(res.TrainLoss, loss)
 
-	var nc *fixed.NumCounts
-	if cfg.CollectNumHealth {
-		nc = &fixed.NumCounts{}
-	}
-	perRound := cfg.Workers * cfg.BatchPerWorker
+	perRound := cfg.Workers
 	dots := make([]float32, perRound)
-	batch := float32(cfg.BatchPerWorker)
 	inv := cfg.StepSize / float32(cfg.Workers)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for start := 0; start+perRound <= ds.Len(); start += perRound {
 			if err := ctxErr(cfg.Ctx); err != nil {
 				return nil, err
 			}
-			// Local gradient accumulation. Every example of the round
-			// reads the same model, so the dots come first.
+			// Local gradients. Every example of the round reads the
+			// same model, so the dots come first.
 			rows, ys := ds.Raw[start:start+perRound], ds.Y[start:start+perRound]
 			RowDots(dots, w, rows)
 			for k, g := range grads {
 				clear(g)
-				for i := k * cfg.BatchPerWorker; i < (k+1)*cfg.BatchPerWorker; i++ {
-					if a := GradScale(cfg.Problem, dots[i], ys[i], 1) / batch; a != 0 {
-						RowAxpy(a, rows[i], g)
-					}
+				if a := GradScale(cfg.Problem, dots[k], ys[k], 1); a != 0 {
+					RowAxpy(a, rows[k], g)
 				}
 			}
 			// Quantized all-reduce: each worker communicates its
 			// (residual-corrected) gradient at CommBits; the
 			// aggregate is averaged and applied everywhere.
 			for k, g := range grads {
-				q := quantizeComm(g, residuals[k], cfg.CommBits, cfg.ErrorFeedback, nc)
+				q := quantizeComm(g, residuals[k], cfg.CommBits, cfg.ErrorFeedback)
 				for j, v := range q[:len(agg)] {
 					agg[j] += v
 				}
@@ -144,9 +125,6 @@ func TrainSyncDense(cfg SyncConfig, ds *dataset.DenseSet) (*Result, error) {
 		res.TrainLoss = append(res.TrainLoss, loss)
 	}
 	res.W = w
-	if nc != nil {
-		res.NumStats = NumStats(nc, "comm-grid")
-	}
 	return res, nil
 }
 
@@ -194,12 +172,7 @@ func RowAxpy(a float32, x, g []float32) {
 // sign, scaled by the mean magnitude; the full-precision difference stays
 // in the residual. For 1 < bits < 32 a symmetric uniform grid over the
 // max magnitude is used.
-//
-// A non-nil nc collects numerical health for the grid path (bits > 1):
-// nonzero coordinates quantized to zero count as underflows, and the
-// signed rounding error accumulates in grid steps (scale/levels quanta).
-// The 1-bit scheme never produces a zero and has no grid to measure.
-func quantizeComm(g, residual []float32, bits uint, errorFeedback bool, nc *fixed.NumCounts) []float32 {
+func quantizeComm(g, residual []float32, bits uint, errorFeedback bool) []float32 {
 	if bits >= 32 {
 		return g
 	}
@@ -223,15 +196,6 @@ func quantizeComm(g, residual []float32, bits uint, errorFeedback bool, nc *fixe
 	for j, v := range g {
 		r := v / scale * levels
 		q := float32(math.Round(float64(r))) / levels * scale
-		if nc != nil {
-			if v != 0 && q == 0 {
-				nc.Underflows++
-			}
-			// Signed rounding error in grid steps: one quantum is
-			// scale/levels.
-			nc.BiasN++
-			nc.BiasSumQ += float64(q-v) * float64(levels) / float64(scale)
-		}
 		if residual != nil {
 			residual[j] = v - q
 		}

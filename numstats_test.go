@@ -77,10 +77,10 @@ func TestNumStatsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ns := res.NumStats
-			if ns == nil {
-				t.Fatal("NumHealth run returned no NumStats")
+			if res.Stats == nil || res.Stats.NumHealth == nil {
+				t.Fatal("NumHealth run returned no Stats.NumHealth")
 			}
+			ns := res.Stats.NumHealth
 			var total uint64
 			for site, n := range tc.want.sat {
 				if ns.SatBySite[site] != n {
