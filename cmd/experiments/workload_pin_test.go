@@ -40,12 +40,12 @@ func TestWorkloadPinned(t *testing.T) {
 		"D8i16M8":     "{Sparse:true D:8 M:8 IdxBits:16 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
 		"D8i32M8":     "{Sparse:true D:8 M:8 IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
 		"D4M4":        "{Sparse:false D:4 M:4 IdxBits:32 Variant:newinsn Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"D8M16G10":    "{Sparse:false D:8 M:16 IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"D8M8C8":      "{Sparse:false D:8 M:8 IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"D32fM32fC4":  "{Sparse:false D:32f M:32f IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"D8M8C16f":    "{Sparse:false D:8 M:8 IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"D8M8C2":      "{Sparse:false D:8 M:8 IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
-		"G4":          "{Sparse:false D:32f M:32f IdxBits:32 Variant:handopt Quant:unbiased-shared QuantPeriod:8 ModelSize:4096 Density:0.03 Threads:3 MiniBatch:0 Sockets:0 Prefetch:true Obstinacy:0 Seed:1}",
+		"D8M16G10":    "machine: D8M16G10: the simulator has no G term (gradients are full precision in its cost model)",
+		"D8M8C8":      "machine: D8M8C8: the simulator has no C term; communication is priced by the cluster tier",
+		"D32fM32fC4":  "machine: D32fM32fC4: the simulator has no C term; communication is priced by the cluster tier",
+		"D8M8C16f":    "machine: D8M8C16f: the simulator has no C term; communication is priced by the cluster tier",
+		"D8M8C2":      "machine: D8M8C2: the simulator has no C term; communication is priced by the cluster tier",
+		"G4":          "machine: G4: the simulator has no G term (gradients are full precision in its cost model)",
 	}
 	var sigs []string
 	for _, sparse := range []bool{false, true} {

@@ -110,8 +110,15 @@ type Workload struct {
 // (the Section 6.1 proposed instructions when either precision is 4-bit),
 // UnbiasedShared rounding with the paper's reuse period of 8, a 0.03
 // density (read only when sparse), the hardware prefetcher on, and seed
-// 1.
+// 1. The simulator costs full-precision gradients and no communication,
+// so a G or C term narrower than 32 bits is refused rather than dropped.
 func SignatureWorkload(sig dmgc.Signature, modelSize, threads int) (Workload, error) {
+	if sig.G.Present && sig.G.Bits < 32 {
+		return Workload{}, fmt.Errorf("machine: %v: the simulator has no G term (gradients are full precision in its cost model)", sig)
+	}
+	if sig.C.Present && sig.C.Bits < 32 {
+		return Workload{}, fmt.Errorf("machine: %v: the simulator has no C term; communication is priced by the cluster tier", sig)
+	}
 	d, err := kernels.TermPrec(sig.D)
 	if err != nil {
 		return Workload{}, err

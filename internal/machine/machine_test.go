@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
+	"buckwild/internal/dmgc"
 	"buckwild/internal/kernels"
 )
 
@@ -38,6 +40,36 @@ func gnps(t *testing.T, w Workload) float64 {
 		t.Fatalf("non-positive GNPS: %+v", r)
 	}
 	return r.GNPS
+}
+
+// TestSignatureWorkloadRefusesGAndC: the simulator prices neither
+// gradient rounding nor communication, so a G or C term narrower than
+// 32 bits is refused with a machine: error naming the signature (the C
+// error points at the cluster tier) instead of simulating the signature
+// without it. A 32-bit term is full precision and lowers like an absent
+// one.
+func TestSignatureWorkloadRefusesGAndC(t *testing.T) {
+	for _, c := range []struct{ sig, want string }{
+		{"D8M16G10", "no G term"},
+		{"G4", "no G term"},
+		{"D8M8C8", "cluster tier"},
+		{"D8M8C1s", "cluster tier"},
+		{"D32fM32fC16f", "cluster tier"},
+	} {
+		_, err := SignatureWorkload(dmgc.MustParse(c.sig), 4096, 1)
+		if err == nil || !strings.HasPrefix(err.Error(), "machine: "+c.sig+": ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a machine: error naming it and saying %q", c.sig, err, c.want)
+		}
+	}
+	base, err := SignatureWorkload(dmgc.MustParse("D8M8"), 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"D8M8G32", "D8M8C32", "D8M8C32f"} {
+		if w, err := SignatureWorkload(dmgc.MustParse(s), 4096, 1); err != nil || w != base {
+			t.Errorf("%s: %+v, %v; want D8M8's workload", s, w, err)
+		}
+	}
 }
 
 func TestValidation(t *testing.T) {
