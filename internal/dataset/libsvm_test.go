@@ -52,20 +52,20 @@ func TestReadLibSVM(t *testing.T) {
 	}
 }
 
+// TestReadLibSVMNumFeatures: the model dimension is the largest index of
+// any line, whichever block holds it and however many workers parse.
 func TestReadLibSVMNumFeatures(t *testing.T) {
-	d, err := ReadLibSVM(strings.NewReader("+1 1:1\n"), LibSVMConfig{
-		P: kernels.F32, NumFeatures: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N != 100 {
-		t.Errorf("forced dimension = %d", d.N)
-	}
-	if _, err := ReadLibSVM(strings.NewReader("+1 50:1\n"), LibSVMConfig{
-		P: kernels.F32, NumFeatures: 10,
-	}); err == nil {
-		t.Error("NumFeatures smaller than max index should fail")
+	in := "+1 1:1\n-1 100:1\n+1 3:1\n"
+	for _, size := range []int{1, 16, 4 << 20} {
+		for _, workers := range []int{1, 3} {
+			d, err := readLibSVM(strings.NewReader(in), LibSVMConfig{P: kernels.F32}, size, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.N != 100 {
+				t.Errorf("%d-byte blocks, %d workers: dimension = %d, want 100", size, workers, d.N)
+			}
+		}
 	}
 }
 
@@ -156,7 +156,7 @@ func TestLibSVMRoundTrip(t *testing.T) {
 	if err := WriteLibSVM(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLibSVM(&buf, LibSVMConfig{P: kernels.F32, NumFeatures: 200})
+	back, err := ReadLibSVM(&buf, LibSVMConfig{P: kernels.F32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,6 @@ func FuzzReadLibSVM(f *testing.F) {
 			t.Fatal(err)
 		}
 		written := buf.String()
-		cfg.NumFeatures = d.N
 		back, err := ReadLibSVM(&buf, cfg)
 		if err != nil {
 			t.Fatalf("re-reading %q: %v", written, err)
@@ -398,7 +397,7 @@ func FuzzReadLibSVMMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		for _, cfg := range []LibSVMConfig{
 			{P: kernels.I8, IdxBits: 16, Rounding: fixed.Unbiased, Seed: 3},
-			{P: kernels.F32, Path: "data/x.svm", NumFeatures: 40},
+			{P: kernels.F32, Path: "data/x.svm"},
 		} {
 			want, werr := refReadLibSVM(strings.NewReader(in), cfg)
 			for _, size := range []int{1, 16} {

@@ -40,7 +40,6 @@ func TestGeneratorsPinned(t *testing.T) {
 		{"D4/biased", with(func(c *DenseConfig) { c.P, c.Rounding = kernels.I4, fixed.Biased }), "d2bc0475ca1336ed382673edabf93df9ed85870ce7e3dacde9a6231dff3fe144"},
 		{"D32f/unbiased", with(func(c *DenseConfig) { c.P = kernels.F32 }), "2e44c77f43769c8d547d7615ecc2fcdf373c055c5542a4de5abedae5d599ba1b"},
 		{"D32f/biased", with(func(c *DenseConfig) { c.P, c.Rounding = kernels.F32, fixed.Biased }), "2e44c77f43769c8d547d7615ecc2fcdf373c055c5542a4de5abedae5d599ba1b"},
-		{"regression", with(func(c *DenseConfig) { c.Regression = true }), "d12f687d54ad83489503dea001684ab8ec9a666efb364e0cc95203020ab5c4bc"},
 		{"N=37", with(func(c *DenseConfig) { c.N = 37 }), "5f067e3b2d4872b6ca035ed0fca0ed62b085dea4e46942fcce8763282762778c"},
 		{"M=1", with(func(c *DenseConfig) { c.M = 1 }), "538571da4c9c0962870dfccff3d124aeb052a1392b9e0e532ebc256f90918e88"},
 		{"M=3", with(func(c *DenseConfig) { c.M = 3 }), "05a242cef0c3b950759dcb5dac71001eb49c668acd82875de7f441b1c4725d7c"},

@@ -54,10 +54,10 @@ func TestSignatureAccessors(t *testing.T) {
 	if full.DatasetBits() != 32 || full.ModelBits() != 32 {
 		t.Error("absent terms should default to 32")
 	}
-	if !MustParse("D8M8").Asynchronous() {
+	if MustParse("D8M8").CSync {
 		t.Error("no C term means asynchronous")
 	}
-	if MustParse("C1s").Asynchronous() {
+	if !MustParse("C1s").CSync {
 		t.Error("Cs means synchronous")
 	}
 }
@@ -219,14 +219,22 @@ func TestPerfModelThroughput(t *testing.T) {
 	}
 }
 
+// speedup is equation 3's parallel speedup over one thread at a model
+// size, the same for every signature (model property 3).
+func speedup(m *PerfModel, modelSize, threads int) float64 {
+	p := m.P(modelSize)
+	return 1 / ((1 - p) + p/float64(threads))
+}
+
 func TestSpeedupMatchesThroughputRatio(t *testing.T) {
 	m := DefaultPerfModel()
-	sig := MustParse("D16M16")
-	for _, n := range []int{512, 1 << 16, 1 << 24} {
-		one, _ := m.Throughput(sig, n, 1)
-		many, _ := m.Throughput(sig, n, 8)
-		if math.Abs(many/one-m.Speedup(n, 8)) > 1e-9 {
-			t.Errorf("speedup mismatch at n=%d", n)
+	for _, sig := range []Signature{MustParse("D16M16"), MustParse("D8M8")} {
+		for _, n := range []int{512, 1 << 16, 1 << 24} {
+			one, _ := m.Throughput(sig, n, 1)
+			many, _ := m.Throughput(sig, n, 8)
+			if math.Abs(many/one-speedup(m, n, 8)) > 1e-9 {
+				t.Errorf("%v: speedup mismatch at n=%d", sig, n)
+			}
 		}
 	}
 }
@@ -237,7 +245,7 @@ func TestFitPRecoversParameters(t *testing.T) {
 	sizes := []int{256, 1024, 4096, 16384, 65536, 262144, 1048576}
 	speedups := make([]float64, len(sizes))
 	for i, n := range sizes {
-		speedups[i] = truth.Speedup(n, 18)
+		speedups[i] = speedup(truth, n, 18)
 	}
 	pb, k, err := FitP(sizes, speedups, 18)
 	if err != nil {

@@ -109,13 +109,6 @@ func (m *PerfModel) Throughput(sig Signature, modelSize, threads int) (float64, 
 	return t1 / ((1 - p) + p/float64(threads)), nil
 }
 
-// Speedup predicts the parallel speedup over one thread at the given model
-// size (independent of signature, by model property 3).
-func (m *PerfModel) Speedup(modelSize, threads int) float64 {
-	p := m.P(modelSize)
-	return 1 / ((1 - p) + p/float64(threads))
-}
-
 // FitP estimates PBandwidth and Kappa from measured (modelSize, speedup)
 // pairs at a fixed thread count, by grid search over Kappa and closed-form
 // PBandwidth per candidate. It is used to fit the model to the simulated

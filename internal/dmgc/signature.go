@@ -61,10 +61,6 @@ type Signature struct {
 // Sparse reports whether the signature describes a sparse problem.
 func (s Signature) Sparse() bool { return s.Idx.Present }
 
-// Asynchronous reports whether workers run without explicit
-// synchronization.
-func (s Signature) Asynchronous() bool { return !s.CSync }
-
 // String renders the signature in the paper's notation, e.g. "D8M8",
 // "D32fi32M32f", "G10", "D8M16G32C32", "C1s".
 func (s Signature) String() string {

@@ -42,9 +42,6 @@ var (
 	Q8 = Format{Bits: 8, Frac: 6}
 	// Q16 is a 16-bit format with 14 fractional bits: range [-2, ~2).
 	Q16 = Format{Bits: 16, Frac: 14}
-	// Q32 is a 32-bit fixed-point format with 24 fractional bits. It is
-	// used where a full-precision fixed-point accumulator is needed.
-	Q32 = Format{Bits: 32, Frac: 24}
 )
 
 // Valid reports whether the format is usable.
@@ -75,11 +72,6 @@ func (f Format) Quantum() float32 {
 // MaxReal returns the largest representable real value.
 func (f Format) MaxReal() float32 {
 	return float32(f.MaxInt()) * f.Quantum()
-}
-
-// MinReal returns the smallest representable real value.
-func (f Format) MinReal() float32 {
-	return float32(f.MinInt()) * f.Quantum()
 }
 
 // String renders the format as, e.g., "Q8.6" (8 total bits, 6 fractional).

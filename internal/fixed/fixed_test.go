@@ -8,6 +8,10 @@ import (
 	"buckwild/internal/prng"
 )
 
+// q32 is the widest format Valid accepts, 32 bits with 24 fractional
+// bits: the edge case of every raw-integer bound.
+var q32 = Format{Bits: 32, Frac: 24}
+
 func TestFormatBounds(t *testing.T) {
 	cases := []struct {
 		f          Format
@@ -16,7 +20,7 @@ func TestFormatBounds(t *testing.T) {
 		{Q4, 7, -8},
 		{Q8, 127, -128},
 		{Q16, 32767, -32768},
-		{Q32, math.MaxInt32, math.MinInt32},
+		{q32, math.MaxInt32, math.MinInt32},
 	}
 	for _, c := range cases {
 		if got := c.f.MaxInt(); got != c.maxI {
@@ -87,7 +91,7 @@ func TestQuantizeUnbiasedUMatchesReference(t *testing.T) {
 	for range 20000 {
 		xs = append(xs, math.Float32frombits(rs.Uint32()), prng.Float32(rs)*6-3)
 	}
-	for _, f := range []Format{Q4, Q8, Q16, Q32} {
+	for _, f := range []Format{Q4, Q8, Q16, q32} {
 		for _, x := range xs {
 			w := rs.Uint32()
 			if got, want := f.QuantizeUnbiasedU(x, w), ref(f, x, w); got != want {
@@ -205,7 +209,7 @@ func TestQuantizePropertyBiasedError(t *testing.T) {
 	// in-range inputs.
 	f := Q16
 	check := func(x float32) bool {
-		if x != x || x > f.MaxReal() || x < f.MinReal() {
+		if x != x || x > f.MaxReal() || x < float32(f.MinInt())*f.Quantum() {
 			return true // out of scope
 		}
 		got := f.Dequantize(f.QuantizeBiased(x))

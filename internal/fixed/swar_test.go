@@ -56,7 +56,7 @@ func TestAddSat8x8Exhaustive(t *testing.T) {
 func TestRoundRawUMatchesRoundRaw(t *testing.T) {
 	vals := []int64{0, 1, -1, 513, -8192, 1 << 20, -(1 << 30), 1<<40 + 12345}
 	words := []uint32{0, 1, 0x7FFFFFFF, 0xFFFFFFFF, 0xDEADBEEF}
-	for _, f := range []Format{Q4, Q8, Q16, Q32} {
+	for _, f := range []Format{Q4, Q8, Q16, q32} {
 		for _, shift := range []uint{0, 1, 6, 14, 22} {
 			for _, v := range vals {
 				for _, w := range words {

@@ -55,7 +55,7 @@ func runAxpy(scalar, counted bool, d, m Prec, v Variant, kind QuantKind, period,
 		dot = func() float32 { return k.Dot(x, out.w) }
 		axpy = func(a float32) { k.Axpy(a, x, out.w) }
 	} else {
-		k := MustSparse(d, m, v, q, 16)
+		k := mustSparse(d, m, v, q, 16)
 		k.Num = num
 		dot = func() float32 { return k.Dot(idx, x, out.w) }
 		axpy = func(a float32) { k.Axpy(a, idx, x, out.w) }

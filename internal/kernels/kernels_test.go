@@ -18,6 +18,15 @@ func randFloats(n int, seed uint32, scale float32) []float32 {
 	return out
 }
 
+// mustSparse is NewSparse that panics on error.
+func mustSparse(d, m Prec, v Variant, q *Quantizer, idxBits uint) *Sparse {
+	k, err := NewSparse(d, m, v, q, idxBits)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 func refDot(x, w []float32) float64 {
 	var s float64
 	for i := range x {
@@ -326,7 +335,7 @@ func TestSparseMatchesDense(t *testing.T) {
 		wDense := quantizeVec(c.m, ws, 2)
 		wSparse := wDense.Clone()
 		dk := MustDense(c.d, c.m, HandOpt, qd)
-		sk := MustSparse(c.d, c.m, HandOpt, qs, 32)
+		sk := mustSparse(c.d, c.m, HandOpt, qs, 32)
 		dDot := dk.Dot(x, wDense)
 		sDot := sk.Dot(idx, x, wSparse)
 		// Pipelines differ (paired vs individual accumulation), so
@@ -350,7 +359,7 @@ func TestSparseSubsetOnlyTouchesIndexed(t *testing.T) {
 	x := quantizeVec(I8, xs, 1)
 	w := NewVec(I8, 10)
 	q := MustQuantizer(I8, QBiased, 0, 1)
-	k := MustSparse(I8, I8, Generic, q, 16)
+	k := mustSparse(I8, I8, Generic, q, 16)
 	k.Axpy(1, idx, x, w)
 	for i := 0; i < 10; i++ {
 		want := float32(0)

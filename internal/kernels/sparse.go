@@ -45,15 +45,6 @@ func NewSparse(d, m Prec, v Variant, q *Quantizer, idxBits uint) (*Sparse, error
 	return &Sparse{D: d, M: m, V: v, Q: q, IdxBits: idxBits}, nil
 }
 
-// MustSparse is NewSparse that panics on error.
-func MustSparse(d, m Prec, v Variant, q *Quantizer, idxBits uint) *Sparse {
-	k, err := NewSparse(d, m, v, q, idxBits)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Dot returns the inner product of the sparse vector (idx, x) with the
 // dense model w. x holds the nonzero values at dataset precision; idx holds
 // their positions in w.

@@ -129,7 +129,7 @@ func TestSparseStreamsNearlyPrecisionFlat(t *testing.T) {
 		if m != F32 {
 			q = MustQuantizer(m, QShared, 8, 1)
 		}
-		return MustSparse(d, m, Generic, q, 32).StepStream(nnz).Cycles(hw)
+		return mustSparse(d, m, Generic, q, 32).StepStream(nnz).Cycles(hw)
 	}
 	c32 := mk(F32, F32)
 	c8 := mk(I8, I8)
@@ -143,8 +143,8 @@ func TestSparseHandOptNotMuchBetter(t *testing.T) {
 	const nnz = 1 << 12
 	q1 := MustQuantizer(I8, QShared, 8, 1)
 	q2 := MustQuantizer(I8, QShared, 8, 1)
-	g := MustSparse(I8, I8, Generic, q1, 32).StepStream(nnz).Cycles(hw)
-	h := MustSparse(I8, I8, HandOpt, q2, 32).StepStream(nnz).Cycles(hw)
+	g := mustSparse(I8, I8, Generic, q1, 32).StepStream(nnz).Cycles(hw)
+	h := mustSparse(I8, I8, HandOpt, q2, 32).StepStream(nnz).Cycles(hw)
 	if ratio := g / h; ratio > 3 {
 		t.Errorf("sparse generic/handopt = %.2f, gather should cap the win", ratio)
 	}
@@ -154,8 +154,8 @@ func TestIndexPrecisionReducesLoads(t *testing.T) {
 	const nnz = 1 << 12
 	mk := func(bits uint) int64 {
 		q := MustQuantizer(I8, QBiased, 0, 1)
-		s := MustSparse(I8, I8, HandOpt, q, bits).DotStream(nnz)
-		return s.LoadBytes()
+		s := mustSparse(I8, I8, HandOpt, q, bits).DotStream(nnz)
+		return s.Count(simd.Load256) * simd.VectorBits / 8
 	}
 	if !(mk(8) < mk(16) && mk(16) < mk(32)) {
 		t.Error("narrower indices must load fewer bytes")
@@ -168,12 +168,12 @@ func TestStreamBytesAccounting(t *testing.T) {
 	dot := k.DotStream(n)
 	// The dot loads both the dataset vector and the model vector:
 	// 2 * n bytes at 8 bits each.
-	if got, want := dot.LoadBytes(), int64(2*n); got != want {
-		t.Errorf("dot LoadBytes = %d, want %d", got, want)
+	if got, want := dot.Count(simd.Load256)*simd.VectorBits/8, int64(2*n); got != want {
+		t.Errorf("dot loads %d bytes, want %d", got, want)
 	}
 	axpy := k.AxpyStream(n)
-	if got, want := axpy.StoreBytes(), int64(n); got != want {
-		t.Errorf("axpy StoreBytes = %d, want %d", got, want)
+	if got, want := axpy.Count(simd.Store256)*simd.VectorBits/8, int64(n); got != want {
+		t.Errorf("axpy stores %d bytes, want %d", got, want)
 	}
 }
 

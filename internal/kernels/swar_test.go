@@ -141,7 +141,7 @@ func TestSparseSwarMatchesScalar(t *testing.T) {
 					run := func(scalar, counted bool) (uint64, Vec) {
 						setScalar(t, scalar)
 						q := MustQuantizer(m, kind, 0, seed)
-						k := MustSparse(d, m, HandOpt, q, 16)
+						k := mustSparse(d, m, HandOpt, q, 16)
 						if counted {
 							nc := &fixed.NumCounts{}
 							q.Num = nc
@@ -346,7 +346,7 @@ func TestAxpyAllocatesNothing(t *testing.T) {
 	idx := sparseIdx(n, n, 2)
 	for _, counted := range []bool{false, true} {
 		q := MustQuantizer(I16, QShared, 8, 3)
-		dk, sk := MustDense(I8, I16, HandOpt, q), MustSparse(I8, I16, HandOpt, q, 16)
+		dk, sk := MustDense(I8, I16, HandOpt, q), mustSparse(I8, I16, HandOpt, q, 16)
 		if counted {
 			q.Num = &fixed.NumCounts{}
 			dk.Num, sk.Num = q.Num, q.Num

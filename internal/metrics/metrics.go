@@ -31,14 +31,6 @@ func Squared(dot, y float64) float64 {
 	return d * d / 2
 }
 
-// misclassified is 1 when sign(w.x) disagrees with the label.
-func misclassified(dot, y float64) float64 {
-	if (dot >= 0) != (y > 0) {
-		return 1
-	}
-	return 0
-}
-
 // rows is an example set as Mean reads it: Dense or Sparse.
 type rows interface {
 	// len returns the number of examples.
@@ -161,28 +153,6 @@ func dot4(w, a, b, c, d []float32) [4]float64 {
 		sd += float64(v) * float64(d[i])
 	}
 	return [4]float64{sa, sb, sc, sd}
-}
-
-// LogisticLoss returns the average logistic loss (log(1+exp(-y w.x)))
-// over the dataset.
-func LogisticLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Logistic, w, Dense(xs), ys, 1)
-}
-
-// HingeLoss returns the average hinge loss max(0, 1 - y w.x).
-func HingeLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Hinge, w, Dense(xs), ys, 1)
-}
-
-// SquaredLoss returns the average squared error (w.x - y)^2 / 2.
-func SquaredLoss(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(Squared, w, Dense(xs), ys, 1)
-}
-
-// BinaryError returns the fraction of examples misclassified by
-// sign(w.x).
-func BinaryError(w []float32, xs [][]float32, ys []float32) (float64, error) {
-	return Mean(misclassified, w, Dense(xs), ys, 1)
 }
 
 // logistic returns log(1 + exp(-m)) computed stably.

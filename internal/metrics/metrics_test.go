@@ -13,26 +13,40 @@ var (
 	ys2 = []float32{1, -1, 1}
 )
 
+// mean is Mean over dense rows on the caller's goroutine.
+func mean(loss Loss, w []float32, xs [][]float32, ys []float32) (float64, error) {
+	return Mean(loss, w, Dense(xs), ys, 1)
+}
+
+// misclassified is 1 when sign(w.x) disagrees with the label: its Mean
+// is the binary error rate.
+func misclassified(dot, y float64) float64 {
+	if (dot >= 0) != (y > 0) {
+		return 1
+	}
+	return 0
+}
+
 func TestLogisticLoss(t *testing.T) {
-	got, err := LogisticLoss(w2, xs2, ys2)
+	got, err := mean(Logistic, w2, xs2, ys2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Margins: 1, 1, 0 -> losses log(1+e^-1), log(1+e^-1), log 2.
 	want := (2*math.Log1p(math.Exp(-1)) + math.Log(2)) / 3
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogisticLoss = %v, want %v", got, want)
+		t.Errorf("logistic loss = %v, want %v", got, want)
 	}
 }
 
 func TestLogisticLossStability(t *testing.T) {
 	// Extreme margins must not overflow.
 	big := []float32{1000}
-	l1, err := LogisticLoss(big, [][]float32{{1}}, []float32{1})
+	l1, err := mean(Logistic, big, [][]float32{{1}}, []float32{1})
 	if err != nil || math.IsNaN(l1) || math.IsInf(l1, 0) || l1 < 0 {
 		t.Errorf("huge positive margin: %v, %v", l1, err)
 	}
-	l2, err := LogisticLoss(big, [][]float32{{1}}, []float32{-1})
+	l2, err := mean(Logistic, big, [][]float32{{1}}, []float32{-1})
 	if err != nil || math.Abs(l2-1000) > 1 {
 		t.Errorf("huge negative margin loss = %v, want ~1000", l2)
 	}
@@ -81,53 +95,53 @@ func TestSparseLogisticLossMatchesDense(t *testing.T) {
 }
 
 func TestHingeLoss(t *testing.T) {
-	got, err := HingeLoss(w2, xs2, ys2)
+	got, err := mean(Hinge, w2, xs2, ys2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Margins 1, 1, 0 -> hinge 0, 0, 1.
 	if math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("HingeLoss = %v, want 1/3", got)
+		t.Errorf("hinge loss = %v, want 1/3", got)
 	}
 }
 
 func TestSquaredLoss(t *testing.T) {
 	w := []float32{2}
-	got, err := SquaredLoss(w, [][]float32{{1}, {2}}, []float32{2, 2})
+	got, err := mean(Squared, w, [][]float32{{1}, {2}}, []float32{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Residuals 0 and 2 -> (0 + 4/2)/2 = 1.
 	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("SquaredLoss = %v, want 1", got)
+		t.Errorf("squared loss = %v, want 1", got)
 	}
 }
 
 func TestBinaryError(t *testing.T) {
-	got, err := BinaryError(w2, xs2, ys2)
+	got, err := mean(misclassified, w2, xs2, ys2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Predictions: +, -, 0(>=0 -> +): all correct.
 	if got != 0 {
-		t.Errorf("BinaryError = %v, want 0", got)
+		t.Errorf("binary error = %v, want 0", got)
 	}
 	// Flipped model misclassifies the first two examples; the third has
 	// margin 0, predicts positive, and stays correct.
-	got, _ = BinaryError([]float32{-1, 1}, xs2, ys2)
+	got, _ = mean(misclassified, []float32{-1, 1}, xs2, ys2)
 	if math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("flipped model error = %v, want 2/3", got)
 	}
 }
 
 func TestShapeErrors(t *testing.T) {
-	if _, err := LogisticLoss(w2, nil, nil); err == nil {
+	if _, err := mean(Logistic, w2, nil, nil); err == nil {
 		t.Error("empty dataset should fail")
 	}
-	if _, err := LogisticLoss([]float32{1}, xs2, ys2); err == nil {
+	if _, err := mean(Logistic, []float32{1}, xs2, ys2); err == nil {
 		t.Error("dim mismatch should fail")
 	}
-	if _, err := LogisticLoss(w2, xs2, ys2[:2]); err == nil {
+	if _, err := mean(Logistic, w2, xs2, ys2[:2]); err == nil {
 		t.Error("label count mismatch should fail")
 	}
 	if _, err := Mean(Logistic, w2, Sparse{Idx: [][]int32{{0}}}, ys2[:1], 1); err == nil {
@@ -140,10 +154,10 @@ func TestShapeErrors(t *testing.T) {
 	// every dense loss, and never an index panic inside the dot.
 	short := [][]float32{{1, 0}, {0, 1}, {1, 1}, {1, 1}, {1}, {0, 0}}
 	ys := []float32{1, -1, 1, 1, -1, 1}
-	for name, f := range map[string]func([]float32, [][]float32, []float32) (float64, error){
-		"logistic": LogisticLoss, "hinge": HingeLoss, "squared": SquaredLoss, "binary": BinaryError,
+	for name, loss := range map[string]Loss{
+		"logistic": Logistic, "hinge": Hinge, "squared": Squared, "binary": misclassified,
 	} {
-		if _, err := f(w2, short, ys); err == nil || !strings.HasPrefix(err.Error(), "metrics:") {
+		if _, err := mean(loss, w2, short, ys); err == nil || !strings.HasPrefix(err.Error(), "metrics:") {
 			t.Errorf("%s: short row 4: err = %v, want a metrics: error", name, err)
 		}
 	}

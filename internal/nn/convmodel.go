@@ -28,9 +28,6 @@ func (d ConvDims) OutW() int { return (d.InW-d.K)/d.Stride + 1 }
 // OutH returns the output height.
 func (d ConvDims) OutH() int { return (d.InH-d.K)/d.Stride + 1 }
 
-// InputNumbers returns the dataset numbers consumed per image.
-func (d ConvDims) InputNumbers() int { return d.InW * d.InH * d.InC }
-
 // MACs returns the multiply-accumulates per image.
 func (d ConvDims) MACs() int64 {
 	return int64(d.OutW()) * int64(d.OutH()) * int64(d.OutC) * int64(d.InC*d.K*d.K)
@@ -65,19 +62,4 @@ func ConvCycles(cost *simd.CostModel, dims ConvDims, dPrec, mPrec kernels.Prec, 
 	gather.Emit(simd.ScalarALU, int64(dims.OutW())*int64(dims.OutH())*int64(dotLen))
 	s.Add(gather)
 	return s.Cycles(cost), nil
-}
-
-// ConvSpeedup returns the layer's throughput speedup at (d, m) relative to
-// the full-precision float layer, both hand-optimized (the paper's Figure
-// 7a expectation is a linear speedup in precision).
-func ConvSpeedup(cost *simd.CostModel, dims ConvDims, dPrec, mPrec kernels.Prec) (float64, error) {
-	base, err := ConvCycles(cost, dims, kernels.F32, kernels.F32, kernels.HandOpt)
-	if err != nil {
-		return 0, err
-	}
-	c, err := ConvCycles(cost, dims, dPrec, mPrec, kernels.HandOpt)
-	if err != nil {
-		return 0, err
-	}
-	return base / c, nil
 }

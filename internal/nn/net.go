@@ -21,11 +21,15 @@ type Network struct {
 type LeNetConfig struct {
 	W, H    int
 	Classes int
-	// C1 and C2 are the two convolution widths (defaults 6 and 12).
-	C1, C2 int
-	Quant  QuantSpec
-	Seed   uint64
+	Quant   QuantSpec
+	Seed    uint64
 }
+
+// The two convolution layers' output channel counts.
+const (
+	conv1Channels = 6
+	conv2Channels = 12
+)
 
 // NewLeNet builds the network.
 func NewLeNet(cfg LeNetConfig) (*Network, error) {
@@ -35,23 +39,17 @@ func NewLeNet(cfg LeNetConfig) (*Network, error) {
 	if cfg.Classes < 2 {
 		return nil, fmt.Errorf("nn: need at least 2 classes")
 	}
-	if cfg.C1 == 0 {
-		cfg.C1 = 6
-	}
-	if cfg.C2 == 0 {
-		cfg.C2 = 12
-	}
 	g := prng.NewXorshift128(cfg.Seed ^ 0x1E7E7)
-	c1, err := newConv(cfg.W, cfg.H, 1, cfg.C1, 3, g)
+	c1, err := newConv(cfg.W, cfg.H, 1, conv1Channels, 3, g)
 	if err != nil {
 		return nil, err
 	}
-	p1 := newPool(c1.outW(), c1.outH(), cfg.C1)
-	c2, err := newConv(p1.outW(), p1.outH(), cfg.C1, cfg.C2, 3, g)
+	p1 := newPool(c1.outW(), c1.outH(), conv1Channels)
+	c2, err := newConv(p1.outW(), p1.outH(), conv1Channels, conv2Channels, 3, g)
 	if err != nil {
 		return nil, err
 	}
-	p2 := newPool(c2.outW(), c2.outH(), cfg.C2)
+	p2 := newPool(c2.outW(), c2.outH(), conv2Channels)
 	fc := newFC(p2.outSize(), cfg.Classes, g)
 	net := &Network{
 		layers:  []layer{c1, p1, c2, p2, fc},

@@ -35,12 +35,12 @@ import (
 // writes; CI globs for it when collecting failure artifacts.
 const DebugBundleSuffix = ".debugbundle.tar.gz"
 
-// Default BundleConfig values.
 const (
 	// DefaultBundleCooldown is the trigger debounce window.
 	DefaultBundleCooldown = time.Minute
-	// DefaultMaxBundles is how many bundles are kept on disk per prefix.
-	DefaultMaxBundles = 8
+	// MaxBundles is how many of a Bundler's bundles stay on disk; the
+	// oldest are pruned after each write.
+	MaxBundles = 8
 )
 
 // BundleConfig configures a Bundler. What a bundle holds comes from the
@@ -51,20 +51,19 @@ type BundleConfig struct {
 	// Prefix names the bundle files: <Prefix>-<reason>-<seq> + suffix
 	// (default "buckwild").
 	Prefix string
-	// Cooldown debounces triggers: a trigger within Cooldown of the end
-	// of the last bundle write, or while a write is in flight, is
-	// counted, flight-logged, and dropped (default 1m; negative disables
-	// debouncing).
-	Cooldown time.Duration
-	// MaxBundles bounds how many of this Bundler's bundles stay on disk;
-	// oldest are pruned after each write (default 8).
-	MaxBundles int
 
 	// Logger, when non-nil, gets the bundler's events, scoped to
 	// component "bundle": an Info line per trigger, suppressed trigger
 	// and bundle written, and a Warn on write failure. They reach a
 	// flight ring rec when the logger's handler is rec.LogHandler(h).
 	Logger *slog.Logger
+
+	// cooldown debounces triggers: a trigger within cooldown of the end
+	// of the last bundle write, or while a write is in flight, is
+	// counted, flight-logged, and dropped (zero means
+	// DefaultBundleCooldown; negative disables debouncing). Tests
+	// shorten it.
+	cooldown time.Duration
 }
 
 func (c *BundleConfig) fill() {
@@ -74,11 +73,8 @@ func (c *BundleConfig) fill() {
 	if c.Prefix == "" {
 		c.Prefix = "buckwild"
 	}
-	if c.Cooldown == 0 {
-		c.Cooldown = DefaultBundleCooldown
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = DefaultMaxBundles
+	if c.cooldown == 0 {
+		c.cooldown = DefaultBundleCooldown
 	}
 	c.Logger = Component(c.Logger, "bundle")
 }
@@ -160,7 +156,7 @@ func (b *Bundler) Trigger(reason, detail string) (path string, wrote bool) {
 		return "", false
 	}
 	b.mu.Lock()
-	if b.cfg.Cooldown > 0 && (b.writing || !b.last.IsZero() && time.Since(b.last) < b.cfg.Cooldown) {
+	if b.cfg.cooldown > 0 && (b.writing || !b.last.IsZero() && time.Since(b.last) < b.cfg.cooldown) {
 		b.suppressed++
 		n := b.suppressed
 		b.mu.Unlock()
@@ -371,7 +367,7 @@ func (b *Bundler) WriteTo(w io.Writer, reason, detail string, seq, suppressed ui
 func (b *Bundler) prune() {
 	pattern := filepath.Join(b.cfg.Dir, b.cfg.Prefix+"-*"+DebugBundleSuffix)
 	matches, err := filepath.Glob(pattern)
-	if err != nil || len(matches) <= b.cfg.MaxBundles {
+	if err != nil || len(matches) <= MaxBundles {
 		return
 	}
 	type aged struct {
@@ -387,7 +383,7 @@ func (b *Bundler) prune() {
 		files = append(files, aged{m, st.ModTime()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for i := 0; i < len(files)-b.cfg.MaxBundles; i++ {
+	for i := 0; i < len(files)-MaxBundles; i++ {
 		os.Remove(files[i].path)
 	}
 }

@@ -160,7 +160,7 @@ func TestBundleTraceSummarizable(t *testing.T) {
 
 func TestBundleDebounce(t *testing.T) {
 	dir := t.TempDir()
-	b, sf := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: 50 * time.Millisecond})
+	b, sf := populatedBundler(t, BundleConfig{Dir: dir, cooldown: 50 * time.Millisecond})
 
 	if _, wrote := b.Trigger("stall", "first"); !wrote {
 		t.Fatal("first trigger suppressed")
@@ -209,7 +209,7 @@ func TestBundleDebounce(t *testing.T) {
 // first write where it looks up the newest CPU profile.
 func TestBundleTriggerDuringWrite(t *testing.T) {
 	dir := t.TempDir()
-	b, sf := populatedBundler(t, BundleConfig{Dir: dir, Cooldown: time.Nanosecond})
+	b, sf := populatedBundler(t, BundleConfig{Dir: dir, cooldown: time.Nanosecond})
 	prof, err := NewProfiler(ProfileConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,8 @@ func TestBundleTriggerDuringWrite(t *testing.T) {
 
 func TestBundlePrune(t *testing.T) {
 	dir := t.TempDir()
-	b, _ := populatedBundler(t, BundleConfig{Dir: dir, MaxBundles: 2, Cooldown: -1})
-	for i := 0; i < 4; i++ {
+	b, _ := populatedBundler(t, BundleConfig{Dir: dir, cooldown: -1})
+	for i := 0; i < MaxBundles+2; i++ {
 		if _, wrote := b.Trigger("stall", "x"); !wrote {
 			t.Fatalf("trigger %d suppressed with debounce disabled", i)
 		}
@@ -264,10 +264,10 @@ func TestBundlePrune(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*"+DebugBundleSuffix))
-	if len(files) != 2 {
-		t.Fatalf("prune kept %d bundles, want 2: %v", len(files), files)
+	if len(files) != MaxBundles {
+		t.Fatalf("prune kept %d bundles, want %d: %v", len(files), MaxBundles, files)
 	}
-	// The survivors are the newest two (sequence numbers 3 and 4).
+	// The survivors are the newest MaxBundles (sequence numbers 3 on).
 	for _, f := range files {
 		if strings.Contains(f, "-001"+DebugBundleSuffix) || strings.Contains(f, "-002"+DebugBundleSuffix) {
 			t.Errorf("prune kept old bundle %s", f)

@@ -347,9 +347,6 @@ func (wd *HealthWatchdog) OnRetry(ri RetryInfo) {
 	}
 }
 
-// Fired reports whether the watchdog has detected a divergence.
-func (wd *HealthWatchdog) Fired() bool { return wd.fired.Load() }
-
 // trip fires the divergence exactly once: OnDivergence on the wrapped
 // hooks, then the context cancellation with the diagnostic cause.
 func (wd *HealthWatchdog) trip(di DivergenceInfo) {

@@ -87,11 +87,11 @@ func TestHealthWatchdogNaNLoss(t *testing.T) {
 	rec := &recordingHooks{}
 	wd := &HealthWatchdog{Cancel: cancel, Next: rec}
 	wd.OnEpoch(EpochInfo{Epoch: 1, Loss: 0.5})
-	if wd.Fired() || ctx.Err() != nil {
+	if wd.fired.Load() || ctx.Err() != nil {
 		t.Fatal("watchdog fired on a finite loss")
 	}
 	wd.OnEpoch(EpochInfo{Epoch: 2, Loss: math.NaN()})
-	if !wd.Fired() {
+	if !wd.fired.Load() {
 		t.Fatal("watchdog did not fire on NaN loss")
 	}
 	if ctx.Err() == nil {
@@ -123,17 +123,17 @@ func TestHealthWatchdogSatRate(t *testing.T) {
 	wd := &HealthWatchdog{MaxSatRate: 0.1, MinEpochs: 2, Cancel: cancel, Next: rec}
 	// Epoch 1 is within the grace period: no trip even at a wild rate.
 	wd.OnHealth(HealthInfo{Epoch: 1, ModelWrites: 100, Saturations: 90})
-	if wd.Fired() {
+	if wd.fired.Load() {
 		t.Fatal("watchdog ignored the grace period")
 	}
 	// Epoch 2, low rate: no trip; forwarded.
 	wd.OnHealth(HealthInfo{Epoch: 2, ModelWrites: 200, Saturations: 10})
-	if wd.Fired() {
+	if wd.fired.Load() {
 		t.Fatal("watchdog tripped below threshold")
 	}
 	// Epoch 3, rate 0.5 > 0.1: trip.
 	wd.OnHealth(HealthInfo{Epoch: 3, ModelWrites: 300, Saturations: 150})
-	if !wd.Fired() {
+	if !wd.fired.Load() {
 		t.Fatal("watchdog did not trip on saturation rate")
 	}
 	if !errors.Is(context.Cause(ctx), ErrDivergence) {
@@ -152,7 +152,7 @@ func TestHealthWatchdogBiasDrift(t *testing.T) {
 	wd := &HealthWatchdog{Cancel: cancel}
 	// Default threshold is 0.25 quanta; drift of -0.4 trips.
 	wd.OnHealth(HealthInfo{Epoch: 1, ModelWrites: 10, BiasSamples: 100, BiasSumQuanta: -40})
-	if !wd.Fired() {
+	if !wd.fired.Load() {
 		t.Fatal("watchdog did not trip on bias drift")
 	}
 }
@@ -173,7 +173,7 @@ func TestHealthWatchdogForwardsLifecycle(t *testing.T) {
 	bare.OnRetry(RetryInfo{Attempt: 1})
 	bare.OnHealth(HealthInfo{Epoch: 1})
 	bare.OnEpoch(EpochInfo{Epoch: 1, Loss: math.NaN()})
-	if !bare.Fired() {
+	if !bare.fired.Load() {
 		t.Fatal("bare watchdog did not record the detection")
 	}
 }

@@ -49,25 +49,28 @@ type ProfileConfig struct {
 	Dir string
 	// Interval is the background capture cadence (default 30s). The
 	// loop sleeps Interval between capture rounds, so the effective
-	// period is Interval + CPUDuration.
+	// period is Interval plus the CPU sample.
 	Interval time.Duration
-	// CPUDuration is how long each round's CPU profile samples (default
-	// 2s, clamped to Interval). Negative disables CPU capture entirely —
-	// useful when the process already runs its own CPU profile, which
-	// the runtime only allows one of.
-	CPUDuration time.Duration
-	// MaxBytes bounds the ring's total on-disk size (default 64 MiB).
-	// Files from the newest capture round are never evicted, so a
-	// budget smaller than one round degrades to keeping exactly the
-	// newest round.
-	MaxBytes int64
-	// MutexFraction is installed via runtime.SetMutexProfileFraction for
-	// the profiler's lifetime and restored on Stop (default 16; negative
-	// leaves the runtime setting untouched).
-	MutexFraction int
 	// Logger, when non-nil, receives capture failures (Warn) and
 	// eviction decisions (Debug). Nil is silent.
 	Logger *slog.Logger
+
+	// The unexported fields are test seams; zero selects the matching
+	// Default constant.
+	//
+	// cpuDuration is how long each round's CPU profile samples, clamped
+	// to Interval. Negative disables CPU capture entirely, as when the
+	// process already runs its own CPU profile, which the runtime only
+	// allows one of.
+	cpuDuration time.Duration
+	// maxBytes bounds the ring's total on-disk size. Files from the
+	// newest capture round are never evicted, so a budget smaller than
+	// one round degrades to keeping exactly the newest round.
+	maxBytes int64
+	// mutexFraction is installed via runtime.SetMutexProfileFraction for
+	// the profiler's lifetime and restored on Stop; negative leaves the
+	// runtime setting untouched.
+	mutexFraction int
 }
 
 func (c *ProfileConfig) fill() error {
@@ -77,17 +80,17 @@ func (c *ProfileConfig) fill() error {
 	if c.Interval <= 0 {
 		c.Interval = DefaultProfileInterval
 	}
-	if c.CPUDuration == 0 {
-		c.CPUDuration = DefaultProfileCPUDuration
+	if c.cpuDuration == 0 {
+		c.cpuDuration = DefaultProfileCPUDuration
 	}
-	if c.CPUDuration > c.Interval {
-		c.CPUDuration = c.Interval
+	if c.cpuDuration > c.Interval {
+		c.cpuDuration = c.Interval
 	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = DefaultProfileMaxBytes
+	if c.maxBytes <= 0 {
+		c.maxBytes = DefaultProfileMaxBytes
 	}
-	if c.MutexFraction == 0 {
-		c.MutexFraction = DefaultMutexFraction
+	if c.mutexFraction == 0 {
+		c.mutexFraction = DefaultMutexFraction
 	}
 	return nil
 }
@@ -119,7 +122,6 @@ type Profiler struct {
 	done      chan struct{}
 
 	prevMutexFrac int
-	rounds        uint64
 }
 
 // NewProfiler validates cfg and creates the ring directory. The
@@ -142,8 +144,8 @@ func (p *Profiler) Start() {
 		return
 	}
 	p.startOnce.Do(func() {
-		if p.cfg.MutexFraction >= 0 {
-			p.prevMutexFrac = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
+		if p.cfg.mutexFraction >= 0 {
+			p.prevMutexFrac = runtime.SetMutexProfileFraction(p.cfg.mutexFraction)
 		}
 		go p.loop()
 	})
@@ -168,7 +170,7 @@ func (p *Profiler) Stop() {
 func (p *Profiler) loop() {
 	defer close(p.done)
 	defer func() {
-		if p.cfg.MutexFraction >= 0 {
+		if p.cfg.mutexFraction >= 0 {
 			runtime.SetMutexProfileFraction(p.prevMutexFrac)
 		}
 	}()
@@ -184,9 +186,9 @@ func (p *Profiler) loop() {
 	}
 }
 
-// CaptureNow takes one capture round immediately — CPU (for
-// CPUDuration), heap, goroutine and mutex — writes the files into the
-// ring, evicts past the byte budget, and returns the round's files. It
+// CaptureNow takes one capture round immediately — CPU (for the
+// configured sample), heap, goroutine and mutex — writes the files into
+// the ring, evicts past the byte budget, and returns the round's files. It
 // serializes against the background loop; a nil receiver returns nil.
 // A partially failing round (e.g. the CPU profile is already taken by
 // someone else) still writes the kinds that succeeded and reports the
@@ -198,7 +200,6 @@ func (p *Profiler) CaptureNow() ([]ProfileFile, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
-	p.rounds++
 	var files []ProfileFile
 	var firstErr error
 	fail := func(err error) {
@@ -230,14 +231,14 @@ func (p *Profiler) CaptureNow() ([]ProfileFile, error) {
 		}
 		files = append(files, ProfileFile{Kind: kind, Path: path, Bytes: st.Size(), Time: now})
 	}
-	if p.cfg.CPUDuration > 0 {
+	if p.cfg.cpuDuration > 0 {
 		write("cpu", func(f *os.File) error {
 			if err := pprof.StartCPUProfile(f); err != nil {
 				return err
 			}
 			select {
 			case <-p.quit:
-			case <-time.After(p.cfg.CPUDuration):
+			case <-time.After(p.cfg.cpuDuration):
 			}
 			pprof.StopCPUProfile()
 			return nil
@@ -252,16 +253,6 @@ func (p *Profiler) CaptureNow() ([]ProfileFile, error) {
 	}
 	p.evictLocked(files)
 	return files, firstErr
-}
-
-// Rounds returns the number of capture rounds taken so far.
-func (p *Profiler) Rounds() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rounds
 }
 
 // Inventory lists the ring's on-disk profiles, oldest first. A nil
@@ -344,9 +335,9 @@ func (p *Profiler) scanLocked() []ProfileFile {
 }
 
 // evictLocked removes the oldest ring files until the directory fits
-// MaxBytes again. The files of the round just captured (keep) are never
-// evicted, so the ring always holds at least one complete round even
-// under a budget smaller than a round. Callers hold mu.
+// its byte budget again. The files of the round just captured (keep) are
+// never evicted, so the ring always holds at least one complete round
+// even under a budget smaller than a round. Callers hold mu.
 func (p *Profiler) evictLocked(keep []ProfileFile) {
 	keepSet := make(map[string]bool, len(keep))
 	for _, f := range keep {
@@ -358,7 +349,7 @@ func (p *Profiler) evictLocked(keep []ProfileFile) {
 		total += f.Bytes
 	}
 	for _, f := range files {
-		if total <= p.cfg.MaxBytes {
+		if total <= p.cfg.maxBytes {
 			return
 		}
 		if keepSet[f.Path] {

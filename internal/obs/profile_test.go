@@ -11,7 +11,7 @@ import (
 // sampling is disabled (a 2s default sample would dominate test time and
 // collide with any other CPU profile in the process).
 func captureConfig(dir string) ProfileConfig {
-	return ProfileConfig{Dir: dir, CPUDuration: -1, Interval: time.Hour, MutexFraction: -1}
+	return ProfileConfig{Dir: dir, cpuDuration: -1, Interval: time.Hour, mutexFraction: -1}
 }
 
 func TestProfilerCaptureNow(t *testing.T) {
@@ -36,10 +36,7 @@ func TestProfilerCaptureNow(t *testing.T) {
 		}
 	}
 	if kinds["cpu"] {
-		t.Error("negative CPUDuration still captured a cpu profile")
-	}
-	if got := p.Rounds(); got != 1 {
-		t.Errorf("Rounds() = %d, want 1", got)
+		t.Error("negative cpuDuration still captured a cpu profile")
 	}
 	if inv := p.Inventory(); len(inv) != len(files) {
 		t.Errorf("Inventory lists %d files, capture returned %d", len(inv), len(files))
@@ -50,7 +47,7 @@ func TestProfilerEviction(t *testing.T) {
 	cfg := captureConfig(t.TempDir())
 	// A budget smaller than any profile: eviction must still keep the
 	// newest round intact (the keep-set), removing everything older.
-	cfg.MaxBytes = 1
+	cfg.maxBytes = 1
 	p, err := NewProfiler(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestProfilerStartStop(t *testing.T) {
 	}
 	p.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Rounds() == 0 {
+	for len(p.Inventory()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background loop took no capture round")
 		}
@@ -142,8 +139,8 @@ func TestProfilerStopWithoutStart(t *testing.T) {
 	// Stop consumed the start-once: Start must not launch the loop now.
 	p.Start()
 	time.Sleep(10 * time.Millisecond)
-	if got := p.Rounds(); got != 0 {
-		t.Errorf("loop ran after Stop-then-Start: %d rounds", got)
+	if inv := p.Inventory(); len(inv) != 0 {
+		t.Errorf("loop ran after Stop-then-Start: %d files", len(inv))
 	}
 }
 
@@ -153,17 +150,17 @@ func TestProfilerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestProfilerCPUDuration checks that a zero CPUDuration selects
+// TestProfilerCPUDuration checks that a zero cpuDuration selects
 // DefaultProfileCPUDuration clamped to Interval, so a config that names
 // only a directory and a cadence captures a CPU profile. (A negative
 // value disables CPU capture; captureConfig relies on that.)
 func TestProfilerCPUDuration(t *testing.T) {
-	p, err := NewProfiler(ProfileConfig{Dir: t.TempDir(), Interval: 50 * time.Millisecond, MutexFraction: -1})
+	p, err := NewProfiler(ProfileConfig{Dir: t.TempDir(), Interval: 50 * time.Millisecond, mutexFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.cfg.CPUDuration != 50*time.Millisecond {
-		t.Errorf("CPUDuration = %v, want the default clamped to Interval (50ms)", p.cfg.CPUDuration)
+	if p.cfg.cpuDuration != 50*time.Millisecond {
+		t.Errorf("cpuDuration = %v, want the default clamped to Interval (50ms)", p.cfg.cpuDuration)
 	}
 	files, err := p.CaptureNow()
 	if err != nil {
@@ -187,7 +184,7 @@ func TestNilProfilerIsInert(t *testing.T) {
 	if files, err := p.CaptureNow(); files != nil || err != nil {
 		t.Error("nil profiler captured")
 	}
-	if p.Inventory() != nil || p.Rounds() != 0 || p.Newest("cpu").Path != "" {
+	if p.Inventory() != nil || p.Newest("cpu").Path != "" {
 		t.Error("nil profiler reported state")
 	}
 }

@@ -201,16 +201,6 @@ func (b *Batch) Uint64() uint64 {
 	return uint64(hi)<<32 | uint64(lo)
 }
 
-// Words returns the current buffered words without consuming them,
-// refilling first if the buffer is drained. It is used by kernels that share
-// one vector of randomness across a whole AXPY (see Shared).
-func (b *Batch) Words() *[BatchLanes]uint32 {
-	if b.pos >= BatchLanes {
-		b.Refill()
-	}
-	return &b.buf
-}
-
 // Shared wraps a Source and reuses each generated word Period times before
 // drawing a fresh one. This is the "share randomness among multiple rounded
 // numbers" strategy of Section 5.2: each individual rounding remains
@@ -295,30 +285,3 @@ func (s *Shared) FillBlocks(dst []uint32) int {
 	s.count, s.cur = count, cur
 	return n
 }
-
-// Draws reports how many words have been drawn from the underlying source;
-// only meaningful when the underlying source is a *Counting.
-func Draws(s Source) (int, bool) {
-	c, ok := s.(*Counting)
-	if !ok {
-		return 0, false
-	}
-	return c.n, true
-}
-
-// Counting wraps a Source and counts the words drawn from it. It is used by
-// tests and by the hardware-efficiency experiments to verify the
-// amortization behaviour of Shared.
-type Counting struct {
-	Src Source
-	n   int
-}
-
-// Uint32 draws from the wrapped source and increments the counter.
-func (c *Counting) Uint32() uint32 {
-	c.n++
-	return c.Src.Uint32()
-}
-
-// Count returns the number of words drawn so far.
-func (c *Counting) Count() int { return c.n }

@@ -106,15 +106,16 @@ func TestBatchMatchesScalarLanes(t *testing.T) {
 	// recurrence independently; consuming 8 words takes exactly one
 	// refill of all lanes.
 	b := NewBatch(7)
-	w1 := *b.Words()
+	b.Refill()
+	w1 := b.buf
 	for i := 0; i < BatchLanes; i++ {
 		if got := b.Uint32(); got != w1[i] {
-			t.Fatalf("lane %d: Uint32 = %d, Words = %d", i, got, w1[i])
+			t.Fatalf("lane %d: Uint32 = %d, buffered %d", i, got, w1[i])
 		}
 	}
-	w2 := *b.Words()
-	if w1 == w2 {
-		t.Error("Words did not refresh after draining")
+	b.Uint32()
+	if b.buf == w1 {
+		t.Error("draining did not refill the lanes")
 	}
 }
 
@@ -164,18 +165,6 @@ func TestSharedPeriodOneMatchesSource(t *testing.T) {
 		if a.Uint32() != s.Uint32() {
 			t.Fatal("period-1 Shared must match underlying source")
 		}
-	}
-}
-
-func TestDraws(t *testing.T) {
-	c := &Counting{Src: NewXorshift32(1)}
-	c.Uint32()
-	c.Uint32()
-	if n, ok := Draws(c); !ok || n != 2 {
-		t.Errorf("Draws = %d,%v; want 2,true", n, ok)
-	}
-	if _, ok := Draws(NewXorshift32(1)); ok {
-		t.Error("Draws on plain source should report false")
 	}
 }
 
@@ -338,3 +327,19 @@ func TestSharedFillBlocksMatchesUint32(t *testing.T) {
 		}
 	}
 }
+
+// Counting wraps a Source and counts the words drawn from it, to check
+// the amortization behaviour of Shared.
+type Counting struct {
+	Src Source
+	n   int
+}
+
+// Uint32 draws from the wrapped source and increments the counter.
+func (c *Counting) Uint32() uint32 {
+	c.n++
+	return c.Src.Uint32()
+}
+
+// Count returns the number of words drawn so far.
+func (c *Counting) Count() int { return c.n }

@@ -1,9 +1,111 @@
 package prng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// Statistical quality checks for the generators, used to back the paper's
+// Section 5.2 observation that XORSHIFT, while "not very statistically
+// reliable" by cryptographic standards, has more than enough quality for
+// stochastic rounding (Figure 5a). Each test returns a z-like statistic
+// whose magnitude should be small (|z| < ~4) for an adequate generator.
+
+// MonobitZ performs the frequency (monobit) test over n words: the
+// fraction of one bits should be 1/2. It returns the normal-approximation
+// z statistic.
+func MonobitZ(s Source, n int) (float64, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("prng: MonobitZ needs n >= 1")
+	}
+	ones := 0
+	for i := 0; i < n; i++ {
+		v := s.Uint32()
+		for v != 0 {
+			ones += int(v & 1)
+			v >>= 1
+		}
+	}
+	total := float64(n) * 32
+	return (float64(ones) - total/2) / math.Sqrt(total/4), nil
+}
+
+// RunsZ performs the runs test on the top bit of n outputs: the number of
+// runs of consecutive equal bits should match the expectation for a fair
+// coin. It returns the z statistic.
+func RunsZ(s Source, n int) (float64, error) {
+	if n < 2 {
+		return 0, fmt.Errorf("prng: RunsZ needs n >= 2")
+	}
+	prev := s.Uint32() >> 31
+	ones := int(prev)
+	runs := 1
+	for i := 1; i < n; i++ {
+		b := s.Uint32() >> 31
+		ones += int(b)
+		if b != prev {
+			runs++
+		}
+		prev = b
+	}
+	p := float64(ones) / float64(n)
+	if p == 0 || p == 1 {
+		return math.Inf(1), nil
+	}
+	expected := 2*float64(n)*p*(1-p) + 1
+	variance := 2 * float64(n) * p * (1 - p) * (2*float64(n)*p*(1-p) - 1) / (float64(n) - 1)
+	if variance <= 0 {
+		return math.Inf(1), nil
+	}
+	return (float64(runs) - expected) / math.Sqrt(variance), nil
+}
+
+// SerialCorrelation returns the lag-1 correlation of n uniform samples in
+// [0, 1); it should be near zero (|r|*sqrt(n) behaves like a z statistic).
+func SerialCorrelation(s Source, n int) (float64, error) {
+	if n < 3 {
+		return 0, fmt.Errorf("prng: SerialCorrelation needs n >= 3")
+	}
+	xs := make([]float64, n)
+	var mean float64
+	for i := range xs {
+		xs[i] = float64(Float32(s))
+		mean += xs[i]
+	}
+	mean /= float64(n)
+	var num, den float64
+	for i := 0; i < n-1; i++ {
+		num += (xs[i] - mean) * (xs[i+1] - mean)
+	}
+	for _, x := range xs {
+		den += (x - mean) * (x - mean)
+	}
+	if den == 0 {
+		return math.Inf(1), nil
+	}
+	return num / den, nil
+}
+
+// Adequate runs all three tests over n samples and reports whether the
+// source passes at roughly the 4-sigma level — a deliberately loose bar:
+// stochastic rounding only needs approximate uniformity and independence.
+func Adequate(s Source, n int) (bool, error) {
+	z1, err := MonobitZ(s, n)
+	if err != nil {
+		return false, err
+	}
+	z2, err := RunsZ(s, n)
+	if err != nil {
+		return false, err
+	}
+	r, err := SerialCorrelation(s, n)
+	if err != nil {
+		return false, err
+	}
+	z3 := r * math.Sqrt(float64(n))
+	return math.Abs(z1) < 4 && math.Abs(z2) < 4 && math.Abs(z3) < 4, nil
+}
 
 // badLCG is a deliberately weak generator (tiny-modulus LCG) used to show
 // the tests have teeth.

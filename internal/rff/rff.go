@@ -75,10 +75,9 @@ func (t *Transform) Apply(x []float32) ([]float32, error) {
 
 // Config configures a one-versus-all kernel SVM run.
 type Config struct {
-	// Features is D, the number of random Fourier features.
+	// Features is D, the number of random Fourier features. The
+	// Gaussian kernel's bandwidth is sqrt(W·H), the pixel count's root.
 	Features int
-	// Sigma is the Gaussian kernel bandwidth.
-	Sigma float64
 	// Train configures the underlying Buckwild! engine; Problem is
 	// forced to SVM and D/M select the feature and model precisions.
 	Train core.Config
@@ -109,10 +108,7 @@ func Train(cfg Config, train, test *dataset.Digits) (*Model, *Result, error) {
 	if train == nil || len(train.Images) == 0 {
 		return nil, nil, fmt.Errorf("rff: empty training set")
 	}
-	if cfg.Sigma == 0 {
-		cfg.Sigma = math.Sqrt(float64(train.W * train.H))
-	}
-	t, err := NewTransform(train.W*train.H, cfg.Features, cfg.Sigma, cfg.Seed)
+	t, err := NewTransform(train.W*train.H, cfg.Features, math.Sqrt(float64(train.W*train.H)), cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -125,17 +125,12 @@ func ckptPath(dir string, epoch int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", ckptPrefix, epoch, ckptSuffix))
 }
 
-// WriteCheckpoint atomically writes ck into dir: the frame goes to a
+// writeCheckpoint atomically writes ck into dir: the frame goes to a
 // temporary file in the same directory, is synced, and is renamed to its
 // final name, so readers never observe a partial checkpoint. It returns
-// the final path and the file size.
-func WriteCheckpoint(dir string, ck *Checkpoint) (string, int64, error) {
-	return writeCheckpoint(dir, ck, false)
-}
-
-// writeCheckpoint is WriteCheckpoint plus the corrupt-write fault: when
-// corrupt is set, one payload byte is flipped after framing, producing
-// exactly the torn-write artifact the loader must survive.
+// the final path and the file size. When corrupt is set (the corrupt-write
+// fault), one payload byte is flipped after framing, producing exactly
+// the torn-write artifact the loader must survive.
 func writeCheckpoint(dir string, ck *Checkpoint, corrupt bool) (string, int64, error) {
 	frame, err := EncodeFrame(ckptMagic, ckptVersion, ck)
 	if err != nil {

@@ -26,7 +26,7 @@ func mkCkpt(epoch int) *Checkpoint {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := mkCkpt(4)
-	path, n, err := WriteCheckpoint(dir, want)
+	path, n, err := writeCheckpoint(dir, want, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCheckpointLowPrecisionRoundTrip(t *testing.T) {
 	if ck.Prec != "8" || ck.W8 == nil || ck.WF != nil {
 		t.Fatalf("I8 checkpoint stored as %q WF=%v W8=%v", ck.Prec, ck.WF, ck.W8)
 	}
-	if _, _, err := WriteCheckpoint(dir, ck); err != nil {
+	if _, _, err := writeCheckpoint(dir, ck, false); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _, err := LoadLatest(dir)
@@ -110,7 +110,7 @@ func TestReadCheckpointRejectsGarbage(t *testing.T) {
 func TestLoadLatestFallsBackPastCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	for epoch := 1; epoch <= 2; epoch++ {
-		if _, _, err := WriteCheckpoint(dir, mkCkpt(epoch)); err != nil {
+		if _, _, err := writeCheckpoint(dir, mkCkpt(epoch), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestLoadLatestEmptyDir(t *testing.T) {
 func TestPruneCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	for epoch := 1; epoch <= 5; epoch++ {
-		if _, _, err := WriteCheckpoint(dir, mkCkpt(epoch)); err != nil {
+		if _, _, err := writeCheckpoint(dir, mkCkpt(epoch), false); err != nil {
 			t.Fatal(err)
 		}
 	}

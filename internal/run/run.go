@@ -76,9 +76,10 @@ type Config struct {
 	// a fresh dequantized copy the receiver owns. Called on the training
 	// run's coordinating goroutine, so a slow receiver delays training.
 	Snapshot func(epoch int, loss float64, weights []float32)
-	// Sleep replaces time.Sleep for the backoff waits (tests inject a
+
+	// sleep replaces time.Sleep for the backoff waits (tests inject a
 	// no-op); nil uses time.Sleep.
-	Sleep func(time.Duration)
+	sleep func(time.Duration)
 }
 
 func (c *Config) fill() error {
@@ -100,8 +101,8 @@ func (c *Config) fill() error {
 	if c.StallTimeout <= 0 && c.Faults.hasStalls() {
 		c.StallTimeout = 500 * time.Millisecond
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
+	if c.sleep == nil {
+		c.sleep = time.Sleep
 	}
 	return nil
 }
@@ -322,7 +323,7 @@ func Train(ctx context.Context, cfg Config, tc core.Config, ds core.Dataset) (*R
 			"resume_epoch": fmt.Sprint(startEpoch),
 		})
 		backoffSpan := tracer.Begin("run", "backoff", 0)
-		cfg.Sleep(backoff)
+		cfg.sleep(backoff)
 		backoffSpan.EndArgs(map[string]string{"backoff": backoff.String()})
 		if backoff *= 2; backoff > backoffCap {
 			backoff = backoffCap

@@ -68,7 +68,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 		rep, err := Train(context.Background(), Config{
 			Dir:    t.TempDir(),
 			Faults: plan,
-			Sleep:  noSleep,
+			sleep:  noSleep,
 		}, testTrainConfig(epochs), ds)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestCorruptCheckpointFallback(t *testing.T) {
 	rep, err := Train(context.Background(), Config{
 		Dir:    t.TempDir(),
 		Faults: plan,
-		Sleep:  noSleep,
+		sleep:  noSleep,
 	}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestStallDegrade(t *testing.T) {
 		Dir:          t.TempDir(),
 		Faults:       plan,
 		StallTimeout: 200 * time.Millisecond,
-		Sleep:        noSleep,
+		sleep:        noSleep,
 	}, tc, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestContextCancelLeavesResumableCheckpoint(t *testing.T) {
 	_, err = Train(ctx, Config{
 		Dir:      dir,
 		Observer: obs.Observer{Hooks: &cancelAt{n: 250, cancel: cancel}, StepSample: 1},
-		Sleep:    noSleep,
+		sleep:    noSleep,
 	}, testTrainConfig(epochs), ds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -233,7 +233,7 @@ func TestContextCancelLeavesResumableCheckpoint(t *testing.T) {
 	}
 
 	// A fresh supervisor over the same directory picks the run back up.
-	rep, err := Train(context.Background(), Config{Dir: dir, Sleep: noSleep}, testTrainConfig(epochs), ds)
+	rep, err := Train(context.Background(), Config{Dir: dir, sleep: noSleep}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestGiveUpAfterRetries(t *testing.T) {
 		Dir:        t.TempDir(),
 		MaxRetries: 1,
 		Faults:     plan,
-		Sleep:      noSleep,
+		sleep:      noSleep,
 	}, testTrainConfig(3), ds)
 	if err == nil || !errors.Is(err, ErrInjectedCrash) || !strings.Contains(err.Error(), "giving up after 2 attempts") {
 		t.Fatalf("exhausted retries returned %v", err)
@@ -276,7 +276,7 @@ func TestSupervisedMatchesBare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Sleep: noSleep}, testTrainConfig(epochs), ds)
+	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), sleep: noSleep}, testTrainConfig(epochs), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSparseCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Faults: plan, Sleep: noSleep}, tc, ds)
+	rep, err := Train(context.Background(), Config{Dir: t.TempDir(), Faults: plan, sleep: noSleep}, tc, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestLifecycleHooks(t *testing.T) {
 		Dir:      t.TempDir(),
 		Faults:   plan,
 		Observer: obs.Observer{Hooks: rec},
-		Sleep:    noSleep,
+		sleep:    noSleep,
 	}, testTrainConfig(6), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestRetriesExhaustedTriggersBundle(t *testing.T) {
 		MaxRetries: 1,
 		Faults:     plan,
 		Bundle:     bundler,
-		Sleep:      noSleep,
+		sleep:      noSleep,
 	}, testTrainConfig(3), ds)
 	if err == nil || !errors.Is(err, ErrInjectedCrash) {
 		t.Fatalf("exhausted retries returned %v", err)

@@ -63,7 +63,7 @@ func TestLifecycleHooksOrderingUnderRetries(t *testing.T) {
 		Dir:      t.TempDir(),
 		Faults:   plan,
 		Observer: obs.Observer{Hooks: rec},
-		Sleep:    noSleep,
+		sleep:    noSleep,
 	}, testTrainConfig(6), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestSupervisorEventsLogged(t *testing.T) {
 		Dir:    t.TempDir(),
 		Faults: plan,
 		Logger: obs.Component(slog.New(rec.LogHandler(nil)), "run"),
-		Sleep:  noSleep,
+		sleep:  noSleep,
 	}, testTrainConfig(4), ds)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestSupervisedRunTraceSpans(t *testing.T) {
 		Dir:      t.TempDir(),
 		Faults:   plan,
 		Observer: obs.Observer{Tracer: tr},
-		Sleep:    noSleep,
+		sleep:    noSleep,
 	}, testTrainConfig(4), ds)
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,6 @@ import "fmt"
 // VectorBits is the simulated vector register width (AVX2 ymm registers).
 const VectorBits = 256
 
-// VectorBytes is the vector width in bytes.
-const VectorBytes = VectorBits / 8
-
 // Lanes returns the number of elements of the given bit width that fit in
 // one vector register.
 func Lanes(elemBits uint) int {
@@ -144,10 +141,6 @@ type Cost struct {
 	// RecipThroughput is the sustained cost in cycles per instruction
 	// when the instruction is issued back-to-back in a pipelined loop.
 	RecipThroughput float64
-	// Latency is the dependent-chain latency in cycles. The throughput
-	// model uses RecipThroughput; Latency is kept for serial sections
-	// (e.g. the horizontal reduction tail of a dot product).
-	Latency float64
 }
 
 // CostModel maps opcodes to costs. The default model is Haswell-derived;
@@ -161,45 +154,45 @@ type CostModel struct {
 // the Intel optimization manual / Agner Fog instruction tables, rounded).
 func haswellCosts() [numOpcodes]Cost {
 	var c [numOpcodes]Cost
-	set := func(op Opcode, rtp, lat float64) { c[op] = Cost{rtp, lat} }
-	set(Load256, 0.5, 5)
-	set(Store256, 1, 4)
-	set(PMADDUBSW, 1, 5)
-	set(PMADDWD, 1, 5)
-	set(PMULLW, 1, 5)
-	set(PMULHRSW, 1, 5)
-	set(PMULLD, 2, 10)
-	set(PADDSB, 0.5, 1)
-	set(PADDSW, 0.5, 1)
-	set(PADDD, 0.5, 1)
-	set(PSUBD, 0.5, 1)
-	set(PACKSSWB, 1, 1)
-	set(PACKSSDW, 1, 1)
-	set(PMOVSXBW, 1, 3)
-	set(PMOVSXBD, 1, 3)
-	set(PMOVSXWD, 1, 3)
-	set(PBROADCAST, 1, 3)
-	set(PBLEND, 0.33, 1)
-	set(PAND, 0.33, 1)
-	set(PXOR, 0.33, 1)
-	set(PSLLD, 1, 1)
-	set(PSRLD, 1, 1)
-	set(GATHERD, 14, 24) // Haswell gathers are microcoded and slow
-	set(CVTDQ2PS, 1, 3)
-	set(CVTPS2DQ, 1, 3)
-	set(MULPS, 0.5, 5)
-	set(ADDPS, 1, 3)
-	set(FMADDPS, 0.5, 5)
-	set(HADDPS, 2, 5)
-	set(ScalarALU, 0.25, 1)
-	set(ScalarMul, 1, 3)
-	set(ScalarDiv, 8, 20)
+	set := func(op Opcode, rtp float64) { c[op] = Cost{rtp} }
+	set(Load256, 0.5)
+	set(Store256, 1)
+	set(PMADDUBSW, 1)
+	set(PMADDWD, 1)
+	set(PMULLW, 1)
+	set(PMULHRSW, 1)
+	set(PMULLD, 2)
+	set(PADDSB, 0.5)
+	set(PADDSW, 0.5)
+	set(PADDD, 0.5)
+	set(PSUBD, 0.5)
+	set(PACKSSWB, 1)
+	set(PACKSSDW, 1)
+	set(PMOVSXBW, 1)
+	set(PMOVSXBD, 1)
+	set(PMOVSXWD, 1)
+	set(PBROADCAST, 1)
+	set(PBLEND, 0.33)
+	set(PAND, 0.33)
+	set(PXOR, 0.33)
+	set(PSLLD, 1)
+	set(PSRLD, 1)
+	set(GATHERD, 14) // Haswell gathers are microcoded and slow
+	set(CVTDQ2PS, 1)
+	set(CVTPS2DQ, 1)
+	set(MULPS, 0.5)
+	set(ADDPS, 1)
+	set(FMADDPS, 0.5)
+	set(HADDPS, 2)
+	set(ScalarALU, 0.25)
+	set(ScalarMul, 1)
+	set(ScalarDiv, 8)
 	// Proposed instructions, costed by the paper's proxy methodology.
-	set(QDOT8, 1, 5)  // proxy: vpmaddwd
-	set(QAXPY8, 1, 5) // proxy: vpmullw
-	set(PMUL4, 1, 5)  // same class as the 8-bit multiplies
-	set(PADD4, 0.5, 1)
-	set(PMADD4, 1, 5)
+	set(QDOT8, 1)  // proxy: vpmaddwd
+	set(QAXPY8, 1) // proxy: vpmullw
+	set(PMUL4, 1)  // same class as the 8-bit multiplies
+	set(PADD4, 0.5)
+	set(PMADD4, 1)
 	return c
 }
 
@@ -314,16 +307,6 @@ func (s Stream) Instructions() int64 {
 	return t
 }
 
-// LoadBytes returns the number of bytes loaded by the stream's vector loads.
-func (s Stream) LoadBytes() int64 {
-	return s.counts[Load256] * VectorBytes
-}
-
-// StoreBytes returns the number of bytes stored by the stream's vector stores.
-func (s Stream) StoreBytes() int64 {
-	return s.counts[Store256] * VectorBytes
-}
-
 // Cycles returns the throughput-model cost of the stream under m: per
 // execution port, the sum of count x reciprocal throughput; the stream
 // costs as much as its busiest port. This models a fully pipelined,
@@ -343,31 +326,6 @@ func (s Stream) Cycles(m *CostModel) float64 {
 		}
 	}
 	return maxC
-}
-
-// PortCycles returns the per-port load of the stream, for diagnostics and
-// tests.
-func (s Stream) PortCycles(m *CostModel) [int(numPorts)]float64 {
-	var per [int(numPorts)]float64
-	for op, n := range s.counts {
-		if n != 0 {
-			per[opPorts[op]] += float64(n) * m.Costs[op].RecipThroughput
-		}
-	}
-	return per
-}
-
-// SerialCycles returns the latency-model cost of the stream, used for short
-// dependent sections such as reduction tails and scalar glue between the
-// dot and the AXPY.
-func (s Stream) SerialCycles(m *CostModel) float64 {
-	var c float64
-	for op, n := range s.counts {
-		if n != 0 {
-			c += float64(n) * m.Costs[op].Latency
-		}
-	}
-	return c
 }
 
 // String summarizes the stream's non-zero opcode counts.

@@ -299,3 +299,302 @@ func TestOneEventPath(t *testing.T) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// moduleFiles parses the non-test Go files of the module's root, cmd/,
+// internal/ and benchmark/ trees, keyed by directory. Examples, testdata
+// and hidden directories do not count.
+func moduleFiles(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
+	t.Helper()
+	dirs := map[string][]*ast.File{}
+	for _, root := range []string{".", "cmd", "internal", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != root && (root == "." || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dirs
+}
+
+// exemptMethods are the method names the standard library calls through
+// an interface: fmt, errors, encoding/json, sort, log/slog and net/http.
+var exemptMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "Len": true, "Less": true, "Swap": true,
+	"Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true, "ServeHTTP": true,
+}
+
+// TestExportsReached enforces the name rule: every exported top-level
+// func, method, type, const and var of the non-test internal/ code is
+// named somewhere in the module's non-test code by an identifier that is
+// not one of these declarations. The rule reads names only, so a field,
+// a method or a local of the same name elsewhere counts; methods the
+// standard library calls through an interface are exempt. A name only
+// tests call goes, or moves into the tests that use it.
+func TestExportsReached(t *testing.T) {
+	fset := token.NewFileSet()
+	dirs := moduleFiles(t, fset)
+	decls := map[*ast.Ident]string{}
+	declare := func(id *ast.Ident, name string) {
+		if id.IsExported() {
+			decls[id] = filepath.ToSlash(name)
+		}
+	}
+	for dir, files := range dirs {
+		if !strings.HasPrefix(dir, "internal") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						declare(d.Name, dir+"."+d.Name.Name)
+					} else if !exemptMethods[d.Name.Name] {
+						declare(d.Name, dir+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							declare(s.Name, dir+"."+s.Name.Name)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								declare(n, dir+"."+n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	used := map[string]bool{}
+	for _, files := range dirs {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if _, decl := decls[id]; !decl {
+						used[id.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unreached []string
+	for id, name := range decls {
+		if !used[id.Name] {
+			unreached = append(unreached, name)
+		}
+	}
+	sort.Strings(unreached)
+	if len(unreached) > 0 {
+		t.Errorf("exported names only tests reach: %s", strings.Join(unreached, ", "))
+	}
+}
+
+// recvName is the type name of a method receiver: T, *T, T[P] or *T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// TestInternalOptionsSet enforces the option rule inside the module:
+// every exported field of an internal struct named …Config or …Params,
+// and of obs.Observer and machine.Workload, is set by non-test code. A
+// keyed composite literal counts wherever it is; an assignment counts
+// only in a file outside the declaring package that imports it, so a
+// fill() default does not set its own field. The rule reads syntax only:
+// a literal's type is resolved through its package qualifier, type
+// aliases and the element type of an enclosing slice, array or map
+// literal, and an assignment is matched by field name. A field nothing
+// sets becomes the constant its callers already get, or an unexported
+// seam its package's tests set.
+func TestInternalOptionsSet(t *testing.T) {
+	fset := token.NewFileSet()
+	dirs := moduleFiles(t, fset)
+	type typeName struct{ dir, name string }
+	type field struct {
+		typeName
+		name string
+	}
+	// imports maps a file's package names to the module directories
+	// they import.
+	imports := func(f *ast.File) map[string]string {
+		m := map[string]string{}
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			dir := "."
+			if path != "buckwild" {
+				rest, ok := strings.CutPrefix(path, "buckwild/")
+				if !ok {
+					continue
+				}
+				dir = filepath.FromSlash(rest)
+			}
+			name := filepath.Base(dir)
+			if dir == "." {
+				name = "buckwild"
+			}
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			m[name] = dir
+		}
+		return m
+	}
+	// named resolves T, *T and pkg.T in a file of dir.
+	named := func(dir string, imported map[string]string, e ast.Expr) typeName {
+		if s, ok := e.(*ast.StarExpr); ok {
+			e = s.X
+		}
+		switch x := e.(type) {
+		case *ast.Ident:
+			return typeName{dir, x.Name}
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok && imported[pkg.Name] != "" {
+				return typeName{imported[pkg.Name], x.Sel.Name}
+			}
+		}
+		return typeName{}
+	}
+
+	fields := map[field]bool{}
+	aliases := map[typeName]typeName{}
+	for dir, files := range dirs {
+		for _, f := range files {
+			imported := imports(f)
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts := s.(*ast.TypeSpec)
+					tn := typeName{dir, ts.Name.Name}
+					if ts.Assign.IsValid() {
+						aliases[tn] = named(dir, imported, ts.Type)
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					full := filepath.ToSlash(dir) + "." + tn.name
+					if !ok || !strings.HasPrefix(dir, "internal") || !ts.Name.IsExported() ||
+						!strings.HasSuffix(tn.name, "Config") && !strings.HasSuffix(tn.name, "Params") &&
+							full != "internal/obs.Observer" && full != "internal/machine.Workload" {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						names := fl.Names
+						if len(names) == 0 {
+							names = []*ast.Ident{{Name: recvName(fl.Type)}}
+						}
+						for _, n := range names {
+							if n.IsExported() {
+								fields[field{tn, n.Name}] = false
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for dir, files := range dirs {
+		for _, f := range files {
+			imported := imports(f)
+			var visit func(n ast.Node, elem ast.Expr) bool
+			visit = func(n ast.Node, elem ast.Expr) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := n.Type
+					if typ == nil {
+						typ = elem
+					}
+					var inner ast.Expr
+					switch x := typ.(type) {
+					case *ast.ArrayType:
+						inner = x.Elt
+					case *ast.MapType:
+						inner = x.Value
+					}
+					tn := named(dir, imported, typ)
+					for a, ok := aliases[tn]; ok; a, ok = aliases[tn] {
+						tn = a
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if _, tracked := fields[field{tn, id.Name}]; tracked {
+									fields[field{tn, id.Name}] = true
+								}
+							}
+							e = kv.Value
+						}
+						ast.Inspect(e, func(m ast.Node) bool { return visit(m, inner) })
+					}
+					return false
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						for k := range fields {
+							if k.name != sel.Sel.Name || k.dir == dir {
+								continue
+							}
+							for _, d := range imported {
+								if d == k.dir {
+									fields[k] = true
+								}
+							}
+						}
+					}
+				}
+				return true
+			}
+			ast.Inspect(f, func(n ast.Node) bool { return visit(n, nil) })
+		}
+	}
+
+	var unset []string
+	for k, set := range fields {
+		if !set {
+			unset = append(unset, filepath.ToSlash(k.dir)+"."+k.typeName.name+"."+k.name)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("internal options only tests or defaults set: %s", strings.Join(unset, ", "))
+	}
+}
