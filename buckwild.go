@@ -191,14 +191,16 @@ type (
 	// WeightStats and RoundingBias are NumStats components.
 	WeightStats  = obs.WeightStats
 	RoundingBias = obs.RoundingBias
-	// HealthInfo is the per-epoch OnHealth payload.
+	// HealthInfo is the numerical health an EpochInfo carries when
+	// Config.NumHealth is set.
 	HealthInfo = obs.HealthInfo
 	// HealthWatchdog wraps a Hooks chain and cancels the run's context
-	// with a *DivergenceError when the loss goes non-finite or the
-	// saturation rate / rounding-bias drift cross its thresholds.
+	// with a *DivergenceError when an epoch's loss goes non-finite or its
+	// saturation rate (0.5 per model write) or rounding-bias mean (0.25
+	// quanta) crosses the fixed threshold.
 	HealthWatchdog = obs.HealthWatchdog
-	// DivergenceInfo describes why a HealthWatchdog fired; it is the
-	// OnDivergence payload.
+	// DivergenceInfo describes why a HealthWatchdog fired; the tripping
+	// epoch's EpochInfo carries it.
 	DivergenceInfo = obs.DivergenceInfo
 	// DivergenceError is the context cause installed by a fired
 	// HealthWatchdog; errors.Is(err, ErrDivergence) matches it.
@@ -466,14 +468,7 @@ func (c Config) observe() obs.Observer {
 // the configuration asks for no observation.
 func (c Config) observer() *obs.Observer {
 	o := c.observe()
-	// Only the cluster tier has live-metric call sites; on the
-	// shared-memory engine that field alone must not switch the per-step
-	// counters on (a non-nil Observer does).
-	if c.Cluster.enabled() {
-		o.ClusterLive = c.Cluster.LiveMetrics
-	}
-	if o.Hooks == nil && o.Tracer == nil && o.Series == nil &&
-		!o.NumHealth && o.ClusterLive == nil {
+	if o.Hooks == nil && o.Tracer == nil && o.Series == nil && !o.NumHealth {
 		return nil
 	}
 	return &o

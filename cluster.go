@@ -164,6 +164,7 @@ func (c Config) clusterConfig(cc core.Config) (cluster.Config, error) {
 		StalenessAlpha: c.Cluster.StalenessAlpha,
 		Ctx:            c.Context,
 		Observer:       cc.Observer,
+		Live:           c.Cluster.LiveMetrics,
 		Logger:         obs.Component(c.Logger, "cluster"),
 	}, nil
 }

@@ -34,16 +34,18 @@ import (
 )
 
 // promotionGate chains the health watchdog's divergence signal into the
-// serving tier (never promote a diverged model); every other callback
+// serving tier (never promote a diverged model); every callback also
 // goes to the embedded live metrics.
 type promotionGate struct {
 	*obs.LiveMetrics
 	srv *buckwild.ModelServer
 }
 
-func (g *promotionGate) OnDivergence(di buckwild.DivergenceInfo) {
-	g.srv.RefusePromotions(fmt.Sprintf("health watchdog: %s at epoch %d", di.Reason, di.Epoch))
-	g.LiveMetrics.OnDivergence(di)
+func (g *promotionGate) OnEpoch(ei buckwild.EpochInfo) {
+	if di := ei.Divergence; di != nil {
+		g.srv.RefusePromotions(fmt.Sprintf("health watchdog: %s at epoch %d", di.Reason, di.Epoch))
+	}
+	g.LiveMetrics.OnEpoch(ei)
 }
 
 // serveCmd implements the serve subcommand.

@@ -109,6 +109,9 @@ type Config struct {
 	// and wire numerical health. Nil skips all of it; the exact wire-byte
 	// accounting on Result.Cluster is always produced.
 	Observer *obs.Observer
+	// Live, when non-nil, receives live per-node counters for Prometheus
+	// exposition (its methods are nil-safe, so nil is free).
+	Live *obs.ClusterMetrics
 	// Logger, when non-nil, receives one Info record per finished epoch
 	// (event "epoch"). Nil is silent at no cost.
 	Logger *slog.Logger
@@ -240,9 +243,6 @@ type engine struct {
 	// perNode attributes updates, bytes, time and staleness to each node
 	// (always collected; N is small and the sim is far from any hot path).
 	perNode []obs.NodeStats
-	// live mirrors per-node counters into the Prometheus collector when
-	// the Observer installs one (nil-safe methods, so no guard needed).
-	live *obs.ClusterMetrics
 	// st lays the run out on per-node trace tracks; nil when untraced.
 	st *simTrace
 	// dots holds a batch's inner products (accumGrad's scratch).
@@ -261,10 +261,7 @@ func newEngine(cfg *Config, ds *dataset.DenseSet) (*engine, error) {
 	for k := range e.perNode {
 		e.perNode[k].Node = k
 	}
-	if cfg.Observer != nil {
-		e.live = cfg.Observer.ClusterLive
-	}
-	e.live.Reset(cfg.Nodes)
+	cfg.Live.Reset(cfg.Nodes)
 	e.st = newSimTrace(cfg.Observer, cfg.TraceTIDBase, cfg.Nodes, cfg.Protocol)
 	loss, err := core.SyncLoss(cfg.Problem, make([]float32, ds.N), ds)
 	if err != nil {
@@ -309,14 +306,14 @@ func (e *engine) nodeSent(k, payload int, dt float64) {
 	bytes := uint64(DefaultHeaderBytes + payload)
 	e.perNode[k].WireBytes += bytes
 	e.perNode[k].CommSeconds += dt
-	e.live.AddWireBytes(k, bytes)
+	e.cfg.Live.AddWireBytes(k, bytes)
 }
 
 // nodeUpdate attributes one landed model update to node k.
 func (e *engine) nodeUpdate(k int, staleness uint64) {
 	e.perNode[k].Updates++
 	e.perNode[k].Staleness.Observe(staleness)
-	e.live.ObserveUpdate(k, staleness)
+	e.cfg.Live.ObserveUpdate(k, staleness)
 }
 
 // observeUpdate records one applied model update: its staleness (into the

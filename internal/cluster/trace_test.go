@@ -141,7 +141,7 @@ func TestClusterPerNodeStatsAndLiveMetrics(t *testing.T) {
 	rec := obs.NewFlightRecorder(16)
 	res := clusterRun(t, ds, Config{
 		Nodes: 3, Protocol: ParamServer, WireBits: 8, ErrorFeedback: true,
-		Epochs: 2, Observer: &obs.Observer{ClusterLive: live},
+		Epochs: 2, Live: live,
 		Logger: obs.Component(slog.New(rec.LogHandler(nil)), "cluster"),
 	})
 	c := res.Cluster

@@ -274,7 +274,7 @@ func (ro *runObs) observeWeights(epoch int, w kernels.Vec) {
 // epochDone reports a finished epoch (1-based) and its loss to the hooks
 // and the time-series recorder, with the numerical-health counters when
 // collected (HealthTick lands before EpochTick so both hit the same
-// window; OnHealth fires after OnEpoch).
+// window; the epoch's OnEpoch carries them as Health).
 func (ro *runObs) epochDone(epoch int, loss float64) {
 	if ro == nil || (ro.hooks == nil && ro.series == nil && ro.num == nil) {
 		return
@@ -285,47 +285,36 @@ func (ro *runObs) epochDone(epoch int, loss float64) {
 		waits += ro.shards[i].mutexWaits
 		writes += ro.shards[i].modelWrites
 	}
-	var health fixed.NumCounts
+	var hi *obs.HealthInfo
 	if ro.num != nil {
+		var health fixed.NumCounts
 		for i := range ro.num {
 			health.Merge(&ro.num[i].c)
 		}
-		ro.series.HealthTick(health.SatTotal(), health.Underflows, health.BiasN, health.BiasSumQ)
+		hi = &obs.HealthInfo{
+			ModelWrites:   writes,
+			Saturations:   health.SatTotal(),
+			Underflows:    health.Underflows,
+			BiasSamples:   health.BiasN,
+			BiasSumQuanta: health.BiasSumQ,
+		}
+		if ro.weights != nil {
+			hi.WeightsAtBounds = ro.weights.AtBounds
+		}
+		ro.series.HealthTick(hi.Saturations, hi.Underflows, hi.BiasSamples, hi.BiasSumQuanta)
 		if ro.tracer != nil {
-			biasMean := 0.0
-			if health.BiasN > 0 {
-				biasMean = health.BiasSumQ / float64(health.BiasN)
-			}
-			var atBounds uint64
-			if ro.weights != nil {
-				atBounds = ro.weights.AtBounds
-			}
 			ro.tracer.Instant("core", "num-health", ro.tid, map[string]string{
 				"epoch":       fmt.Sprint(epoch),
-				"saturations": fmt.Sprint(health.SatTotal()),
-				"underflows":  fmt.Sprint(health.Underflows),
-				"bias_mean":   fmt.Sprintf("%.6g", biasMean),
-				"at_bounds":   fmt.Sprint(atBounds),
+				"saturations": fmt.Sprint(hi.Saturations),
+				"underflows":  fmt.Sprint(hi.Underflows),
+				"bias_mean":   fmt.Sprintf("%.6g", hi.BiasMeanQuanta()),
+				"at_bounds":   fmt.Sprint(hi.WeightsAtBounds),
 			})
 		}
 	}
 	ro.series.EpochTick(epoch, loss, steps, waits)
 	if ro.hooks != nil {
-		ro.hooks.OnEpoch(obs.EpochInfo{Epoch: epoch, Loss: loss, Steps: steps})
-		if ro.num != nil {
-			hi := obs.HealthInfo{
-				Epoch: epoch, Loss: loss, Steps: steps, ModelWrites: writes,
-				Saturations:   health.SatTotal(),
-				Underflows:    health.Underflows,
-				BiasSamples:   health.BiasN,
-				BiasSumQuanta: health.BiasSumQ,
-			}
-			if ro.weights != nil {
-				hi.WeightsAtBounds = ro.weights.AtBounds
-				hi.WeightCount = ro.weights.Count
-			}
-			ro.hooks.OnHealth(hi)
-		}
+		ro.hooks.OnEpoch(obs.EpochInfo{Epoch: epoch, Loss: loss, Steps: steps, Health: hi})
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestHooksHealthWatchdogTripsQ4 runs a seeded 4-bit model with an
 // oversized step — the update magnitudes saturate the tiny format on
-// nearly every write — under a HealthWatchdog with a tight saturation
-// budget, and checks the whole divergence path: the watchdog fires, the
+// nearly every write — under a HealthWatchdog, and checks the whole
+// divergence path: the watchdog fires, the
 // run's context is cancelled with the detailed cause, and Train
 // returns an error matching obs.ErrDivergence. The TestHooks prefix keeps
 // it in the race-enabled CI filter.
@@ -23,7 +23,7 @@ func TestHooksHealthWatchdogTripsQ4(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
-	wd := &obs.HealthWatchdog{MaxSatRate: 0.01, MinEpochs: 1, Cancel: cancel}
+	wd := &obs.HealthWatchdog{Cancel: cancel}
 	cfg := Config{
 		Problem: Logistic, D: kernels.I8, M: kernels.I4,
 		Variant: kernels.HandOpt, Quant: kernels.QShared, QuantPeriod: 8,
@@ -43,7 +43,7 @@ func TestHooksHealthWatchdogTripsQ4(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("error %v carries no DivergenceError detail", err)
 	}
-	if de.Info.SatRate <= 0.01 {
+	if de.Info.SatRate <= 0.5 {
 		t.Errorf("divergence detail reports sat rate %v, want > threshold", de.Info.SatRate)
 	}
 	if cause := context.Cause(ctx); !errors.Is(cause, obs.ErrDivergence) {

@@ -11,7 +11,7 @@ import (
 // This file holds the numerical-health half of the run statistics: the
 // snapshot types the engine fills from its per-worker counting shards
 // (saturation per clamp site, signed rounding bias, underflows, the
-// per-epoch weight-distribution pass), the per-epoch OnHealth payload,
+// per-epoch weight-distribution pass), the health an epoch carries,
 // and the HealthWatchdog divergence detector. The paper's §3
 // argument — that saturation and rounding bias, not raw bit width, drive
 // low-precision accuracy gaps — becomes a set of live metrics here.
@@ -144,25 +144,19 @@ func (s *NumStats) Merge(other *NumStats) {
 	}
 }
 
-// HealthInfo is the per-epoch numerical-health callback payload. All
-// counters are cumulative over the run (attempt), so rates computed from
-// one HealthInfo describe the run so far, not just the last epoch.
+// HealthInfo is the numerical health an EpochInfo carries. All counters
+// are cumulative over the run (attempt), so rates computed from one
+// HealthInfo describe the run so far, not just the last epoch.
 type HealthInfo struct {
-	// Epoch is the number of completed epochs (1-based); Loss the
-	// full-precision training loss after it.
-	Epoch int
-	Loss  float64
-	// Steps and ModelWrites are the engine's cumulative counters.
-	Steps       uint64
+	// ModelWrites is the engine's cumulative model-write counter.
 	ModelWrites uint64
 	// Saturations, Underflows and the bias accumulator mirror NumStats.
 	Saturations   uint64
 	Underflows    uint64
 	BiasSamples   uint64
 	BiasSumQuanta float64
-	// WeightsAtBounds and WeightCount come from the epoch's weight pass.
+	// WeightsAtBounds comes from the epoch's weight pass.
 	WeightsAtBounds uint64
-	WeightCount     int
 }
 
 // SatRate returns cumulative saturation events per model write. A dense
@@ -214,36 +208,29 @@ func (e *DivergenceError) Error() string {
 // Is matches the ErrDivergence sentinel.
 func (e *DivergenceError) Is(target error) bool { return target == ErrDivergence }
 
-// Default HealthWatchdog thresholds.
+// HealthWatchdog thresholds.
 const (
-	// DefaultMaxSatRate is the cumulative saturations-per-model-write
+	// maxSatRate is the cumulative saturations-per-model-write
 	// threshold: half of all writes clamping is far beyond the benign
 	// occasional clamp low-precision training tolerates.
-	DefaultMaxSatRate = 0.5
-	// DefaultMaxBiasMean is the |mean signed rounding error| threshold
-	// in quanta. Unbiased rounding concentrates near 0; a sustained mean
+	maxSatRate = 0.5
+	// maxBiasMean is the |mean signed rounding error| threshold in
+	// quanta. Unbiased rounding concentrates near 0; a sustained mean
 	// near the worst case (0.5 quanta) means systematic drift.
-	DefaultMaxBiasMean = 0.25
+	maxBiasMean = 0.25
 )
 
 // HealthWatchdog is a Hooks middleware that detects numerical divergence
-// — NaN/Inf loss at any epoch, or saturation-rate / rounding-bias drift
-// beyond thresholds once the grace period has passed — and stops the run:
-// it fires OnDivergence on the wrapped hooks and cancels the run's
-// context with a *DivergenceError cause, so the training call returns an
-// error matching ErrDivergence. It fires at most once.
+// at an epoch boundary — a NaN/Inf loss, or a saturation rate or
+// rounding-bias drift beyond the thresholds above — and stops the run:
+// it forwards the tripping epoch with Divergence set, triggers a debug
+// bundle, and cancels the run's context with a *DivergenceError cause,
+// so the training call returns an error matching ErrDivergence. It fires
+// at most once.
 //
-// The watchdog needs the run to collect numerical health (the rate
-// thresholds see only OnHealth); NaN/Inf detection works regardless.
+// The rate thresholds need the epoch's Health, so the run must collect
+// numerical health; NaN/Inf detection works regardless.
 type HealthWatchdog struct {
-	// MaxSatRate and MaxBiasMean override the default thresholds when
-	// positive.
-	MaxSatRate  float64
-	MaxBiasMean float64
-	// MinEpochs is the grace period: rate thresholds are not checked
-	// before this many epochs completed (default 1; NaN/Inf loss always
-	// trips immediately).
-	MinEpochs int
 	// Cancel is the cancel-cause function of the run's context; required
 	// for the watchdog to actually stop the run.
 	Cancel context.CancelCauseFunc
@@ -251,26 +238,52 @@ type HealthWatchdog struct {
 	// before the run's context is cancelled — so the bundle's flight and
 	// series sections still show the diverging run live.
 	Bundle *Bundler
-	// Next receives every callback unchanged, and OnDivergence when the
-	// watchdog trips (nil: none), so the watchdog can wrap e.g. a
-	// LiveMetrics without hiding it.
+	// Next receives every callback, the tripping epoch with Divergence
+	// set (nil: none), so the watchdog can wrap e.g. a LiveMetrics
+	// without hiding it.
 	Next Hooks
 
 	fired atomic.Bool
 }
 
-// OnEpoch checks the loss for NaN/Inf and forwards.
+// OnEpoch judges the epoch and forwards it; on the first divergence it
+// then triggers the bundle and cancels the run.
 func (wd *HealthWatchdog) OnEpoch(ei EpochInfo) {
-	if math.IsNaN(ei.Loss) || math.IsInf(ei.Loss, 0) {
-		wd.trip(DivergenceInfo{
-			Epoch:  ei.Epoch,
-			Reason: fmt.Sprintf("non-finite training loss %v", ei.Loss),
-			Loss:   ei.Loss,
-		})
+	di := diverged(ei)
+	if di != nil && wd.fired.CompareAndSwap(false, true) {
+		ei.Divergence = di
+	} else {
+		di = nil
 	}
 	if wd.Next != nil {
 		wd.Next.OnEpoch(ei)
 	}
+	if di == nil {
+		return
+	}
+	wd.Bundle.Trigger("divergence", fmt.Sprintf("epoch %d: %s", di.Epoch, di.Reason))
+	if wd.Cancel != nil {
+		wd.Cancel(&DivergenceError{Info: *di})
+	}
+}
+
+// diverged returns why the epoch counts as diverged, or nil.
+func diverged(ei EpochInfo) *DivergenceInfo {
+	di := &DivergenceInfo{Epoch: ei.Epoch, Loss: ei.Loss}
+	if hi := ei.Health; hi != nil {
+		di.SatRate, di.BiasMeanQuanta = hi.SatRate(), hi.BiasMeanQuanta()
+	}
+	switch {
+	case math.IsNaN(ei.Loss) || math.IsInf(ei.Loss, 0):
+		di.Reason = fmt.Sprintf("non-finite training loss %v", ei.Loss)
+	case di.SatRate > maxSatRate:
+		di.Reason = fmt.Sprintf("saturation rate %.3g per model write exceeds %.3g", di.SatRate, maxSatRate)
+	case math.Abs(di.BiasMeanQuanta) > maxBiasMean:
+		di.Reason = fmt.Sprintf("mean rounding bias %.3g quanta exceeds %.3g", di.BiasMeanQuanta, maxBiasMean)
+	default:
+		return nil
+	}
+	return di
 }
 
 // OnStep forwards.
@@ -287,52 +300,6 @@ func (wd *HealthWatchdog) OnWorker(wi WorkerInfo) {
 	}
 }
 
-// OnHealth checks the rate thresholds and forwards.
-func (wd *HealthWatchdog) OnHealth(hi HealthInfo) {
-	minEpochs := wd.MinEpochs
-	if minEpochs <= 0 {
-		minEpochs = 1
-	}
-	if hi.Epoch >= minEpochs {
-		maxSat := wd.MaxSatRate
-		if maxSat <= 0 {
-			maxSat = DefaultMaxSatRate
-		}
-		maxBias := wd.MaxBiasMean
-		if maxBias <= 0 {
-			maxBias = DefaultMaxBiasMean
-		}
-		switch {
-		case hi.SatRate() > maxSat:
-			wd.trip(DivergenceInfo{
-				Epoch:          hi.Epoch,
-				Reason:         fmt.Sprintf("saturation rate %.3g per model write exceeds %.3g", hi.SatRate(), maxSat),
-				Loss:           hi.Loss,
-				SatRate:        hi.SatRate(),
-				BiasMeanQuanta: hi.BiasMeanQuanta(),
-			})
-		case math.Abs(hi.BiasMeanQuanta()) > maxBias:
-			wd.trip(DivergenceInfo{
-				Epoch:          hi.Epoch,
-				Reason:         fmt.Sprintf("mean rounding bias %.3g quanta exceeds %.3g", hi.BiasMeanQuanta(), maxBias),
-				Loss:           hi.Loss,
-				SatRate:        hi.SatRate(),
-				BiasMeanQuanta: hi.BiasMeanQuanta(),
-			})
-		}
-	}
-	if wd.Next != nil {
-		wd.Next.OnHealth(hi)
-	}
-}
-
-// OnDivergence forwards.
-func (wd *HealthWatchdog) OnDivergence(di DivergenceInfo) {
-	if wd.Next != nil {
-		wd.Next.OnDivergence(di)
-	}
-}
-
 // OnCheckpoint forwards.
 func (wd *HealthWatchdog) OnCheckpoint(ci CheckpointInfo) {
 	if wd.Next != nil {
@@ -344,20 +311,5 @@ func (wd *HealthWatchdog) OnCheckpoint(ci CheckpointInfo) {
 func (wd *HealthWatchdog) OnRetry(ri RetryInfo) {
 	if wd.Next != nil {
 		wd.Next.OnRetry(ri)
-	}
-}
-
-// trip fires the divergence exactly once: OnDivergence on the wrapped
-// hooks, then the context cancellation with the diagnostic cause.
-func (wd *HealthWatchdog) trip(di DivergenceInfo) {
-	if !wd.fired.CompareAndSwap(false, true) {
-		return
-	}
-	if wd.Next != nil {
-		wd.Next.OnDivergence(di)
-	}
-	wd.Bundle.Trigger("divergence", fmt.Sprintf("epoch %d: %s", di.Epoch, di.Reason))
-	if wd.Cancel != nil {
-		wd.Cancel(&DivergenceError{Info: di})
 	}
 }

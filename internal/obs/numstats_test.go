@@ -69,22 +69,29 @@ func TestHealthInfoRates(t *testing.T) {
 // recordingHooks captures every callback kind the watchdog can forward.
 type recordingHooks struct {
 	NopHooks
-	epochs      []int
-	health      []HealthInfo
+	epochs      []EpochInfo
 	divergences []DivergenceInfo
 	checkpoints int
 	retries     int
+	// ctx, when set, is the run context; cancelledFirst records whether
+	// it was already cancelled when a divergence reached the hooks.
+	ctx            context.Context
+	cancelledFirst bool
 }
 
-func (r *recordingHooks) OnEpoch(ei EpochInfo)           { r.epochs = append(r.epochs, ei.Epoch) }
-func (r *recordingHooks) OnHealth(hi HealthInfo)         { r.health = append(r.health, hi) }
-func (r *recordingHooks) OnDivergence(di DivergenceInfo) { r.divergences = append(r.divergences, di) }
-func (r *recordingHooks) OnCheckpoint(CheckpointInfo)    { r.checkpoints++ }
-func (r *recordingHooks) OnRetry(RetryInfo)              { r.retries++ }
+func (r *recordingHooks) OnEpoch(ei EpochInfo) {
+	r.epochs = append(r.epochs, ei)
+	if ei.Divergence != nil {
+		r.divergences = append(r.divergences, *ei.Divergence)
+		r.cancelledFirst = r.ctx != nil && r.ctx.Err() != nil
+	}
+}
+func (r *recordingHooks) OnCheckpoint(CheckpointInfo) { r.checkpoints++ }
+func (r *recordingHooks) OnRetry(RetryInfo)           { r.retries++ }
 
 func TestHealthWatchdogNaNLoss(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	rec := &recordingHooks{}
+	rec := &recordingHooks{ctx: ctx}
 	wd := &HealthWatchdog{Cancel: cancel, Next: rec}
 	wd.OnEpoch(EpochInfo{Epoch: 1, Loss: 0.5})
 	if wd.fired.Load() || ctx.Err() != nil {
@@ -105,53 +112,58 @@ func TestHealthWatchdogNaNLoss(t *testing.T) {
 	if !errors.As(cause, &de) || de.Info.Epoch != 2 {
 		t.Fatalf("cause %v is not the detailed DivergenceError", cause)
 	}
-	// Forwarding: both epochs reached the wrapped hooks, and the
-	// divergence fired exactly once on them.
-	if len(rec.epochs) != 2 || len(rec.divergences) != 1 {
+	// Forwarding: both epochs reached the wrapped hooks, the second
+	// carrying the divergence before the context was cancelled.
+	if len(rec.epochs) != 2 || len(rec.divergences) != 1 || rec.epochs[1].Divergence == nil {
 		t.Fatalf("forwarding: epochs %v, divergences %v", rec.epochs, rec.divergences)
+	}
+	if rec.cancelledFirst {
+		t.Error("context cancelled before the tripping epoch was forwarded")
 	}
 	// Firing is once-only even if another NaN epoch arrives.
 	wd.OnEpoch(EpochInfo{Epoch: 3, Loss: math.Inf(1)})
-	if len(rec.divergences) != 1 {
+	if len(rec.epochs) != 3 || len(rec.divergences) != 1 {
 		t.Fatal("watchdog fired twice")
 	}
 }
 
 func TestHealthWatchdogSatRate(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	rec := &recordingHooks{}
-	wd := &HealthWatchdog{MaxSatRate: 0.1, MinEpochs: 2, Cancel: cancel, Next: rec}
-	// Epoch 1 is within the grace period: no trip even at a wild rate.
-	wd.OnHealth(HealthInfo{Epoch: 1, ModelWrites: 100, Saturations: 90})
+	rec := &recordingHooks{ctx: ctx}
+	wd := &HealthWatchdog{Cancel: cancel, Next: rec}
+	// Epoch 1, low rate: no trip; forwarded with its health.
+	wd.OnEpoch(EpochInfo{Epoch: 1, Health: &HealthInfo{ModelWrites: 200, Saturations: 10}})
+	// Epoch 2, rate exactly 0.5: the threshold is strict.
+	wd.OnEpoch(EpochInfo{Epoch: 2, Health: &HealthInfo{ModelWrites: 300, Saturations: 150}})
 	if wd.fired.Load() {
-		t.Fatal("watchdog ignored the grace period")
+		t.Fatal("watchdog tripped at or below the threshold")
 	}
-	// Epoch 2, low rate: no trip; forwarded.
-	wd.OnHealth(HealthInfo{Epoch: 2, ModelWrites: 200, Saturations: 10})
-	if wd.fired.Load() {
-		t.Fatal("watchdog tripped below threshold")
-	}
-	// Epoch 3, rate 0.5 > 0.1: trip.
-	wd.OnHealth(HealthInfo{Epoch: 3, ModelWrites: 300, Saturations: 150})
+	// Epoch 3, rate 0.6 > 0.5: trip.
+	wd.OnEpoch(EpochInfo{Epoch: 3, Loss: 0.25, Health: &HealthInfo{ModelWrites: 400, Saturations: 240}})
 	if !wd.fired.Load() {
 		t.Fatal("watchdog did not trip on saturation rate")
 	}
 	if !errors.Is(context.Cause(ctx), ErrDivergence) {
 		t.Fatalf("cause = %v", context.Cause(ctx))
 	}
-	if len(rec.health) != 3 {
-		t.Fatalf("health forwarding: got %d calls", len(rec.health))
+	if len(rec.epochs) != 3 || rec.epochs[0].Health == nil || rec.epochs[0].Health.Saturations != 10 {
+		t.Fatalf("epoch forwarding: %+v", rec.epochs)
 	}
-	if len(rec.divergences) != 1 || rec.divergences[0].SatRate != 0.5 {
-		t.Fatalf("divergence payload: %+v", rec.divergences)
+	want := DivergenceInfo{Epoch: 3, Loss: 0.25, SatRate: 0.6}
+	if len(rec.divergences) != 1 || rec.divergences[0].Epoch != want.Epoch ||
+		rec.divergences[0].Loss != want.Loss || rec.divergences[0].SatRate != want.SatRate {
+		t.Fatalf("divergence payload: %+v, want %+v", rec.divergences, want)
+	}
+	if rec.cancelledFirst {
+		t.Error("context cancelled before the tripping epoch was forwarded")
 	}
 }
 
 func TestHealthWatchdogBiasDrift(t *testing.T) {
 	_, cancel := context.WithCancelCause(context.Background())
 	wd := &HealthWatchdog{Cancel: cancel}
-	// Default threshold is 0.25 quanta; drift of -0.4 trips.
-	wd.OnHealth(HealthInfo{Epoch: 1, ModelWrites: 10, BiasSamples: 100, BiasSumQuanta: -40})
+	// The threshold is 0.25 quanta; drift of -0.4 trips.
+	wd.OnEpoch(EpochInfo{Epoch: 1, Health: &HealthInfo{ModelWrites: 10, BiasSamples: 100, BiasSumQuanta: -40}})
 	if !wd.fired.Load() {
 		t.Fatal("watchdog did not trip on bias drift")
 	}
@@ -163,16 +175,15 @@ func TestHealthWatchdogForwardsLifecycle(t *testing.T) {
 	var h Hooks = wd
 	h.OnCheckpoint(CheckpointInfo{Epoch: 1})
 	h.OnRetry(RetryInfo{Attempt: 1})
-	h.OnDivergence(DivergenceInfo{Epoch: 1})
-	if rec.checkpoints != 1 || rec.retries != 1 || len(rec.divergences) != 1 {
-		t.Fatalf("forwarding: %d checkpoints, %d retries, %d divergences", rec.checkpoints, rec.retries, len(rec.divergences))
+	if rec.checkpoints != 1 || rec.retries != 1 {
+		t.Fatalf("forwarding: %d checkpoints, %d retries", rec.checkpoints, rec.retries)
 	}
 	// A watchdog with no Cancel and no Next must not panic.
 	bare := &HealthWatchdog{}
 	bare.OnCheckpoint(CheckpointInfo{Epoch: 1})
 	bare.OnRetry(RetryInfo{Attempt: 1})
-	bare.OnHealth(HealthInfo{Epoch: 1})
-	bare.OnEpoch(EpochInfo{Epoch: 1, Loss: math.NaN()})
+	bare.OnEpoch(EpochInfo{Epoch: 1, Health: &HealthInfo{}})
+	bare.OnEpoch(EpochInfo{Epoch: 2, Loss: math.NaN()})
 	if !bare.fired.Load() {
 		t.Fatal("bare watchdog did not record the detection")
 	}

@@ -29,6 +29,13 @@ type EpochInfo struct {
 	Loss float64
 	// Steps is the cumulative number of model updates so far.
 	Steps uint64
+	// Health is the run's numerical health at this boundary; nil unless
+	// the run collects it (Observer.NumHealth on the shared-memory
+	// engine).
+	Health *HealthInfo
+	// Divergence is set only on the epoch at which a HealthWatchdog
+	// trips, before the run's context is cancelled.
+	Divergence *DivergenceInfo
 }
 
 // StepInfo describes one sampled model update.
@@ -62,18 +69,14 @@ type WorkerInfo struct {
 // supervisor's, for OnCheckpoint and OnRetry), possibly concurrently with
 // OnStep and OnWorker. Embed NopHooks to implement only a subset.
 type Hooks interface {
-	// OnEpoch fires after each epoch's loss evaluation.
+	// OnEpoch fires after each epoch's loss evaluation; the epoch
+	// carries the run's numerical health and a watchdog's divergence.
 	OnEpoch(EpochInfo)
 	// OnStep fires for one in every Observer.StepSample model updates
 	// per worker.
 	OnStep(StepInfo)
 	// OnWorker fires when a worker finishes its range of an epoch.
 	OnWorker(WorkerInfo)
-	// OnHealth fires after OnEpoch in a run collecting numerical health.
-	OnHealth(HealthInfo)
-	// OnDivergence fires once, when a HealthWatchdog detects divergence,
-	// before the run's context is cancelled.
-	OnDivergence(DivergenceInfo)
 	// OnCheckpoint fires in a supervised run after a checkpoint file has
 	// been atomically renamed into place.
 	OnCheckpoint(CheckpointInfo)
@@ -93,12 +96,6 @@ func (NopHooks) OnStep(StepInfo) {}
 
 // OnWorker implements Hooks.
 func (NopHooks) OnWorker(WorkerInfo) {}
-
-// OnHealth implements Hooks.
-func (NopHooks) OnHealth(HealthInfo) {}
-
-// OnDivergence implements Hooks.
-func (NopHooks) OnDivergence(DivergenceInfo) {}
 
 // OnCheckpoint implements Hooks.
 func (NopHooks) OnCheckpoint(CheckpointInfo) {}
@@ -133,9 +130,6 @@ type Observer struct {
 	// pass (see NumStats). Off is free on the hot paths: the kernels pay
 	// one nil check per call.
 	NumHealth bool
-	// ClusterLive, when non-nil, receives live per-node counters from a
-	// cluster simulation for Prometheus exposition. Nil is free.
-	ClusterLive *ClusterMetrics
 }
 
 // SamplePeriod returns the effective step sampling period.

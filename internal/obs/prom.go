@@ -162,8 +162,8 @@ type LiveMetrics struct {
 	retries         atomic.Int64
 	resumeEpoch     atomic.Int64
 
-	// Numerical-health gauges, fed by OnHealth/OnDivergence; emitted
-	// only once a health callback arrived (healthSeen).
+	// Numerical-health gauges, fed by the epochs' Health and
+	// Divergence; emitted only once an epoch carried health (healthSeen).
 	healthSeen     atomic.Bool
 	healthSat      atomic.Uint64
 	healthUnder    atomic.Uint64
@@ -183,11 +183,24 @@ type finalStats struct {
 	sup *SupervisorStats
 }
 
-// OnEpoch implements Hooks.
+// OnEpoch implements Hooks: the epoch's cumulative numerical-health
+// counters, when it carries them, become live gauges too.
 func (m *LiveMetrics) OnEpoch(ei EpochInfo) {
 	m.epochs.Store(int64(ei.Epoch))
 	m.steps.Store(ei.Steps)
 	m.lossBits.Store(math.Float64bits(ei.Loss))
+	if hi := ei.Health; hi != nil {
+		m.healthSat.Store(hi.Saturations)
+		m.healthUnder.Store(hi.Underflows)
+		m.healthBiasN.Store(hi.BiasSamples)
+		m.healthBiasBits.Store(math.Float64bits(hi.BiasSumQuanta))
+		m.healthAtBounds.Store(hi.WeightsAtBounds)
+		m.healthSeen.Store(true)
+	}
+	if di := ei.Divergence; di != nil {
+		m.diverged.Store(true)
+		m.divergedEpoch.Store(int64(di.Epoch))
+	}
 }
 
 // OnStep implements Hooks.
@@ -209,23 +222,6 @@ func (m *LiveMetrics) OnCheckpoint(ci CheckpointInfo) {
 func (m *LiveMetrics) OnRetry(ri RetryInfo) {
 	m.retries.Add(1)
 	m.resumeEpoch.Store(int64(ri.ResumeEpoch))
-}
-
-// OnHealth implements Hooks: the cumulative numerical-health
-// counters become live gauges.
-func (m *LiveMetrics) OnHealth(hi HealthInfo) {
-	m.healthSat.Store(hi.Saturations)
-	m.healthUnder.Store(hi.Underflows)
-	m.healthBiasN.Store(hi.BiasSamples)
-	m.healthBiasBits.Store(math.Float64bits(hi.BiasSumQuanta))
-	m.healthAtBounds.Store(hi.WeightsAtBounds)
-	m.healthSeen.Store(true)
-}
-
-// OnDivergence implements Hooks.
-func (m *LiveMetrics) OnDivergence(di DivergenceInfo) {
-	m.diverged.Store(true)
-	m.divergedEpoch.Store(int64(di.Epoch))
 }
 
 // SetFinal attaches the finished run's counter snapshots, so scrapes

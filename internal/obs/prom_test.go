@@ -287,7 +287,8 @@ func TestPromHistogramCumulativeMonotone(t *testing.T) {
 }
 
 // TestLiveMetricsHealth checks that the live health gauges appear only
-// after a health callback, and the divergence gauges after OnDivergence.
+// after an epoch carried health, and the divergence gauges after one
+// carried a divergence.
 func TestLiveMetricsHealth(t *testing.T) {
 	m := &LiveMetrics{}
 	sf := &Surface{Live: m}
@@ -297,7 +298,7 @@ func TestLiveMetricsHealth(t *testing.T) {
 	}
 	out := buf.String()
 	if strings.Contains(out, "buckwild_live_saturations_total") {
-		t.Error("live health gauges emitted before any OnHealth")
+		t.Error("live health gauges emitted before any epoch carried health")
 	}
 	if !strings.Contains(out, "buckwild_diverged 0") {
 		t.Error("buckwild_diverged should always be scrapeable")
@@ -307,8 +308,8 @@ func TestLiveMetricsHealth(t *testing.T) {
 	}
 
 	var hooks Hooks = m
-	hooks.OnHealth(HealthInfo{Epoch: 2, ModelWrites: 100, Saturations: 12, Underflows: 3, BiasSamples: 8, BiasSumQuanta: 2, WeightsAtBounds: 5})
-	hooks.OnDivergence(DivergenceInfo{Epoch: 2, Reason: "test"})
+	hooks.OnEpoch(EpochInfo{Epoch: 1, Health: &HealthInfo{ModelWrites: 100, Saturations: 12, Underflows: 3, BiasSamples: 8, BiasSumQuanta: 2, WeightsAtBounds: 5}})
+	hooks.OnEpoch(EpochInfo{Epoch: 2, Divergence: &DivergenceInfo{Epoch: 2, Reason: "test"}})
 	buf.Reset()
 	if err := sf.WriteProm(&buf); err != nil {
 		t.Fatal(err)

@@ -91,9 +91,11 @@ func pinnedSensors(kind string) pinSensors {
 	m.OnWorker(WorkerInfo{Worker: 1, Epoch: 1, Steps: 50})
 	m.OnCheckpoint(CheckpointInfo{Epoch: 1, Bytes: 4096})
 	m.OnRetry(RetryInfo{Attempt: 1, ResumeEpoch: 1})
-	m.OnHealth(HealthInfo{Epoch: 2, Saturations: 7, Underflows: 3, BiasSamples: 40, BiasSumQuanta: -2, WeightsAtBounds: 2})
-	m.OnEpoch(EpochInfo{Epoch: 2, Loss: 0.375, Steps: 220})
-	m.OnDivergence(DivergenceInfo{Epoch: 2, Reason: "saturation rate", Loss: 0.375})
+	m.OnEpoch(EpochInfo{
+		Epoch: 2, Loss: 0.375, Steps: 220,
+		Health:     &HealthInfo{Saturations: 7, Underflows: 3, BiasSamples: 40, BiasSumQuanta: -2, WeightsAtBounds: 2},
+		Divergence: &DivergenceInfo{Epoch: 2, Reason: "saturation rate", Loss: 0.375},
+	})
 	rs := &RunStats{
 		Steps: 220, MutexWaits: 1, BatchFlushes: 4, SampledSteps: 4,
 		ModelWrites: map[string]uint64{"xorshift": 200, "biased": 20},

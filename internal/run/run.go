@@ -367,8 +367,8 @@ func stitchLoss(history, attempt []float64) []float64 {
 // attemptHooks wraps the user's hooks with the supervisor's machinery:
 // the progress counter the watchdog monitors and the fault-injection
 // sites. OnStep is called from worker goroutines; everything here is
-// safe for concurrent use. The engine fires no lifecycle or divergence
-// callbacks, so those stay the embedded no-ops.
+// safe for concurrent use. The engine fires no lifecycle callbacks, so
+// those stay the embedded no-ops.
 type attemptHooks struct {
 	obs.NopHooks
 	inner    obs.Hooks
@@ -410,13 +410,6 @@ func (h *attemptHooks) OnWorker(wi obs.WorkerInfo) {
 	h.progress.Add(1)
 	if h.inner != nil {
 		h.inner.OnWorker(wi)
-	}
-}
-
-func (h *attemptHooks) OnHealth(hi obs.HealthInfo) {
-	h.progress.Add(1)
-	if h.inner != nil {
-		h.inner.OnHealth(hi)
 	}
 }
 
