@@ -34,7 +34,6 @@ func main() {
 			ErrorFeedback: ef,
 			StepSize:      0.1,
 			Epochs:        8,
-			Seed:          2,
 		}, ds)
 		if err != nil {
 			log.Fatal(err)

@@ -73,7 +73,7 @@ func TestTrainSyncCtxPreCancelled(t *testing.T) {
 	cancel()
 	_, err = TrainSyncDense(SyncConfig{
 		Problem: Logistic, CommBits: 8, Workers: 2,
-		StepSize: 0.1, Epochs: 3, Seed: 1, Ctx: ctx,
+		StepSize: 0.1, Epochs: 3, Ctx: ctx,
 	}, ds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

@@ -34,7 +34,6 @@ type SyncConfig struct {
 	ErrorFeedback bool
 	StepSize      float32
 	Epochs        int
-	Seed          uint64
 	// Ctx, when non-nil, bounds the run: it is checked before every
 	// communication round, and cancellation returns context.Cause(Ctx).
 	Ctx context.Context

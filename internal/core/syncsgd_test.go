@@ -28,7 +28,6 @@ func syncRun(t *testing.T, ds *dataset.DenseSet, bits uint, ef bool) *Result {
 		ErrorFeedback: ef,
 		StepSize:      0.1,
 		Epochs:        6,
-		Seed:          1,
 	}, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestSyncPinned(t *testing.T) {
 				for _, p := range []Problem{Logistic, Linear, SVM} {
 					rows++
 					cfg := SyncConfig{Problem: p, CommBits: bits, Workers: workers,
-						ErrorFeedback: ef, StepSize: 0.05, Epochs: 3, Seed: 1}
+						ErrorFeedback: ef, StepSize: 0.05, Epochs: 3}
 					name := fmt.Sprintf("C%d/ef=%v/W%dB1/%v", bits, ef, workers, p)
 					t.Run(name, func(t *testing.T) {
 						res, err := TrainSyncDense(cfg, ds)

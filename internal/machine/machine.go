@@ -158,10 +158,9 @@ type Result struct {
 	// step.
 	ComputeCyclesPerStep float64
 	MemCyclesPerStep     float64
-	// BandwidthCyclesPerRound is the DRAM-traffic lower bound;
-	// CoherenceCyclesPerStep the coherence share of one core's stalls.
-	BandwidthCyclesPerRound float64
-	CoherenceCyclesPerStep  float64
+	// CoherenceCyclesPerStep is the coherence share of one core's
+	// stalls.
+	CoherenceCyclesPerStep float64
 	// Bound names the binding constraint: "compute", "memory",
 	// "bandwidth" or "communication".
 	Bound string
@@ -340,18 +339,17 @@ func SimulateCtx(ctx context.Context, mc Config, w Workload) (*Result, error) {
 	gnps := totalElems / (round * scale) * mc.ClockGHz
 
 	return &Result{
-		GNPS:                    gnps,
-		CyclesPerRound:          round * scale,
-		ComputeCyclesPerStep:    compute * scale,
-		MemCyclesPerStep:        memPerStep * scale,
-		BandwidthCyclesPerRound: bwCycles * scale,
-		CoherenceCyclesPerStep:  cohPerStep * scale,
-		Bound:                   bound,
-		Stats:                   st,
-		Access:                  mem.access,
-		CoherenceEvents:         st.DirtyTransfers + st.Invalidates,
-		ObstinateRejects:        st.InvalidatesIgnored,
-		MeasuredSteps:           measRounds * w.Threads,
+		GNPS:                   gnps,
+		CyclesPerRound:         round * scale,
+		ComputeCyclesPerStep:   compute * scale,
+		MemCyclesPerStep:       memPerStep * scale,
+		CoherenceCyclesPerStep: cohPerStep * scale,
+		Bound:                  bound,
+		Stats:                  st,
+		Access:                 mem.access,
+		CoherenceEvents:        st.DirtyTransfers + st.Invalidates,
+		ObstinateRejects:       st.InvalidatesIgnored,
+		MeasuredSteps:          measRounds * w.Threads,
 	}, nil
 }
 

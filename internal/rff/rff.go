@@ -95,8 +95,8 @@ type Model struct {
 type Result struct {
 	// TrainLoss is the mean (across classes) hinge loss per epoch.
 	TrainLoss []float64
-	// TrainError and TestError are classification errors.
-	TrainError, TestError float64
+	// TestError is the classification error on the test set.
+	TestError float64
 }
 
 // Train fits one binary Buckwild! SVM per class on the transformed
@@ -159,9 +159,6 @@ func Train(cfg Config, train, test *dataset.Digits) (*Model, *Result, error) {
 		lossSums[e] /= float64(train.C)
 	}
 	r := &Result{TrainLoss: lossSums}
-	if r.TrainError, err = errorOn(model, train); err != nil {
-		return nil, nil, err
-	}
 	if test != nil && len(test.Images) > 0 {
 		if r.TestError, err = errorOn(model, test); err != nil {
 			return nil, nil, err

@@ -20,7 +20,10 @@ type SyncConfig struct {
 	// ErrorFeedback carries the quantization residual forward.
 	ErrorFeedback bool
 	Epochs        int
-	Seed          uint64
+	// Seed has no effect: the engine draws no randomness. It stays only
+	// because the benchmark harness sets it; ROADMAP item 1's benchmark
+	// change deletes it.
+	Seed uint64
 	// Context, when non-nil, bounds the run: it is checked before every
 	// communication round, and cancellation returns the context's cause
 	// with the "buckwild:" prefix.
@@ -41,7 +44,6 @@ func TrainSync(cfg SyncConfig, ds *DenseDataset) (*Result, error) {
 		ErrorFeedback: cfg.ErrorFeedback,
 		StepSize:      0.1,
 		Epochs:        cfg.Epochs,
-		Seed:          cfg.Seed,
 		Ctx:           cfg.Context,
 	}, ds)
 	return res, wrapErr(err)
