@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -92,57 +93,57 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// lockedBuffer is an output buffer the command's copier goroutine
+// writes while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startCmd starts the command with args in dir and returns it with the
-// first http://host:port address it prints on stdout.
-func startCmd(t *testing.T, dir string, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
+// first http://host:port address it prints on stdout, and its stdout and
+// stderr so far.
+func startCmd(t *testing.T, dir string, args ...string) (cmd *exec.Cmd, addr string, stdout, stderr *lockedBuffer) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, args...)
+	cmd = exec.Command(exe, args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stdout, stderr = &lockedBuffer{}, &lockedBuffer{}
+	cmd.Stdout, cmd.Stderr = stdout, stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cmd.Process.Kill() })
-	addr := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		found := false
-		for sc.Scan() {
-			if m := addrRE.FindStringSubmatch(sc.Text()); m != nil && !found {
-				found = true
-				addr <- m[1]
-			}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if m := addrRE.FindStringSubmatch(stdout.String()); m != nil {
+			return cmd, m[1], stdout, stderr
 		}
-		if !found {
-			close(addr)
+		if time.Now().After(deadline) {
+			t.Fatalf("no address printed; stderr:\n%s", stderr.String())
 		}
-	}()
-	select {
-	case a, ok := <-addr:
-		if !ok {
-			t.Fatalf("command exited without printing an address; stderr:\n%s", stderr.String())
-		}
-		return cmd, a, &stderr
-	case <-time.After(60 * time.Second):
-		t.Fatalf("no address printed; stderr:\n%s", stderr.String())
 	}
-	return nil, "", nil
 }
 
 var addrRE = regexp.MustCompile(`http://([0-9.]+:[0-9]+)`)
 
 // waitExit waits for cmd and returns its exit code.
-func waitExit(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) int {
+func waitExit(t *testing.T, cmd *exec.Cmd, stderr *lockedBuffer) int {
 	t.Helper()
 	done := make(chan struct{})
 	go func() { cmd.Wait(); close(done) }()
@@ -223,7 +224,7 @@ func checkDebugRoutes(t *testing.T, base string, pprof bool) {
 // until SIGINT, which exits 130.
 func TestHTTPDebugRoutes(t *testing.T) {
 	dir := t.TempDir()
-	cmd, addr, stderr := startCmd(t, dir, "-n", "64", "-m", "200", "-epochs", "4",
+	cmd, addr, _, stderr := startCmd(t, dir, "-n", "64", "-m", "200", "-epochs", "4",
 		"-http", "127.0.0.1:0", "-checkpoint-dir", "ckpt", "-fault", "stall@step=300", "-stall-timeout", "1h")
 	checkDebugRoutes(t, "http://"+addr, true)
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
@@ -239,7 +240,7 @@ func TestHTTPDebugRoutes(t *testing.T) {
 // but pprof does not, and SIGTERM drains to exit 0.
 func TestServeRoutes(t *testing.T) {
 	dir := t.TempDir()
-	cmd, addr, stderr := startCmd(t, dir, "serve", "-addr", "127.0.0.1:0",
+	cmd, addr, _, stderr := startCmd(t, dir, "serve", "-addr", "127.0.0.1:0",
 		"-n", "64", "-m", "200", "-epochs", "1", "-rounds", "1", "-checkpoint-dir", "ckpt", "-log-level", "warn")
 	base := "http://" + addr
 	deadline := time.Now().Add(60 * time.Second)
@@ -270,6 +271,79 @@ func TestServeRoutes(t *testing.T) {
 	}
 	if code := waitExit(t, cmd, stderr); code != 0 {
 		t.Errorf("exit %d after SIGTERM, want 0; stderr:\n%s", code, stderr.String())
+	}
+}
+
+// divergingRun is a seeded 4-bit model with an oversized step: its
+// updates saturate the format on most writes, so the health watchdog
+// trips at the first epoch boundary.
+var divergingRun = []string{"-sig", "D8M4", "-n", "32", "-m", "400", "-step", "2"}
+
+// TestHealthWatchDivergence runs the diverging model under -health-watch:
+// the run stops with the divergence error and writes one debug bundle.
+func TestHealthWatchDivergence(t *testing.T) {
+	dir := t.TempDir()
+	args := append([]string{"-epochs", "8", "-seed", "7", "-health-watch", "-bundle-dir", dir}, divergingRun...)
+	stderr, code := runCmd(t, dir, args...)
+	if code != 1 || !strings.Contains(stderr, "numerical divergence at epoch 1") {
+		t.Fatalf("exit %d, stderr:\n%s\nwant exit 1 and the epoch-1 divergence", code, stderr)
+	}
+	bundles, _ := filepath.Glob(filepath.Join(dir, "buckwild-divergence-*"+obs.DebugBundleSuffix))
+	if len(bundles) != 1 {
+		t.Errorf("%d divergence bundles, want 1: %v", len(bundles), bundles)
+	}
+}
+
+// TestServeRefusesDivergedPromotion runs buckwild serve on the diverging
+// model: the watchdog gates promotion, so the epoch-1 checkpoint is
+// refused, /metrics shows the divergence, /healthz stays 503 with no
+// model to serve, and SIGTERM still drains to exit 0.
+func TestServeRefusesDivergedPromotion(t *testing.T) {
+	dir := t.TempDir()
+	args := append([]string{"serve", "-addr", "127.0.0.1:0", "-epochs", "2", "-rounds", "1",
+		"-bundle-dir", dir, "-log-level", "warn"}, divergingRun...)
+	cmd, addr, stdout, stderr := startCmd(t, dir, args...)
+	base := "http://" + addr
+	want := []string{"buckwild_diverged 1", "buckwild_diverged_epoch 1", "buckwild_serve_promotions_refused_total 1"}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := ""
+		for _, w := range want {
+			if !strings.Contains(string(body), w+"\n") {
+				missing = w
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never showed %q; stderr:\n%s", missing, stderr.String())
+		}
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/healthz %d after a refused promotion, want 503", resp.StatusCode)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := waitExit(t, cmd, stderr); code != 0 {
+		t.Errorf("exit %d after SIGTERM, want 0; stderr:\n%s", code, stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "0 promotions (1 refused)") {
+		t.Errorf("summary does not read \"0 promotions (1 refused)\":\n%s", out)
 	}
 }
 

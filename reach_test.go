@@ -431,7 +431,8 @@ func recvName(e ast.Expr) string {
 
 // TestInternalOptionsSet enforces the option rule inside the module:
 // every exported field of an internal struct named …Config or …Params,
-// and of obs.Observer and machine.Workload, is set by non-test code. A
+// and of obs.Observer, obs.HealthWatchdog, obs.Surface and
+// machine.Workload, is set by non-test code. A
 // keyed composite literal counts wherever it is; an assignment counts
 // only in a file outside the declaring package that imports it, so a
 // fill() default does not set its own field. The rule reads syntax only:
@@ -489,6 +490,11 @@ func TestInternalOptionsSet(t *testing.T) {
 		return typeName{}
 	}
 
+	// options are the option structs the name rule misses.
+	options := map[string]bool{
+		"internal/obs.Observer": true, "internal/obs.HealthWatchdog": true,
+		"internal/obs.Surface": true, "internal/machine.Workload": true,
+	}
 	fields := map[field]bool{}
 	aliases := map[typeName]typeName{}
 	for dir, files := range dirs {
@@ -509,8 +515,7 @@ func TestInternalOptionsSet(t *testing.T) {
 					st, ok := ts.Type.(*ast.StructType)
 					full := filepath.ToSlash(dir) + "." + tn.name
 					if !ok || !strings.HasPrefix(dir, "internal") || !ts.Name.IsExported() ||
-						!strings.HasSuffix(tn.name, "Config") && !strings.HasSuffix(tn.name, "Params") &&
-							full != "internal/obs.Observer" && full != "internal/machine.Workload" {
+						!strings.HasSuffix(tn.name, "Config") && !strings.HasSuffix(tn.name, "Params") && !options[full] {
 						continue
 					}
 					for _, fl := range st.Fields.List {
